@@ -8,11 +8,11 @@ invariance makes the margin free), every returned witness is re-verified by
 substitution on all corners, and "not a threshold function" means the exact
 LP proved infeasibility.
 
-Whole-cube enumerations exploit the symmetry group that preserves
-threshold-ness (permuting inputs, negating inputs, complementing the
-output): the exact LP runs once per canonical class and the decision
-transfers along the orbit.  For n = 4 that is 222 classes instead of 65,536
-solves.  The enumerated threshold set is cached on disk.
+Whole-cube enumerations use integer weights instead: by Muroga's bound
+every threshold function of n inputs has integer weights with |w_i| <= 1, 1,
+2, 3 for n = 1..4, so one integer matmul over that weight box lists the whole
+set, each table with its integer (w, t) as a witness.  The exact LP decides
+single functions and is the oracle the enumeration is tested against.
 
 Corner order: corner i takes coordinate k from bit k of i (little-endian),
 bit 1 -> +1 and bit 0 -> -1.  Truth tables are bit vectors in that order and
@@ -22,16 +22,14 @@ pack into integers with table[i] at bit i.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "MAX_ENUM_N",
     "BooleanFunction",
     "ThresholdWitness",
     "best_threshold_agreement",
@@ -46,7 +44,7 @@ __all__ = [
 ]
 
 _MAX_SOLVE_N = 8  # 2^n margin constraints per feasibility solve
-_MAX_ENUM_N = 4  # 2^(2^n) truth tables per whole-cube enumeration
+MAX_ENUM_N = 4  # 2^(2^n) truth tables per whole-cube scan
 
 
 def corners(n: int) -> list[tuple[int, ...]]:
@@ -213,76 +211,24 @@ def is_threshold(fn: BooleanFunction) -> ThresholdWitness | None:
     return witness
 
 
-def _corner_permutations(n: int) -> list[np.ndarray]:
-    """Corner index maps for every signed permutation of the inputs."""
-    maps = []
-    idx = list(range(2**n))
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            pi = np.empty(2**n, dtype=np.int64)
-            for i in idx:
-                j = 0
-                for k in range(n):
-                    bit = (i >> perm[k]) & 1
-                    val = (1 if bit else -1) * signs[k]
-                    if val == 1:
-                        j |= 1 << k
-                pi[i] = j
-            maps.append(pi)
-    return maps
-
-
-def _canonical_tables(n: int) -> np.ndarray:
-    """Minimum orbit representative for every truth table, as an int array."""
-    size = 2**n
-    total = 2**size
-    values = np.arange(total, dtype=np.uint64)
-    bits = ((values[:, None] >> np.arange(size, dtype=np.uint64)[None, :]) & 1).astype(np.uint64)
-    full = np.uint64(total - 1)
-    canon = values.copy()
-    for pi in _corner_permutations(n):
-        powers = (np.uint64(1) << pi.astype(np.uint64)).astype(np.uint64)
-        permuted = bits @ powers
-        np.minimum(canon, permuted, out=canon)
-        np.minimum(canon, full - permuted, out=canon)
-    return canon
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get("POLYSELECT_CACHE")
-    base = Path(env) if env else Path.home() / ".cache" / "polyselect"
-    base.mkdir(parents=True, exist_ok=True)
-    return base
-
-
-def threshold_tables(n: int, cache: bool = True) -> np.ndarray:
+def threshold_tables(n: int) -> np.ndarray:
     """Sorted integer truth tables of every threshold function of n inputs.
 
-    Decided by the exact LP once per symmetry class; cached on disk after the
-    first enumeration.
+    Every threshold function of n inputs has integer weights with |w_i| <= B,
+    B = floor((n+1)^((n+1)/2) / 2^n) (Muroga, Threshold Logic and Its
+    Applications, 1971), so the cuts w.x > t over the integer box [-B, B]^n
+    and every integer t in [-(nB+1), nB] produce the whole set; each table
+    comes with its (w, t) as an exact witness.
     """
-    if not 1 <= n <= _MAX_ENUM_N:
-        raise ValueError(f"whole-cube enumeration supports n in [1, {_MAX_ENUM_N}]")
-    cache_path = _cache_dir() / f"threshold_tables_n{n}.json"
-    if cache and cache_path.exists():
-        data = json.loads(cache_path.read_text())
-        if data.get("n") == n:
-            return np.array(sorted(data["tables"]), dtype=np.uint64)
-
-    canon = _canonical_tables(n)
-    reps = np.unique(canon)
-    decisions = {}
-    for rep in reps:
-        fn = BooleanFunction.from_int(n, int(rep))
-        decisions[int(rep)] = is_threshold(fn) is not None
-    mask = np.fromiter((decisions[int(c)] for c in canon), dtype=bool, count=canon.shape[0])
-    tables = np.nonzero(mask)[0].astype(np.uint64)
-
-    if cache:
-        tmp = cache_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"n": n, "tables": [int(t) for t in tables]}))
-        tmp.replace(cache_path)
-    return tables
+    if not 1 <= n <= MAX_ENUM_N:
+        raise ValueError(f"whole-cube enumeration supports n in [1, {MAX_ENUM_N}]")
+    bound = math.isqrt((n + 1) ** (n + 1)) // 2**n
+    weights = np.array(list(itertools.product(range(-bound, bound + 1), repeat=n)))
+    sums = weights @ np.array(corners(n)).T
+    cuts = np.arange(-n * bound - 1, n * bound + 1)
+    powers = np.uint64(1) << np.arange(2**n, dtype=np.uint64)
+    bits = sums[:, None, :] > cuts[None, :, None]
+    return np.unique((bits * powers).sum(axis=-1, dtype=np.uint64))
 
 
 def count_threshold(n: int) -> int:
@@ -290,25 +236,36 @@ def count_threshold(n: int) -> int:
     return int(threshold_tables(n).shape[0])
 
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+_SCAN_CHUNK = 4096  # functions per agreement block
 
 
-def _agreements(value: int, tables: np.ndarray, size: int) -> np.ndarray:
-    diff = np.bitwise_xor(np.uint64(value), tables)
-    return size - _POPCOUNT[diff.astype(np.int64)]
+def _nearest_tables(
+    values: np.ndarray, tables: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best corner agreement of each function in `values` with any table in
+    `tables`, and the index of the first table attaining it."""
+    tables16 = tables.astype(np.uint16)
+    best = np.empty(values.shape[0], dtype=np.int64)
+    nearest = np.empty(values.shape[0], dtype=np.int64)
+    for start in range(0, values.shape[0], _SCAN_CHUNK):
+        block = values[start : start + _SCAN_CHUNK].astype(np.uint16)
+        distance = np.bitwise_count(block[:, None] ^ tables16[None, :])
+        rows = slice(start, start + block.shape[0])
+        nearest[rows] = distance.argmin(axis=1)
+        best[rows] = size - distance[np.arange(block.shape[0]), nearest[rows]]
+    return best, nearest
 
 
 def best_threshold_agreement(fn: BooleanFunction) -> tuple[int, ThresholdWitness]:
     """Best corner agreement achievable by any threshold function, plus a
     witness of a maximiser."""
-    size = 2**fn.n
     tables = threshold_tables(fn.n)
-    agree = _agreements(fn.to_int(), tables, size)
-    best_idx = int(np.argmax(agree))
-    best_fn = BooleanFunction.from_int(fn.n, int(tables[best_idx]))
+    best, nearest = _nearest_tables(np.array([fn.to_int()], dtype=np.uint64), tables, 2**fn.n)
+    best_fn = BooleanFunction.from_int(fn.n, int(tables[nearest[0]]))
     witness = is_threshold(best_fn)
-    assert witness is not None
-    return int(agree[best_idx]), witness
+    if witness is None:  # soundness guard; every enumerated table has a witness
+        raise AssertionError("enumerated table is not a threshold function")
+    return int(best[0]), witness
 
 
 def xor_max_accuracy(n: int) -> int:
@@ -328,39 +285,21 @@ def verify_xor_worst(n: int) -> tuple[bool, list[int]]:
 
     Returns (claim holds, truth tables attaining the minimum best-agreement).
     """
-    size = 2**n
-    tables = threshold_tables(n)
-    total = 2 ** (2**n)
-    worst = size + 1
-    offenders: list[int] = []
-    chunk = 4096
-    values = np.arange(total, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        block = values[start : start + chunk]
-        diff = np.bitwise_xor(block[:, None], tables[None, :])
-        agree = size - _POPCOUNT[diff.astype(np.int64)]
-        best = agree.max(axis=1)
-        block_min = int(best.min())
-        if block_min < worst:
-            worst = block_min
-            offenders = [int(v) for v in block[best == block_min]]
-        elif block_min == worst:
-            offenders.extend(int(v) for v in block[best == block_min])
+    values = np.arange(2 ** (2**n), dtype=np.uint64)
+    best, _ = _nearest_tables(values, threshold_tables(n), 2**n)
+    worst = int(best.min())
+    offenders = [int(v) for v in np.flatnonzero(best == worst)]
     return worst == xor_max_accuracy(n), offenders
 
 
 def threshold_stats(n: int) -> tuple[float, float]:
     """(solved fraction, mean best accuracy) over all n-input functions."""
     size = 2**n
-    tables = threshold_tables(n)
     total = 2 ** (2**n)
+    tables = threshold_tables(n)
     solved_fraction = tables.shape[0] / total
+    best, _ = _nearest_tables(np.arange(total, dtype=np.uint64), tables, size)
     acc_sum = 0.0
-    chunk = 4096
-    values = np.arange(total, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        block = values[start : start + chunk]
-        diff = np.bitwise_xor(block[:, None], tables[None, :])
-        agree = size - _POPCOUNT[diff.astype(np.int64)]
-        acc_sum += float(agree.max(axis=1).sum()) / size
+    for start in range(0, total, _SCAN_CHUNK):
+        acc_sum += float(best[start : start + _SCAN_CHUNK].sum()) / size
     return solved_fraction, acc_sum / total

@@ -29,6 +29,7 @@ from .bench import (
     run_sweep,
 )
 from .boolefn import (
+    MAX_ENUM_N,
     BooleanFunction,
     best_threshold_agreement,
     count_threshold,
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="exact threshold-function queries")
     p.add_argument("action", choices=("count", "approx", "verify-xor-worst"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, choices=range(1, MAX_ENUM_N + 1))
     p.add_argument("--truth-table", dest="truth_table", default=None, help="hex table")
     p.set_defaults(func=_cmd_thresholds)
 

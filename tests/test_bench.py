@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from polyselect.bench import (
 )
 from polyselect.kernels import AttentionConfig
 from polyselect.selection import SelectionConfig
+
+GOLDEN = Path(__file__).resolve().parents[1] / "out"
 
 
 def small_spec(**kwargs):
@@ -145,6 +148,16 @@ class TestReproduce:
             assert len(lines) == 51
             gaps = [float(line.split(",")[-1]) for line in lines[1:]]
             assert max(gaps) < 1e-6
+
+    @pytest.mark.parametrize(
+        "recipe, golden",
+        [("table3_counts", "table3"), ("appD_xor_bound", "appD"), ("appC_boundary", "appC")],
+    )
+    def test_regenerates_committed_golden(self, tmp_path, recipe, golden):
+        paths = reproduce(recipe, tmp_path)
+        assert sorted(p.name for p in paths) == sorted(p.name for p in (GOLDEN / golden).iterdir())
+        for path in paths:
+            assert path.read_bytes() == (GOLDEN / golden / path.name).read_bytes(), path.name
 
     def test_fig7_small_scale(self, tmp_path):
         paths = reproduce("fig7_soft_fs", tmp_path, seed=3, scale=0.01)

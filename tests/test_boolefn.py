@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from polyselect import boolefn
 from polyselect.boolefn import (
     BooleanFunction,
     ThresholdWitness,
@@ -16,6 +18,53 @@ from polyselect.boolefn import (
     xor_function,
     xor_max_accuracy,
 )
+
+
+def _corner_permutations(n: int) -> list[np.ndarray]:
+    """Corner index maps for every signed permutation of the inputs."""
+    maps = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            pi = np.empty(2**n, dtype=np.int64)
+            for i in range(2**n):
+                j = 0
+                for k in range(n):
+                    bit = (i >> perm[k]) & 1
+                    if (1 if bit else -1) * signs[k] == 1:
+                        j |= 1 << k
+                pi[i] = j
+            maps.append(pi)
+    return maps
+
+
+def _table_bits(values: np.ndarray, n: int) -> np.ndarray:
+    """(len(values), 2^n) bit matrix of integer truth tables."""
+    return (values[:, None] >> np.arange(2**n, dtype=np.uint64)[None, :]) & np.uint64(1)
+
+
+def _permuted(bits: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Integer tables after moving bit i of every row to bit pi[i]."""
+    return bits @ (np.uint64(1) << pi.astype(np.uint64))
+
+
+def _lp_threshold_tables(n: int) -> np.ndarray:
+    """Reference set: one exact LP per class of the symmetry group that preserves
+    threshold-ness (signed input permutations and output complement), with the
+    decision transferred along the orbit."""
+    total = 2 ** (2**n)
+    values = np.arange(total, dtype=np.uint64)
+    bits = _table_bits(values, n)
+    full = np.uint64(total - 1)
+    canon = values.copy()
+    for pi in _corner_permutations(n):
+        permuted = _permuted(bits, pi)
+        np.minimum(canon, permuted, out=canon)
+        np.minimum(canon, full - permuted, out=canon)
+    reps = np.unique(canon)
+    decided = np.array(
+        [is_threshold(BooleanFunction.from_int(n, int(r))) is not None for r in reps]
+    )
+    return values[decided[np.searchsorted(reps, canon)]]
 
 
 class TestCornerOrder:
@@ -92,6 +141,19 @@ class TestCounts:
         for n in (2, 3):
             assert count_threshold(n) < 2 ** (n * n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumeration_equals_exact_lp(self, n):
+        tables = threshold_tables(n)
+        assert tables.dtype == np.uint64
+        assert np.array_equal(tables, _lp_threshold_tables(n))
+
+    def test_n4_set_closed_under_symmetries(self):
+        tables = threshold_tables(4)
+        bits = _table_bits(tables, 4)
+        for pi in _corner_permutations(4):
+            assert np.array_equal(np.sort(_permuted(bits, pi)), tables)
+        assert np.array_equal(np.sort(np.uint64(2**16 - 1) - tables), tables)
+
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
             count_threshold(5)
@@ -129,6 +191,11 @@ class TestAgreement:
     def test_closed_form_values(self):
         assert [xor_max_accuracy(n) for n in (2, 3, 4, 5)] == [3, 6, 11, 22]
         assert xor_max_accuracy(2) / 4 == 0.75
+
+    def test_missing_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(boolefn, "is_threshold", lambda fn: None)
+        with pytest.raises(AssertionError):
+            best_threshold_agreement(xor_function(2))
 
     def test_agreement_never_below_majority(self):
         holds, _ = verify_xor_worst(2)

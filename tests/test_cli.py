@@ -94,6 +94,14 @@ class TestThresholds:
         assert payload["holds"] is True
         assert payload["xor_bound"] == 3
 
+    @pytest.mark.parametrize("action", ["count", "approx", "verify-xor-worst"])
+    @pytest.mark.parametrize("n", ["0", "5"])
+    def test_out_of_range_n_is_usage_error(self, action, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", action, "--n", n, "--truth-table", "6"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
     def test_missing_table_is_runtime_error(self, capsys):
         code = main(["thresholds", "approx", "--n", "2"])
         assert code == 1
