@@ -2,14 +2,18 @@
 
 Every method in a cell is evaluated on the same tasks (seeds derive from the
 global seed and the task's grid position), so per-cell method differences are
-paired comparisons.  Evaluation is sequential and order-fixed: rerunning a
+paired comparisons.  Each cell is evaluated in chunks of consecutive tasks,
+stacked on a leading task axis (a TaskBatch) and sized by a fixed memory
+budget; cells and chunks run sequentially in grid order, so rerunning a
 sweep or recipe with the same seed produces byte-identical output files.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,11 +26,11 @@ from .boolefn import (
     verify_xor_worst,
     xor_max_accuracy,
 )
-from .core import Encoding, Task, task_seed
-from .kernels import AttentionConfig, attend_classify, attend_probs, predict
+from .core import Encoding, Task, TaskBatch, task_seed
+from .kernels import AttentionConfig, Kernel, attend_probs, predict
 from .prototypes import build_prototypes, proto_classify
-from .selection import SelectionConfig, SelectionMode, feature_scores, fs_classify
-from .tasks import BooleanTaskSpec, SphereTaskSpec, gen_boolean_task, gen_sphere_task
+from .selection import SelectionConfig, SelectionMode, feature_scores, score_chunk, select_probs
+from .tasks import BooleanTaskSpec, SphereTaskSpec, gen_boolean_batch, gen_sphere_task
 from .theory import and_boundary
 
 __all__ = [
@@ -42,7 +46,31 @@ __all__ = [
     "run_sweep",
 ]
 
-METHODS = ("Attn", "AttnSoftFS", "AttnSoftFSNorm", "AttnTopK", "Proto")
+
+def _selection_method(mode: SelectionMode):
+    def probs(batch, attention, selection, scored):
+        return select_probs(scored(), attention, replace(selection, mode=mode), batch.metas)
+
+    return probs
+
+
+# name -> probs(batch, attention, selection, scored): query class probabilities
+# (tasks, queries, k) of a chunk; scored() returns the chunk's shared Scored.
+_METHODS = {
+    "Attn": lambda batch, attention, selection, scored: attend_probs(
+        batch.query_features, batch.support, attention
+    ),
+    "AttnSoftFS": _selection_method(SelectionMode.SOFT_RESCALE),
+    "AttnSoftFSNorm": _selection_method(SelectionMode.SOFT_RESCALE_NORM),
+    "AttnTopK": _selection_method(SelectionMode.TOP_K),
+    "Proto": lambda batch, attention, selection, scored: proto_classify(
+        batch.query_features, build_prototypes(batch.support), attention.tau_inv
+    ),
+}
+METHODS = tuple(_METHODS)
+
+# Chunk size budget: bytes of the largest per-task float64 temporary in a chunk.
+CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -84,6 +112,16 @@ class CellResult:
     per_task: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
+def _scorer(batch: TaskBatch, selection: SelectionConfig):
+    """The chunk's scores, computed on first use and shared by every method."""
+    return functools.cache(lambda: score_chunk(batch.support, batch.query_features, selection))
+
+
+def _accuracies(name, batch, attention, selection, scored) -> np.ndarray:
+    probs = _METHODS[name](batch, attention, selection, scored)
+    return np.mean(predict(probs) == batch.query_labels, axis=-1)
+
+
 def evaluate_method(
     name: str,
     task: Task,
@@ -91,70 +129,91 @@ def evaluate_method(
     selection: SelectionConfig,
 ) -> float:
     """Query accuracy of one method on one task."""
-    labels = task.query.labels
-    if name == "Attn":
-        probs = attend_classify(task, attention)
-    elif name == "AttnSoftFS":
-        probs = fs_classify(task, attention, replace(selection, mode=SelectionMode.SOFT_RESCALE))
-    elif name == "AttnSoftFSNorm":
-        probs = fs_classify(
-            task, attention, replace(selection, mode=SelectionMode.SOFT_RESCALE_NORM)
-        )
-    elif name == "AttnTopK":
-        probs = fs_classify(task, attention, replace(selection, mode=SelectionMode.TOP_K))
-    elif name == "Proto":
-        probs = proto_classify(task.query.features, build_prototypes(task.support), attention.tau_inv)
-    else:
+    if name not in _METHODS:
         raise ValueError(f"unknown method {name}")
-    return float(np.mean(predict(probs) == labels))
+    batch = TaskBatch.of(task)
+    return float(_accuracies(name, batch, attention, selection, _scorer(batch, selection))[0])
+
+
+def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
+    """Tasks per chunk: the largest per-task temporary times this stays within CHUNK_BYTES.
+
+    That temporary is the query-support similarity (q*m), the Gram matrix of
+    one of the two classes ((m/2)^2) or the support itself (m*n); the Laplace
+    kernel also holds every query-support difference (q*m*n).
+    """
+    m, q = task.r * 2**task.alpha, task.query_count
+    floats = max(q * m, (m // 2) ** 2, m * task.n)
+    if kernel is Kernel.LAPLACE:
+        floats = max(floats, q * m * task.n)
+    return max(1, CHUNK_BYTES // (8 * floats))
+
+
+def _evaluate_chunk(spec: SweepSpec, batch: TaskBatch, accs: dict[str, list]) -> int:
+    """Append each method's per-task accuracies on the chunk; returns failures.
+
+    A method that raises ValueError on the chunk is evaluated again task by
+    task, so only the tasks it fails on are dropped and counted.
+    """
+    scored = _scorer(batch, spec.selection)
+    failures = 0
+    for m in spec.methods:
+        try:
+            accs[m].extend(_accuracies(m, batch, spec.attention, spec.selection, scored))
+        except ValueError:
+            for t in range(len(batch)):
+                one = TaskBatch.of(batch.task(t))
+                scored_one = _scorer(one, spec.selection)
+                try:
+                    acc = _accuracies(m, one, spec.attention, spec.selection, scored_one)
+                except ValueError:
+                    failures += 1
+                else:
+                    accs[m].extend(acc)
+    return failures
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
     """Evaluate every method on every cell of the grid; paired per-task seeds."""
     results = []
-    cell_index = 0
-    for r in spec.r_values:
-        for beta in spec.beta_values:
-            accs: dict[str, list[float]] = {m: [] for m in spec.methods}
-            failures = 0
-            for t in range(spec.tasks_per_cell):
-                seed = task_seed(spec.global_seed, cell_index * spec.tasks_per_cell + t)
-                task = gen_boolean_task(
-                    BooleanTaskSpec(
-                        n=spec.alpha + beta,
-                        alpha=spec.alpha,
-                        p=spec.p,
-                        r=r,
-                        query_count=spec.query_count,
-                        encoding=spec.encoding,
-                        seed=seed,
-                    )
-                )
-                for m in spec.methods:
-                    try:
-                        accs[m].append(evaluate_method(m, task, spec.attention, spec.selection))
-                    except ValueError:
-                        failures += 1
-            mean = {}
-            se = {}
-            per_task = {}
-            for m in spec.methods:
-                arr = np.array(accs[m], dtype=np.float64)
-                per_task[m] = arr
-                mean[m] = float(arr.mean()) if arr.size else float("nan")
-                se[m] = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-            results.append(
-                CellResult(
-                    r=r,
-                    beta=beta,
-                    tasks=spec.tasks_per_cell,
-                    failures=failures,
-                    accuracy_mean=mean,
-                    accuracy_se=se,
-                    per_task=per_task,
-                )
+    cells = itertools.product(spec.r_values, spec.beta_values)
+    for cell_index, (r, beta) in enumerate(cells):
+        shape = BooleanTaskSpec(
+            n=spec.alpha + beta,
+            alpha=spec.alpha,
+            p=spec.p,
+            r=r,
+            query_count=spec.query_count,
+            encoding=spec.encoding,
+        )
+        size = _chunk_size(shape, spec.attention.kind)
+        first = cell_index * spec.tasks_per_cell
+        accs: dict[str, list] = {m: [] for m in spec.methods}
+        failures = 0
+        for start in range(0, spec.tasks_per_cell, size):
+            stop = min(start + size, spec.tasks_per_cell)
+            seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
+            batch = gen_boolean_batch([replace(shape, seed=s) for s in seeds])
+            failures += _evaluate_chunk(spec, batch, accs)
+        mean = {}
+        se = {}
+        per_task = {}
+        for m in spec.methods:
+            arr = np.array(accs[m], dtype=np.float64)
+            per_task[m] = arr
+            mean[m] = float(arr.mean()) if arr.size else float("nan")
+            se[m] = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+        results.append(
+            CellResult(
+                r=r,
+                beta=beta,
+                tasks=spec.tasks_per_cell,
+                failures=failures,
+                accuracy_mean=mean,
+                accuracy_se=se,
+                per_task=per_task,
             )
-            cell_index += 1
+        )
     return results
 
 
@@ -193,13 +252,12 @@ def _grid_rows(spec: SweepSpec, grid: list[CellResult], family: str = "xor") -> 
     return rows
 
 
-def emit_csv(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
-    """Write one row per (cell, method); floats via repr so parsing round-trips."""
-    path = Path(path)
+def _write_rows_csv(rows: list[dict], path: Path) -> Path:
+    """Write grid rows under _CSV_COLUMNS; floats via repr so parsing round-trips."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for row in _grid_rows(spec, grid):
+    for row in rows:
         writer.writerow(
             [
                 row["family"],
@@ -216,6 +274,11 @@ def emit_csv(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
         )
     path.write_text(buf.getvalue())
     return path
+
+
+def emit_csv(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
+    """Write one row per (cell, method)."""
+    return _write_rows_csv(_grid_rows(spec, grid), Path(path))
 
 
 def parse_csv(path: str | Path) -> list[dict]:
@@ -467,27 +530,10 @@ def _recipe_binary_strings_fs_raw(out_dir: Path, seed: int, scale: float) -> lis
             )
             grid = run_sweep(spec)
             rows.extend(_grid_rows(spec, grid, family=f"xor_n{n}"))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row["family"],
-                row["alpha"],
-                row["beta"],
-                repr(float(row["p"])),
-                row["r"],
-                row["method"],
-                row["tasks"],
-                repr(float(row["accuracy_mean"])),
-                repr(float(row["accuracy_se"])),
-                row["seed"],
-            ]
-        )
-    csv_path = out_dir / "binary_strings_fs_raw.csv"
-    csv_path.write_text(buf.getvalue())
-    return [csv_path, _write_json(out_dir / "binary_strings_fs_raw.json", rows)]
+    return [
+        _write_rows_csv(rows, out_dir / "binary_strings_fs_raw.csv"),
+        _write_json(out_dir / "binary_strings_fs_raw.json", rows),
+    ]
 
 
 RECIPES = {

@@ -3,6 +3,10 @@
 All numeric data is float64. Arrays are validated once and then locked
 (read-only), so tasks and labelled sets can be shared across threads; every
 operation in this package is a pure function of its inputs.
+
+Feature arrays are (..., rows, n): leading axes stack same-shape tasks that
+share one label layout (a TaskBatch), and every pipeline function works on
+the last two axes, so a single task is the case with no leading axis.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ __all__ = [
     "Encoding",
     "LabeledSet",
     "Task",
+    "TaskBatch",
     "TaskMeta",
     "decode_bits",
     "encode_bits",
@@ -43,9 +48,9 @@ class Encoding(Enum):
 
 def _as_feature_matrix(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"feature matrix must be 2-d, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.ndim < 2:
+        raise ValueError(f"feature matrix must be at least 2-d, got shape {arr.shape}")
+    if arr.size == 0:
         raise ValueError(f"feature matrix must be non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("feature matrix contains non-finite entries")
@@ -59,6 +64,8 @@ class LabeledSet:
 
     External label spaces are arbitrary; callers map them to 0..k-1 on
     ingestion.  k >= 2 is required because every consumer here classifies.
+    Features may be a (tasks, rows, n) stack; the labels, one per row, are
+    then shared by every task in it.
     """
 
     features: np.ndarray
@@ -68,7 +75,7 @@ class LabeledSet:
     def __post_init__(self):
         feats = _as_feature_matrix(self.features)
         labels = np.array(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
+        if labels.ndim != 1 or labels.shape[0] != feats.shape[-2]:
             raise ValueError("labels must be 1-d with one entry per feature row")
         if self.k < 2:
             raise ValueError(f"class count must be >= 2, got {self.k}")
@@ -80,15 +87,15 @@ class LabeledSet:
 
     @property
     def rows(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
 
     def class_rows(self, c: int) -> np.ndarray:
-        """Feature rows of class c (possibly empty)."""
-        return self.features[self.labels == c]
+        """Feature rows of class c (possibly empty), per task of a stack."""
+        return self.features[..., self.labels == c, :]
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,60 @@ class Task:
     @property
     def n_features(self) -> int:
         return self.support.cols
+
+
+@dataclass(frozen=True)
+class TaskBatch:
+    """Same-shape tasks stacked on a leading task axis.
+
+    support is one LabeledSet with (tasks, rows, n) features and a label
+    layout shared by every task; queries are (tasks, queries, n) features with
+    per-task labels.  metas holds each task's generation metadata (or None).
+    """
+
+    support: LabeledSet
+    query_features: np.ndarray
+    query_labels: np.ndarray
+    metas: tuple[TaskMeta | None, ...]
+
+    def __post_init__(self):
+        feats = _as_feature_matrix(self.query_features)
+        labels = np.array(self.query_labels, dtype=np.int64)
+        tasks = len(self.metas)
+        if self.support.features.ndim != 3 or self.support.features.shape[0] != tasks:
+            raise ValueError("support features must be (tasks, rows, n), one task per meta")
+        if feats.ndim != 3 or feats.shape[0] != tasks or feats.shape[2] != self.support.cols:
+            raise ValueError("query features must be (tasks, queries, n) matching the support")
+        if labels.shape != feats.shape[:2]:
+            raise ValueError("query labels must be (tasks, queries)")
+        if labels.min() < 0 or labels.max() >= self.support.k:
+            raise ValueError(f"labels must lie in [0, {self.support.k})")
+        labels.setflags(write=False)
+        object.__setattr__(self, "query_features", feats)
+        object.__setattr__(self, "query_labels", labels)
+        object.__setattr__(self, "metas", tuple(self.metas))
+
+    @classmethod
+    def of(cls, task: Task) -> TaskBatch:
+        """A chunk of one."""
+        s = task.support
+        return cls(
+            support=LabeledSet(s.features[None], s.labels, s.k),
+            query_features=task.query.features[None],
+            query_labels=task.query.labels[None],
+            metas=(task.meta,),
+        )
+
+    def __len__(self) -> int:
+        return len(self.metas)
+
+    def task(self, i: int) -> Task:
+        s = self.support
+        return Task(
+            support=LabeledSet(s.features[i], s.labels, s.k),
+            query=LabeledSet(self.query_features[i], self.query_labels[i], s.k),
+            meta=self.metas[i],
+        )
 
 
 def one_hot(labels: Sequence[int], k: int) -> np.ndarray:

@@ -4,14 +4,15 @@ The classifier is a softmax-weighted vote of support labels: queries are
 attention queries, support features are keys, and one-hot support labels are
 values.  With sharp temperature it reduces to 1-nearest-neighbour; with flat
 temperature it returns the support class balance.
+
+Every function here works on the last two axes, so queries (..., q, n) and
+a stacked support (..., m, n) classify a whole chunk of tasks at once.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "attend_classify",
     "attend_probs",
     "confidence_field",
-    "confidence_field_csv",
     "predict",
     "similarity",
     "similarity_matrix",
@@ -55,33 +55,34 @@ class AttentionConfig:
             raise ValueError(f"tau_inv must be positive and finite, got {self.tau_inv}")
 
 
-def _check_rows_nonzero(mat: np.ndarray, who: str) -> None:
-    norms = np.linalg.norm(mat, axis=1)
+def _unit_rows(mat: np.ndarray, who: str) -> np.ndarray:
+    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError(f"cosine similarity undefined: zero vector in {who}")
+    return mat / norms
 
 
 def similarity_matrix(config: AttentionConfig, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Pairwise similarity scores, one row per query, one column per key."""
     queries = np.asarray(queries, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
-    if queries.shape[1] != keys.shape[1]:
+    if queries.shape[-1] != keys.shape[-1]:
         raise ValueError("query and key vectors must have equal length")
     if config.kind is Kernel.DOT:
-        return queries @ keys.T
+        return queries @ keys.swapaxes(-1, -2)
     if config.kind is Kernel.COSINE:
-        _check_rows_nonzero(queries, "queries")
-        _check_rows_nonzero(keys, "keys")
-        qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
-        kn = keys / np.linalg.norm(keys, axis=1, keepdims=True)
-        return qn @ kn.T
+        qn = _unit_rows(queries, "queries")
+        kn = _unit_rows(keys, "keys")
+        return qn @ kn.swapaxes(-1, -2)
     if config.kind is Kernel.SQ_EUCLIDEAN:
         # -|q - k|^2 expanded to stay at one matmul
-        q2 = np.sum(queries**2, axis=1)[:, None]
-        k2 = np.sum(keys**2, axis=1)[None, :]
-        return 2.0 * (queries @ keys.T) - q2 - k2
+        out = queries @ keys.swapaxes(-1, -2)
+        out *= 2.0
+        out -= np.sum(queries**2, axis=-1)[..., :, None]
+        out -= np.sum(keys**2, axis=-1)[..., None, :]
+        return out
     # Laplace: negative L1 distance
-    return -np.abs(queries[:, None, :] - keys[None, :, :]).sum(axis=2)
+    return -np.abs(queries[..., :, None, :] - keys[..., None, :, :]).sum(axis=-1)
 
 
 def similarity(config: AttentionConfig, q: np.ndarray, s: np.ndarray) -> float:
@@ -96,17 +97,17 @@ def softmax_rows(scores: np.ndarray, tau_inv: float = 1.0) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("softmax input must be finite")
-    z = tau_inv * scores
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = tau_inv * scores  # the only temporary: every later step works in place
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def attend_probs(query_features: np.ndarray, support: LabeledSet, config: AttentionConfig) -> np.ndarray:
     """Class probabilities for arbitrary query rows against a support set."""
     scores = similarity_matrix(config, query_features, support.features)
-    weights = softmax_rows(scores, config.tau_inv)
-    return weights @ one_hot(support.labels, support.k)
+    return softmax_rows(scores, config.tau_inv) @ one_hot(support.labels, support.k)
 
 
 def attend_classify(task: Task, config: AttentionConfig) -> np.ndarray:
@@ -116,7 +117,7 @@ def attend_classify(task: Task, config: AttentionConfig) -> np.ndarray:
 
 def predict(probs: np.ndarray) -> np.ndarray:
     """Argmax class ids; ties resolve to the lowest class id."""
-    return np.argmax(probs, axis=1)
+    return np.argmax(probs, axis=-1)
 
 
 def confidence_field(
@@ -139,21 +140,3 @@ def confidence_field(
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     probs = attend_probs(pts, support, config)
     return xs, ys, probs[:, 1].reshape(resolution, resolution)
-
-
-def confidence_field_csv(
-    path: str | Path,
-    support: LabeledSet,
-    config: AttentionConfig,
-    **kwargs,
-) -> Path:
-    """Write the confidence grid as (x, y, p1) rows; returns the path."""
-    xs, ys, p1 = confidence_field(support, config, **kwargs)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "p1"])
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(p1[i, j]))])
-    return path

@@ -20,14 +20,14 @@ __all__ = ["PrototypeSet", "build_prototypes", "proto_classify"]
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """One mean feature vector per class, row c for class c."""
+    """One mean feature vector per class, row c for class c (per task of a stack)."""
 
     means: np.ndarray
     k: int
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
-        if means.ndim != 2 or means.shape[0] != self.k:
+        if means.ndim < 2 or means.shape[-2] != self.k:
             raise ValueError("means must have one row per class")
         if not np.all(np.isfinite(means)):
             raise ValueError("prototype means must be finite")
@@ -37,21 +37,22 @@ class PrototypeSet:
 
 def build_prototypes(support: LabeledSet) -> PrototypeSet:
     """Arithmetic mean of each class's support rows; every class must appear."""
-    means = np.empty((support.k, support.cols), dtype=np.float64)
+    means = []
     for c in range(support.k):
         rows = support.class_rows(c)
-        if rows.shape[0] == 0:
+        if rows.shape[-2] == 0:
             raise ValueError(f"class {c} has no support examples")
-        means[c] = rows.mean(axis=0)
-    return PrototypeSet(means=means, k=support.k)
+        means.append(rows.mean(axis=-2))
+    return PrototypeSet(means=np.stack(means, axis=-2), k=support.k)
 
 
 def proto_classify(query_features: np.ndarray, protos: PrototypeSet, tau_inv: float = 1.0) -> np.ndarray:
     """Class probabilities: softmax of -tau_inv * squared distance to each mean."""
     queries = np.asarray(query_features, dtype=np.float64)
-    if queries.shape[1] != protos.means.shape[1]:
+    means = protos.means
+    if queries.shape[-1] != means.shape[-1]:
         raise ValueError("query and prototype dimensions differ")
-    q2 = np.sum(queries**2, axis=1)[:, None]
-    m2 = np.sum(protos.means**2, axis=1)[None, :]
-    neg_sq = 2.0 * (queries @ protos.means.T) - q2 - m2
+    q2 = np.sum(queries**2, axis=-1)[..., :, None]
+    m2 = np.sum(means**2, axis=-1)[..., None, :]
+    neg_sq = 2.0 * (queries @ means.swapaxes(-1, -2)) - q2 - m2
     return softmax_rows(neg_sq, tau_inv)

@@ -10,8 +10,13 @@ the feature survived the averaging and is discriminative for this task.
 
 Scores feed classification either softly (multiply features by scores,
 optionally normalised) or hard (keep only the k best-scoring features).
-Rescaling operates on standardised features by default, with query rows
-standardised using support statistics.
+Rescaling operates on standardised features, with query rows standardised
+using support statistics.
+
+Every step works on (..., rows, n) arrays, so a chunk of same-shape tasks
+that share one support label layout is standardised, scored and classified
+at once; score_chunk standardises a chunk once and its Scored result serves
+every selection mode.
 """
 
 from __future__ import annotations
@@ -28,13 +33,16 @@ from .kernels import AttentionConfig, attend_probs, softmax_rows
 
 __all__ = [
     "Dispersion",
+    "Scored",
     "SelectionConfig",
     "SelectionMode",
     "apply_selection",
     "dispersion",
     "feature_scores",
     "fs_classify",
+    "score_chunk",
     "scores_csv",
+    "select_probs",
     "self_attention_round",
     "standardize",
     "standardize_features",
@@ -64,11 +72,6 @@ class SelectionConfig:
 
     top_k is required for TOP_K mode unless the task carries generation
     metadata, in which case it defaults to the task's active-feature count.
-
-    rescale_raw applies scores to the raw (unstandardised) features instead;
-    per_class_dispersion averages within-class dispersions instead of pooling
-    the whole support.  Both are off by default and exist to make the effect
-    of those choices measurable.
     """
 
     epsilon: float = 1e-8
@@ -77,8 +80,6 @@ class SelectionConfig:
     dispersion: Dispersion = Dispersion.MAD
     mode: SelectionMode = SelectionMode.SOFT_RESCALE
     top_k: int | None = None
-    rescale_raw: bool = False
-    per_class_dispersion: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -94,6 +95,8 @@ class SelectionConfig:
 def standardize_features(
     features: np.ndarray, mu: np.ndarray, sigma: np.ndarray, epsilon: float
 ) -> np.ndarray:
+    """Standardise (..., rows, n) features with per-task (..., n) statistics."""
+    mu, sigma = mu[..., None, :], sigma[..., None, :]
     return (np.asarray(features, dtype=np.float64) - mu) / (sigma + epsilon)
 
 
@@ -105,8 +108,8 @@ def standardize(support: LabeledSet, epsilon: float = 1e-8) -> tuple[LabeledSet,
     """
     if support.rows < 2:
         raise ValueError("standardisation needs at least 2 support rows")
-    mu = support.features.mean(axis=0)
-    sigma = support.features.std(axis=0)  # population (divide by N)
+    mu = support.features.mean(axis=-2)
+    sigma = support.features.std(axis=-2)  # population (divide by N)
     feats = standardize_features(support.features, mu, sigma, epsilon)
     return LabeledSet(features=feats, labels=support.labels, k=support.k), mu, sigma
 
@@ -119,32 +122,33 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     single-row class is returned unchanged.
     """
     x = np.asarray(class_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("class features must be a non-empty 2-d matrix")
-    if x.shape[0] == 1:
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ValueError("class features must be a non-empty (..., rows, n) array")
+    if x.shape[-2] == 1:
         return x.copy()
-    weights = softmax_rows(x @ x.T, tau_inv)
+    weights = softmax_rows(x @ x.swapaxes(-1, -2), tau_inv)
     return weights @ x
 
 
 def dispersion(features: np.ndarray, kind: Dispersion) -> np.ndarray:
-    """Per-feature spread (population statistics)."""
+    """Per-feature spread over the rows (population statistics)."""
     x = np.asarray(features, dtype=np.float64)
     if kind is Dispersion.MAD:
-        return np.abs(x - x.mean(axis=0)).mean(axis=0)
-    return x.std(axis=0)
+        return np.abs(x - x.mean(axis=-2, keepdims=True)).mean(axis=-2)
+    return x.std(axis=-2)
 
 
-def _attended_support(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
+def _scores(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
     out = std_support.features.copy()
     for c in range(std_support.k):
-        block = out[std_support.labels == c]
-        if block.shape[0] == 0:
+        rows = std_support.labels == c
+        block = out[..., rows, :]
+        if block.shape[-2] == 0:
             raise ValueError(f"class {c} has no support examples")
         for _ in range(config.rounds):
             block = self_attention_round(block, config.tau_inv)
-        out[std_support.labels == c] = block
-    return out
+        out[..., rows, :] = block
+    return dispersion(out, config.dispersion)
 
 
 def feature_scores(support: LabeledSet, config: SelectionConfig = SelectionConfig()) -> np.ndarray:
@@ -153,70 +157,100 @@ def feature_scores(support: LabeledSet, config: SelectionConfig = SelectionConfi
     rounds=0 skips the attention entirely and scores features by the
     dispersion of the standardised support.
     """
-    std_support, _, _ = standardize(support, config.epsilon)
-    updated = _attended_support(std_support, config)
-    if config.per_class_dispersion:
-        per_class = [
-            dispersion(updated[std_support.labels == c], config.dispersion)
-            for c in range(std_support.k)
-        ]
-        return np.mean(per_class, axis=0)
-    return dispersion(updated, config.dispersion)
+    return _scores(standardize(support, config.epsilon)[0], config)
+
+
+@dataclass(frozen=True)
+class Scored:
+    """A chunk standardised once, with the support's feature scores.
+
+    The query rows are standardised with the support statistics.  Every
+    selection mode applies its factor to these same arrays, so the scores of
+    a chunk are computed once however many modes use them.
+    """
+
+    support: LabeledSet
+    query_features: np.ndarray
+    scores: np.ndarray
+
+
+def _standardized(support: LabeledSet, query_features: np.ndarray, epsilon: float):
+    std_support, mu, sigma = standardize(support, epsilon)
+    return std_support, standardize_features(query_features, mu, sigma, epsilon)
+
+
+def score_chunk(support: LabeledSet, query_features: np.ndarray, config: SelectionConfig) -> Scored:
+    """Standardise support and queries, then score the support's features."""
+    std_support, query = _standardized(support, query_features, config.epsilon)
+    scores = _scores(std_support, config)
+    query.setflags(write=False)  # shared by every mode that reads this chunk
+    scores.setflags(write=False)
+    return Scored(std_support, query, scores)
 
 
 def _top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     """Binary mask keeping the k highest scores; ties keep the lowest index."""
-    n = scores.shape[0]
+    n = scores.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"top_k must lie in [1, {n}], got {k}")
-    order = np.lexsort((np.arange(n), -scores))
-    mask = np.zeros(n, dtype=np.float64)
-    mask[order[:k]] = 1.0
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    mask = np.zeros(scores.shape, dtype=np.float64)
+    np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
     return mask
 
 
-def _resolve_top_k(task: Task, config: SelectionConfig) -> int:
+def _resolve_top_k(metas, config: SelectionConfig) -> int:
     if config.top_k is not None:
         return config.top_k
-    if task.meta is not None:
-        return task.meta.alpha
+    alphas = {None if m is None else m.alpha for m in metas}
+    if len(alphas) == 1 and None not in alphas:
+        return alphas.pop()
     raise ValueError("TOP_K mode needs top_k (or task metadata with an active count)")
+
+
+def _factor(scores: np.ndarray, config: SelectionConfig, metas) -> np.ndarray:
+    """Per-task (..., n) multipliers that the configured mode applies to features."""
+    if np.any(scores < 0) or not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite and nonnegative")
+    if config.mode is SelectionMode.SOFT_RESCALE:
+        return scores
+    if config.mode is SelectionMode.SOFT_RESCALE_NORM:
+        total = np.abs(scores).sum(axis=-1, keepdims=True)
+        if np.any(total == 0):
+            raise ValueError("cannot normalise all-zero scores")
+        return scores / total * scores.shape[-1]
+    return _top_k_mask(scores, _resolve_top_k(metas, config))
+
+
+def _rescaled(scored: Scored, config: SelectionConfig, metas) -> tuple[LabeledSet, np.ndarray]:
+    factor = _factor(scored.scores, config, metas)[..., None, :]
+    sup = scored.support
+    return LabeledSet(sup.features * factor, sup.labels, sup.k), scored.query_features * factor
+
+
+def select_probs(scored: Scored, attn: AttentionConfig, sel: SelectionConfig, metas) -> np.ndarray:
+    """Rescale or mask a scored chunk by sel.mode, then attend-classify its queries.
+
+    metas are the chunk's task metadata, read only when TOP_K mode has no top_k.
+    """
+    support, query = _rescaled(scored, sel, metas)
+    return attend_probs(query, support, attn)
 
 
 def apply_selection(task: Task, scores: np.ndarray, config: SelectionConfig) -> Task:
     """Rescale or mask the task's features by the given scores.
 
-    Support and query are standardised with the support statistics first
-    (unless rescale_raw is set) and the selected transform is applied
-    identically to both.
+    Support and query are standardised with the support statistics first and
+    the selected transform is applied identically to both.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (task.n_features,):
         raise ValueError("scores length must match the feature count")
-    if np.any(scores < 0) or not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite and nonnegative")
-
-    if config.rescale_raw:
-        sup_feats = task.support.features.copy()
-        qry_feats = task.query.features.copy()
-    else:
-        std_support, mu, sigma = standardize(task.support, config.epsilon)
-        sup_feats = std_support.features.copy()
-        qry_feats = standardize_features(task.query.features, mu, sigma, config.epsilon)
-
-    if config.mode is SelectionMode.SOFT_RESCALE:
-        factor = scores
-    elif config.mode is SelectionMode.SOFT_RESCALE_NORM:
-        total = np.abs(scores).sum()
-        if total == 0:
-            raise ValueError("cannot normalise all-zero scores")
-        factor = scores / total * scores.shape[0]
-    else:
-        factor = _top_k_mask(scores, _resolve_top_k(task, config))
-
+    std_support, query = _standardized(task.support, task.query.features, config.epsilon)
+    support, query = _rescaled(Scored(std_support, query, scores), config, (task.meta,))
     return Task(
-        support=LabeledSet(features=sup_feats * factor, labels=task.support.labels, k=task.support.k),
-        query=LabeledSet(features=qry_feats * factor, labels=task.query.labels, k=task.query.k),
+        support=support,
+        query=LabeledSet(features=query, labels=task.query.labels, k=task.query.k),
         meta=task.meta,
     )
 
@@ -227,9 +261,8 @@ def fs_classify(
     sel: SelectionConfig = SelectionConfig(),
 ) -> np.ndarray:
     """Full pipeline: standardise, score, rescale/mask, then attend-classify."""
-    scores = feature_scores(task.support, sel)
-    selected = apply_selection(task, scores, sel)
-    return attend_probs(selected.query.features, selected.support, attn)
+    scored = score_chunk(task.support, task.query.features, sel)
+    return select_probs(scored, attn, sel, (task.meta,))
 
 
 def scores_csv(path: str | Path, scores: np.ndarray) -> Path:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import Encoding, LabeledSet, Task, TaskMeta, encode_bits, rng_for
+from .core import Encoding, LabeledSet, Task, TaskBatch, TaskMeta, encode_bits, rng_for
 
 __all__ = [
     "BooleanTaskSpec",
@@ -22,6 +22,7 @@ __all__ = [
     "PolytheticRule",
     "SphereTaskSpec",
     "TupleTaskSpec",
+    "gen_boolean_batch",
     "gen_boolean_task",
     "gen_sphere_task",
     "gen_tuple_task",
@@ -84,35 +85,62 @@ def _pattern_labels(patterns: np.ndarray) -> np.ndarray:
     return (zeros % 2).astype(np.int64)
 
 
+def gen_boolean_batch(specs: Sequence[BooleanTaskSpec]) -> TaskBatch:
+    """One task per spec, stacked; the specs may differ only in their seed.
+
+    Each task draws from its own seed's stream exactly as a lone task would:
+    the active set, the support noise, the query noise, the query patterns.
+    """
+    first = specs[0]
+    shape = (first.n, first.alpha, first.p, first.r, first.query_count, first.encoding)
+    if any((s.n, s.alpha, s.p, s.r, s.query_count, s.encoding) != shape for s in specs):
+        raise ValueError("a batch needs specs that differ only in their seed")
+    n, alpha, q = first.n, first.alpha, first.query_count
+    patterns = _variant_patterns(alpha)
+    pattern_labels = _pattern_labels(patterns)
+    rows = first.r * patterns.shape[0]
+
+    tasks = len(specs)
+    active = np.empty((tasks, alpha), dtype=np.int64)
+    sup_u = np.empty((tasks, rows, n))
+    qry_u = np.empty((tasks, q, n))
+    qry_variant = np.empty((tasks, q), dtype=np.int64)
+    for t, spec in enumerate(specs):
+        rng = rng_for(spec.seed)
+        active[t] = np.sort(rng.choice(n, size=alpha, replace=False))
+        rng.random(out=sup_u[t])
+        rng.random(out=qry_u[t])
+        qry_variant[t] = rng.integers(0, patterns.shape[0], size=q)
+
+    def place(uniform: np.ndarray, variant_bits: np.ndarray) -> np.ndarray:
+        bits = (uniform < first.p).astype(np.int64)
+        cols = np.broadcast_to(active[:, None, :], bits.shape[:2] + (alpha,))
+        np.put_along_axis(bits, cols, variant_bits, axis=-1)
+        return encode_bits(bits, first.encoding)
+
+    sup_variant = np.repeat(np.arange(patterns.shape[0]), first.r)
+    metas = tuple(
+        TaskMeta(
+            active_indices=tuple(int(i) for i in act),
+            alpha=alpha,
+            beta_irrelevant=n - alpha,
+            p=first.p,
+            r=first.r,
+            encoding=first.encoding,
+            seed=spec.seed,
+        )
+        for act, spec in zip(active, specs)
+    )
+    return TaskBatch(
+        support=LabeledSet(place(sup_u, patterns[sup_variant]), pattern_labels[sup_variant], k=2),
+        query_features=place(qry_u, patterns[qry_variant]),
+        query_labels=pattern_labels[qry_variant],
+        metas=metas,
+    )
+
+
 def gen_boolean_task(spec: BooleanTaskSpec) -> Task:
-    rng = rng_for(spec.seed)
-    active = np.sort(rng.choice(spec.n, size=spec.alpha, replace=False))
-    patterns = _variant_patterns(spec.alpha)
-
-    sup_bits = (rng.random((spec.r * 2**spec.alpha, spec.n)) < spec.p).astype(np.int64)
-    sup_patterns = np.repeat(patterns, spec.r, axis=0)
-    sup_bits[:, active] = sup_patterns
-    sup_labels = _pattern_labels(sup_patterns)
-
-    qry_bits = (rng.random((spec.query_count, spec.n)) < spec.p).astype(np.int64)
-    qry_patterns = patterns[rng.integers(0, patterns.shape[0], size=spec.query_count)]
-    qry_bits[:, active] = qry_patterns
-    qry_labels = _pattern_labels(qry_patterns)
-
-    meta = TaskMeta(
-        active_indices=tuple(int(i) for i in active),
-        alpha=spec.alpha,
-        beta_irrelevant=spec.n - spec.alpha,
-        p=spec.p,
-        r=spec.r,
-        encoding=spec.encoding,
-        seed=spec.seed,
-    )
-    return Task(
-        support=LabeledSet(encode_bits(sup_bits, spec.encoding), sup_labels, k=2),
-        query=LabeledSet(encode_bits(qry_bits, spec.encoding), qry_labels, k=2),
-        meta=meta,
-    )
+    return gen_boolean_batch((spec,)).task(0)
 
 
 @dataclass(frozen=True)

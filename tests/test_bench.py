@@ -4,18 +4,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyselect import bench
 from polyselect.bench import (
+    METHODS,
     SweepSpec,
     _heat_color,
     emit_csv,
     emit_json,
     emit_svg_heatmap,
+    evaluate_method,
     parse_csv,
     reproduce,
     run_sweep,
 )
-from polyselect.kernels import AttentionConfig
+from polyselect.core import Encoding, task_seed
+from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import SelectionConfig
+from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
 
 GOLDEN = Path(__file__).resolve().parents[1] / "out"
 
@@ -35,6 +40,58 @@ def small_spec(**kwargs):
     )
     defaults.update(kwargs)
     return SweepSpec(**defaults)
+
+
+def loop_sweep(spec: SweepSpec) -> list[tuple[int, dict[str, np.ndarray]]]:
+    """Reference sweep: one generated task and one evaluate_method call at a time."""
+    cells = []
+    for cell_index, (r, beta) in enumerate(
+        (r, beta) for r in spec.r_values for beta in spec.beta_values
+    ):
+        accs = {m: [] for m in spec.methods}
+        failures = 0
+        for t in range(spec.tasks_per_cell):
+            task = gen_boolean_task(
+                BooleanTaskSpec(
+                    n=spec.alpha + beta,
+                    alpha=spec.alpha,
+                    p=spec.p,
+                    r=r,
+                    query_count=spec.query_count,
+                    encoding=spec.encoding,
+                    seed=task_seed(spec.global_seed, cell_index * spec.tasks_per_cell + t),
+                )
+            )
+            for m in spec.methods:
+                try:
+                    accs[m].append(evaluate_method(m, task, spec.attention, spec.selection))
+                except ValueError:
+                    failures += 1
+        cells.append((failures, {m: np.array(v, dtype=np.float64) for m, v in accs.items()}))
+    return cells
+
+
+def assert_matches_loop(spec: SweepSpec) -> int:
+    """run_sweep equals the per-task loop bit for bit; returns the failure count."""
+    grid = run_sweep(spec)
+    expected = loop_sweep(spec)
+    assert len(grid) == len(expected)
+    for cell, (failures, accs) in zip(grid, expected):
+        assert cell.failures == failures
+        for m in spec.methods:
+            assert cell.per_task[m].tobytes() == accs[m].tobytes(), (cell.r, cell.beta, m)
+    return sum(cell.failures for cell in grid)
+
+
+def chunk_sizes(spec: SweepSpec) -> set[int]:
+    return {
+        bench._chunk_size(
+            BooleanTaskSpec(n=spec.alpha + b, alpha=spec.alpha, r=r, query_count=spec.query_count),
+            spec.attention.kind,
+        )
+        for r in spec.r_values
+        for b in spec.beta_values
+    }
 
 
 class TestRunSweep:
@@ -71,11 +128,49 @@ class TestRunSweep:
             small_spec(methods=("Nope",))
 
     def test_failure_counting(self):
-        # TopK without k and without metadata fallback cannot fail here since
-        # generated tasks carry metadata; force failures via cosine zero rows
+        # top_k=3 fits every cell's width (n >= alpha = 3), so no task fails
         spec = small_spec(methods=("AttnTopK",), selection=SelectionConfig(rounds=0, top_k=3))
         grid = run_sweep(spec)
         assert all(cell.failures == 0 for cell in grid)
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("kind", list(Kernel))
+    def test_chunked_sweep_equals_per_task_loop(self, monkeypatch, kind, encoding):
+        monkeypatch.setattr(bench, "CHUNK_BYTES", 2048)
+        spec = small_spec(
+            alpha=2,
+            query_count=4,
+            encoding=encoding,
+            methods=METHODS,
+            tasks_per_cell=17,
+            attention=AttentionConfig(kind=kind, tau_inv=1.5),
+        )
+        # several chunks per cell, the last one partial
+        tasks = spec.tasks_per_cell
+        assert all(1 < s < tasks and tasks % s for s in chunk_sizes(spec))
+        assert_matches_loop(spec)
+
+    def test_forced_failures_match_per_task_loop(self):
+        # zero_one bits at low p leave all-zero rows, where cosine similarity is undefined
+        spec = small_spec(
+            alpha=2,
+            beta_values=(3, 6),
+            p=0.2,
+            encoding=Encoding.ZERO_ONE,
+            methods=METHODS,
+            tasks_per_cell=30,
+            attention=AttentionConfig(kind=Kernel.COSINE),
+        )
+        assert min(chunk_sizes(spec)) > 1
+        grid = run_sweep(spec)
+        survivors = [cell.per_task["Attn"].size for cell in grid]
+        assert 0 < sum(survivors) < spec.tasks_per_cell * len(grid)
+        assert assert_matches_loop(spec) > 0
+
+    def test_unknown_method_evaluation_rejected(self):
+        task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=1))
+        with pytest.raises(ValueError):
+            evaluate_method("Nope", task, AttentionConfig(), SelectionConfig())
 
 
 class TestEmitters:
@@ -151,7 +246,13 @@ class TestReproduce:
 
     @pytest.mark.parametrize(
         "recipe, golden",
-        [("table3_counts", "table3"), ("appD_xor_bound", "appD"), ("appC_boundary", "appC")],
+        [
+            ("table3_counts", "table3"),
+            ("appD_xor_bound", "appD"),
+            ("appC_boundary", "appC"),
+            ("fig11_topk", "fig11"),
+            ("binary_strings_fs_raw", "binary_strings"),
+        ],
     )
     def test_regenerates_committed_golden(self, tmp_path, recipe, golden):
         paths = reproduce(recipe, tmp_path)

@@ -7,6 +7,7 @@ from polyselect.core import (
     Encoding,
     LabeledSet,
     Task,
+    TaskBatch,
     decode_bits,
     encode_bits,
     one_hot,
@@ -101,3 +102,34 @@ class TestTaskModel:
     def test_same_seed_serializes_identically(self):
         spec = BooleanTaskSpec(n=8, alpha=3, p=0.5, r=1, seed=5)
         assert task_to_json(gen_boolean_task(spec)) == task_to_json(gen_boolean_task(spec))
+
+
+class TestTaskBatch:
+    def test_chunk_of_one_roundtrip(self):
+        task = gen_boolean_task(BooleanTaskSpec(n=6, alpha=2, p=0.3, r=2, seed=11))
+        batch = TaskBatch.of(task)
+        assert len(batch) == 1
+        assert batch.support.features.shape == (1, 8, 6)
+        assert task_to_json(batch.task(0)) == task_to_json(task)
+
+    def test_stacked_labeled_set_shares_labels(self):
+        feats = np.arange(12.0).reshape(2, 3, 2)
+        ls = LabeledSet(feats, [0, 1, 0], k=2)
+        assert (ls.rows, ls.cols) == (3, 2)
+        np.testing.assert_array_equal(ls.class_rows(0), feats[:, [0, 2], :])
+
+    def test_rejects_bad_query_shapes(self):
+        sup = LabeledSet(np.ones((2, 3, 4)), [0, 1, 0], k=2)
+        with pytest.raises(ValueError):
+            TaskBatch(sup, np.ones((2, 5, 3)), np.zeros((2, 5)), (None, None))
+        with pytest.raises(ValueError):
+            TaskBatch(sup, np.ones((2, 5, 4)), np.zeros((2, 4)), (None, None))
+        with pytest.raises(ValueError):
+            TaskBatch(sup, np.ones((2, 5, 4)), np.full((2, 5), 2), (None, None))
+        with pytest.raises(ValueError):
+            TaskBatch(sup, np.ones((3, 5, 4)), np.zeros((3, 5)), (None, None, None))
+
+    def test_rejects_nonfinite_queries(self):
+        sup = LabeledSet(np.ones((1, 2, 2)), [0, 1], k=2)
+        with pytest.raises(ValueError):
+            TaskBatch(sup, np.full((1, 1, 2), np.inf), np.zeros((1, 1)), (None,))

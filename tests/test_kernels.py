@@ -12,6 +12,7 @@ from polyselect.kernels import (
     confidence_field,
     predict,
     similarity,
+    similarity_matrix,
     softmax_rows,
 )
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
@@ -56,6 +57,38 @@ class TestSimilarity:
         q = np.array([1.0, 0.0])
         s = np.array([0.0, 1.0])
         assert similarity(AttentionConfig(Kernel.LAPLACE), q, s) == pytest.approx(-2.0)
+
+
+class TestStacks:
+    """A (tasks, rows, n) stack gives each task's 2-d result, bit for bit."""
+
+    def _stack(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 9, 3))
+
+    @pytest.mark.parametrize("kind", list(Kernel))
+    def test_similarity_matrix(self, kind):
+        queries, keys = self._stack(1)
+        config = AttentionConfig(kind, tau_inv=1.5)
+        stacked = similarity_matrix(config, queries, keys)
+        for t in range(4):
+            assert stacked[t].tobytes() == similarity_matrix(config, queries[t], keys[t]).tobytes()
+
+    @pytest.mark.parametrize("kind", list(Kernel))
+    def test_attend_probs(self, kind):
+        queries, keys = self._stack(2)
+        labels = [0, 1, 2, 0, 1, 2, 0, 1, 2]
+        config = AttentionConfig(kind, tau_inv=0.7)
+        stacked = attend_probs(queries, LabeledSet(keys, labels, k=3), config)
+        for t in range(4):
+            lone = attend_probs(queries[t], LabeledSet(keys[t], labels, k=3), config)
+            assert stacked[t].tobytes() == lone.tobytes()
+
+    def test_zero_row_in_any_task_rejected(self):
+        queries, keys = self._stack(3)
+        keys[2, 4] = 0.0
+        with pytest.raises(ValueError):
+            similarity_matrix(AttentionConfig(Kernel.COSINE), queries, keys)
 
 
 class TestSoftmaxRows:

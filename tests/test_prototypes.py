@@ -29,6 +29,18 @@ class TestBuildPrototypes:
             build_prototypes(support)
 
 
+class TestStackedPrototypes:
+    def test_stack_equals_each_task(self):
+        rng = rng_for(4)
+        feats = rng.normal(size=(3, 6, 2))
+        labels = [0, 1, 0, 1, 1, 0]
+        queries = rng.normal(size=(3, 5, 2))
+        stacked = proto_classify(queries, build_prototypes(LabeledSet(feats, labels, k=2)))
+        for t in range(3):
+            lone = proto_classify(queries[t], build_prototypes(LabeledSet(feats[t], labels, k=2)))
+            assert stacked[t].tobytes() == lone.tobytes()
+
+
 class TestProtoClassify:
     def test_equal_prototypes_give_uniform(self):
         protos = build_prototypes(xor_support(3))

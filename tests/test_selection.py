@@ -135,6 +135,16 @@ class TestFeatureScores:
                 wins += 1
         assert wins / trials >= 0.95
 
+    def test_stacked_support_scores_each_task(self):
+        tasks = [gen_boolean_task(BooleanTaskSpec(n=7, alpha=3, p=0.5, r=2, seed=s)) for s in range(5)]
+        stacked = LabeledSet(np.stack([t.support.features for t in tasks]), tasks[0].support.labels, k=2)
+        for dispersion_kind in Dispersion:
+            config = SelectionConfig(rounds=3, dispersion=dispersion_kind)
+            scores = feature_scores(stacked, config)
+            assert scores.shape == (5, 7)
+            for i, task in enumerate(tasks):
+                assert scores[i].tobytes() == feature_scores(task.support, config).tobytes()
+
     def test_column_permutation_equivariance(self):
         task = gen_boolean_task(BooleanTaskSpec(n=7, alpha=3, p=0.5, r=3, seed=5))
         scores = feature_scores(task.support)

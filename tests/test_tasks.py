@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from polyselect.tasks import (
     PolytheticRule,
     SphereTaskSpec,
     TupleTaskSpec,
+    gen_boolean_batch,
     gen_boolean_task,
     gen_sphere_task,
     gen_tuple_task,
@@ -96,6 +100,46 @@ class TestBooleanTasks:
         expected_mean = 2 * p - 1  # plus/minus encoding of Bernoulli(p)
         se = 2 * np.sqrt(p * (1 - p) / count)
         assert abs(values.mean() - expected_mean) <= 3 * se
+
+
+# sha256 of task_to_json, frozen from the one-task-at-a-time generator that
+# preceded gen_boolean_batch: the batched draws must reproduce every byte.
+PINNED_TASKS = [
+    (BooleanTaskSpec(n=1, alpha=1, p=0.5, r=1, query_count=1, seed=0),
+     "2a4d311c2413b7689792adb561fa5520f4f9be6966a476b14948522a20316559"),
+    (BooleanTaskSpec(n=6, alpha=2, p=0.3, r=2, query_count=5, seed=11),
+     "9052bb1b4fab042857063fdb80985aae58feb145fb4f4627d3cf7800f1389c5b"),
+    (BooleanTaskSpec(n=9, alpha=4, p=0.7, r=3, query_count=32, seed=2**64 - 1),
+     "3529a359ab205e274ed314190ac78676d80ae8333eb320a3f5074e27c25d983b"),
+    (BooleanTaskSpec(n=10, alpha=3, p=0.0, r=1, query_count=7, encoding=Encoding.ZERO_ONE, seed=5),
+     "7c8aba40a3d813fe37a1c643ff8dfaa94bc3c8a9e54c8e8162e08e516443a992"),
+    (BooleanTaskSpec(n=8, alpha=3, p=1.0, r=4, query_count=3, encoding=Encoding.ZERO_ONE,
+                     seed=123456789),
+     "6d08cec07d749dd39700f046301d0eb864057d67ade5f118ab4431d3adef7ef7"),
+    (BooleanTaskSpec(n=14, alpha=4, p=0.5, r=5, query_count=32, seed=16294208416658607535),
+     "f0b743dd725527b5aaaf43697e4b06a08c8ea76c00601a6c753ef50a606c1221"),
+]
+
+
+class TestBooleanBatch:
+    @pytest.mark.parametrize("spec, digest", PINNED_TASKS)
+    def test_task_json_bytes_pinned(self, spec, digest):
+        assert hashlib.sha256(task_to_json(gen_boolean_task(spec)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_batch_rows_equal_lone_tasks(self, encoding):
+        base = BooleanTaskSpec(n=7, alpha=3, p=0.4, r=2, query_count=9, encoding=encoding)
+        specs = [replace(base, seed=task_seed(3, t)) for t in range(6)]
+        batch = gen_boolean_batch(specs)
+        assert len(batch) == 6
+        assert batch.support.features.shape == (6, 16, 7)
+        for t, spec in enumerate(specs):
+            assert task_to_json(batch.task(t)) == task_to_json(gen_boolean_task(spec))
+
+    def test_mixed_shapes_rejected(self):
+        specs = [BooleanTaskSpec(n=5, alpha=2, seed=1), BooleanTaskSpec(n=5, alpha=2, r=2, seed=2)]
+        with pytest.raises(ValueError):
+            gen_boolean_batch(specs)
 
 
 class TestSphereTasks:
