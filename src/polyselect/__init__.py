@@ -36,7 +36,6 @@ from .kernels import (
     Kernel,
     attend_classify,
     attend_probs,
-    confidence_field,
     predict,
     similarity,
     softmax_rows,
@@ -54,13 +53,9 @@ from .selection import (
 )
 from .tasks import (
     BooleanTaskSpec,
-    MonotheticRule,
-    PolytheticRule,
     SphereTaskSpec,
-    TupleTaskSpec,
     gen_boolean_task,
     gen_sphere_task,
-    gen_tuple_task,
     parity,
     parity_label,
 )

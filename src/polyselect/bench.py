@@ -304,10 +304,7 @@ def parse_csv(path: str | Path) -> list[dict]:
 
 
 def emit_json(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
-    path = Path(path)
-    payload = {"rows": _grid_rows(spec, grid)}
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-    return path
+    return _write_json(Path(path), {"rows": _grid_rows(spec, grid)})
 
 
 def _heat_color(accuracy: float) -> str:

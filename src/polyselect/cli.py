@@ -2,8 +2,9 @@
 
 Subcommands: gen-tasks, eval, sweep, theory, thresholds, reproduce.  Exit
 codes: 0 on success, 2 on usage errors (argparse's convention), 1 on runtime
-failures.  A --config file holds flat key=value lines mirroring the flags;
-explicit flags override file values.
+failures.  A --config file holds flat key=value lines named like the flags
+(underscores for dashes); explicit flags override file values, and a key the
+command does not read is a runtime error.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .bench import (
     METHODS,
@@ -33,6 +33,7 @@ from .boolefn import (
     BooleanFunction,
     best_threshold_agreement,
     count_threshold,
+    threshold_stats,
     verify_xor_worst,
     xor_max_accuracy,
 )
@@ -49,6 +50,7 @@ from .theory import (
     TheoryParams,
     exhaustive_stats,
     mc_misclassification,
+    snr_growth,
     support_sum_stats,
 )
 
@@ -71,30 +73,53 @@ def _read_config(path: str | None) -> dict[str, str]:
 
 
 def _merged(args: argparse.Namespace, config: dict[str, str], key: str, cast, default):
-    """Flag value if given, else config value, else default."""
+    """Flag value if given, else config value, else default.
+
+    Takes the key out of config, so the keys left afterwards were never read.
+    """
+    raw = config.pop(key, None)
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in config:
-        return cast(config[key])
+    if raw is not None:
+        return cast(raw)
     return default
 
 
+def _reject_unread(config: dict[str, str], command: str) -> None:
+    if config:
+        raise ValueError(f"{command} reads no config key {', '.join(sorted(config))}")
+
+
 def _attention_from(args, config) -> AttentionConfig:
+    default = AttentionConfig()
     return AttentionConfig(
-        kind=Kernel(_merged(args, config, "kernel", str, "dot")),
-        tau_inv=_merged(args, config, "tau_inv", float, 1.0),
+        kind=Kernel(_merged(args, config, "kernel", str, default.kind)),
+        tau_inv=_merged(args, config, "tau_inv", float, default.tau_inv),
     )
 
 
 def _selection_from(args, config) -> SelectionConfig:
+    default = SelectionConfig()
     return SelectionConfig(
-        epsilon=_merged(args, config, "epsilon", float, 1e-8),
-        tau_inv=_merged(args, config, "sel_tau_inv", float, 2.0),
-        rounds=_merged(args, config, "rounds", int, 10),
-        dispersion=Dispersion(_merged(args, config, "dispersion", str, "mad")),
-        mode=SelectionMode(_merged(args, config, "mode", str, "soft_rescale")),
-        top_k=_merged(args, config, "top_k", int, None),
+        epsilon=_merged(args, config, "epsilon", float, default.epsilon),
+        tau_inv=_merged(args, config, "sel_tau_inv", float, default.tau_inv),
+        rounds=_merged(args, config, "rounds", int, default.rounds),
+        dispersion=Dispersion(_merged(args, config, "dispersion", str, default.dispersion)),
+        mode=SelectionMode(_merged(args, config, "mode", str, default.mode)),
+        top_k=_merged(args, config, "top_k", int, default.top_k),
+    )
+
+
+def _boolean_spec(args, config) -> BooleanTaskSpec:
+    """The parity task spec of gen-tasks and eval; callers set its seed."""
+    return BooleanTaskSpec(
+        n=_merged(args, config, "n", int, 10),
+        alpha=_merged(args, config, "alpha", int, 3),
+        p=_merged(args, config, "p", float, 0.5),
+        r=_merged(args, config, "r", int, 5),
+        query_count=_merged(args, config, "query_count", int, 32),
+        encoding=Encoding(_merged(args, config, "encoding", str, "plus_minus")),
     )
 
 
@@ -104,32 +129,16 @@ def _cmd_gen_tasks(args) -> int:
     count = _merged(args, config, "count", int, 1)
     out_dir = _merged(args, config, "out_dir", str, None)
     family = _merged(args, config, "family", str, "boolean")
+    if family == "boolean":
+        spec, generate = _boolean_spec(args, config), gen_boolean_task
+    elif family == "sphere":
+        spec = SphereTaskSpec(sample_count=_merged(args, config, "sample_count", int, 64))
+        generate = gen_sphere_task
+    else:
+        raise ValueError(f"unknown task family {family!r}")
+    _reject_unread(config, "gen-tasks")
 
-    tasks = []
-    for i in range(count):
-        s = task_seed(seed, i)
-        if family == "boolean":
-            spec = BooleanTaskSpec(
-                n=_merged(args, config, "n", int, 10),
-                alpha=_merged(args, config, "alpha", int, 3),
-                p=_merged(args, config, "p", float, 0.5),
-                r=_merged(args, config, "r", int, 5),
-                query_count=_merged(args, config, "query_count", int, 32),
-                encoding=Encoding(_merged(args, config, "encoding", str, "plus_minus")),
-                seed=s,
-            )
-            tasks.append(gen_boolean_task(spec))
-        elif family == "sphere":
-            tasks.append(
-                gen_sphere_task(
-                    SphereTaskSpec(
-                        sample_count=_merged(args, config, "sample_count", int, 64), seed=s
-                    )
-                )
-            )
-        else:
-            raise ValueError(f"unknown task family {family!r}")
-
+    tasks = [generate(replace(spec, seed=task_seed(seed, i))) for i in range(count)]
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -149,18 +158,14 @@ def _cmd_eval(args) -> int:
     methods = args.methods or ["Attn", "AttnSoftFS", "Proto"]
 
     if args.task:
+        _reject_unread(config, "eval --task")
         task = task_from_json(Path(args.task).read_text())
     else:
-        task = gen_boolean_task(
-            BooleanTaskSpec(
-                n=_merged(args, config, "n", int, 10),
-                alpha=_merged(args, config, "alpha", int, 3),
-                p=_merged(args, config, "p", float, 0.5),
-                r=_merged(args, config, "r", int, 5),
-                query_count=_merged(args, config, "query_count", int, 32),
-                seed=_merged(args, config, "seed", int, 0),
-            )
-        )
+        # the first task gen-tasks writes for the same flags and config
+        seed = _merged(args, config, "seed", int, 0)
+        spec = replace(_boolean_spec(args, config), seed=task_seed(seed, 0))
+        _reject_unread(config, "eval")
+        task = gen_boolean_task(spec)
     rows = [{"method": m, "accuracy": evaluate_method(m, task, attention, selection)} for m in methods]
     if args.dump_scores:
         from .selection import feature_scores, scores_csv
@@ -197,6 +202,7 @@ def _cmd_sweep(args) -> int:
         global_seed=_merged(args, config, "seed", int, 0),
     )
     out_dir = Path(_merged(args, config, "out_dir", str, "out"))
+    _reject_unread(config, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = run_sweep(spec)
     written = []
@@ -221,6 +227,8 @@ def _cmd_theory(args) -> int:
     trials = _merged(args, config, "trials", int, 20000)
     seed = _merged(args, config, "seed", int, 0)
     betas = _parse_int_list(_merged(args, config, "beta_values", str, "0,1,2,3,4"))
+    _reject_unread(config, "theory")
+    growth = snr_growth(TheoryParams(alpha, 0, p, r, kernel), betas) if len(betas) > 1 else None
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -230,9 +238,10 @@ def _cmd_theory(args) -> int:
             "analytic_mean", "analytic_var",
             "exhaustive_mean", "exhaustive_var",
             "mc_mean", "mc_var", "mc_misclass_rate", "trials",
+            "snr_ratio", "snr_fitted_slope", "snr_asymptotic_slope",
         ]
     )
-    for beta in betas:
+    for i, beta in enumerate(betas):
         params = TheoryParams(alpha=alpha, beta_irrelevant=beta, p=p, r=r, kernel=kernel)
         analytic = support_sum_stats(params)
         try:
@@ -241,12 +250,18 @@ def _cmd_theory(args) -> int:
         except ValueError:
             ex_mean, ex_var = "", ""
         mc = mc_misclassification(params, trials=trials, seed=task_seed(seed, beta))
+        snr = (
+            [repr(growth.ratios[i]), repr(growth.fitted_slope), repr(growth.asymptotic_slope)]
+            if growth
+            else ["", "", ""]
+        )
         writer.writerow(
             [
                 alpha, beta, repr(p), r, kernel.value,
                 repr(analytic.mean), repr(analytic.variance),
                 ex_mean, ex_var,
                 repr(mc.mean), repr(mc.variance), repr(mc.misclass_rate), trials,
+                *snr,
             ]
         )
     print(buf.getvalue(), end="")
@@ -255,10 +270,13 @@ def _cmd_theory(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     if args.action == "count":
+        solved_fraction, mean_best_accuracy = threshold_stats(args.n)
         payload = {
             "n": args.n,
             "count": count_threshold(args.n),
             "bound_2_pow_n2": 2 ** (args.n * args.n),
+            "solved_fraction": solved_fraction,
+            "mean_best_accuracy": mean_best_accuracy,
         }
     elif args.action == "approx":
         if not args.truth_table:
@@ -298,14 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyselect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+    common = {
+        "--seed": dict(type=int, default=None),
+        "--out-dir": dict(dest="out_dir", default=None),
+        "--config": dict(default=None),
+        "--format": dict(choices=("csv", "json"), default=None),
+    }
+
+    def add_common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
 
     p = sub.add_parser("gen-tasks", help="emit task JSON for a generator family")
-    add_common(p)
+    add_common(p, "--seed", "--out-dir", "--config")
     p.add_argument("--family", choices=("boolean", "sphere"), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", type=int, default=None)
@@ -318,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_tasks)
 
     p = sub.add_parser("eval", help="evaluate methods on one task")
-    add_common(p)
+    add_common(p, "--seed", "--config", "--format")
     p.add_argument("--task", default=None, help="task JSON file (else generate)")
     p.add_argument("--methods", nargs="+", choices=METHODS, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -335,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="run a task grid sweep")
-    add_common(p)
+    add_common(p, "--seed", "--out-dir", "--config", "--format")
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--r-values", dest="r_values", default=None)
     p.add_argument("--beta-values", dest="beta_values", default=None)
@@ -351,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("theory", help="analytic vs exhaustive vs Monte-Carlo table")
-    add_common(p)
+    add_common(p, "--seed", "--config")
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--beta-values", dest="beta_values", default=None)
     p.add_argument("--p", type=float, default=None)
@@ -368,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a named experiment recipe")
     p.add_argument("recipe", choices=sorted(RECIPES))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    add_common(p, "--seed", "--out-dir")
     p.add_argument("--scale", type=float, default=1.0, help="shrink factor for quick runs")
     p.set_defaults(func=_cmd_reproduce)
 

@@ -23,7 +23,6 @@ __all__ = [
     "Kernel",
     "attend_classify",
     "attend_probs",
-    "confidence_field",
     "predict",
     "similarity",
     "similarity_matrix",
@@ -118,25 +117,3 @@ def attend_classify(task: Task, config: AttentionConfig) -> np.ndarray:
 def predict(probs: np.ndarray) -> np.ndarray:
     """Argmax class ids; ties resolve to the lowest class id."""
     return np.argmax(probs, axis=-1)
-
-
-def confidence_field(
-    support: LabeledSet,
-    config: AttentionConfig,
-    x_range: tuple[float, float] = (-3.0, 3.0),
-    y_range: tuple[float, float] = (-3.0, 3.0),
-    resolution: int = 101,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(class 1) over a 2-d grid, for plotting decision boundaries.
-
-    Returns (xs, ys, p1) where p1[i, j] is the class-1 probability of the
-    singleton query (xs[j], ys[i]).
-    """
-    if support.cols != 2:
-        raise ValueError("confidence_field requires a 2-feature support set")
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    probs = attend_probs(pts, support, config)
-    return xs, ys, probs[:, 1].reshape(resolution, resolution)

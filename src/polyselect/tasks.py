@@ -1,4 +1,4 @@
-"""Synthetic task generators: parity binary strings, sphere parity, tuples.
+"""Synthetic task generators: parity binary strings and sphere parity.
 
 All generators are pure functions of their spec (including the seed): the
 same spec yields a byte-identical task. Binary-string supports contain every
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,14 +18,10 @@ from .core import Encoding, LabeledSet, Task, TaskBatch, TaskMeta, encode_bits, 
 
 __all__ = [
     "BooleanTaskSpec",
-    "MonotheticRule",
-    "PolytheticRule",
     "SphereTaskSpec",
-    "TupleTaskSpec",
     "gen_boolean_batch",
     "gen_boolean_task",
     "gen_sphere_task",
-    "gen_tuple_task",
     "parity",
     "parity_label",
 ]
@@ -185,124 +181,4 @@ def gen_sphere_task(spec: SphereTaskSpec) -> Task:
     return Task(
         support=LabeledSet(sup, labels(sup), k=2),
         query=LabeledSet(qry, labels(qry), k=2),
-    )
-
-
-@dataclass(frozen=True)
-class MonotheticRule:
-    """Class decided by a single attribute value at a single slot."""
-
-    slot: int
-    attribute: Literal["symbol", "color"]
-
-
-@dataclass(frozen=True)
-class PolytheticRule:
-    """Class = XOR of two binary attribute indicators at a pair of slots."""
-
-    slot_a: int
-    attribute_a: Literal["symbol", "color"]
-    slot_b: int
-    attribute_b: Literal["symbol", "color"]
-
-
-@dataclass(frozen=True)
-class TupleTaskSpec:
-    """Tuples of (symbol, color) slots encoded as concatenated one-hot blocks.
-
-    A structural stand-in for composite-image tasks: rule slots carry the
-    label signal, all other attributes are uniform noise.  Feature length is
-    positions * (symbols_per_slot + colors_per_slot).
-    """
-
-    positions: int
-    symbols_per_slot: int
-    colors_per_slot: int
-    rule: MonotheticRule | PolytheticRule
-    support_per_group: int = 8
-    query_per_group: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.positions < 2:
-            raise ValueError("positions must be >= 2")
-        if self.symbols_per_slot < 2 or self.colors_per_slot < 2:
-            raise ValueError("attribute alphabets need at least 2 values")
-        if self.support_per_group < 1 or self.query_per_group < 1:
-            raise ValueError("per-group counts must be >= 1")
-        slots = (
-            (self.rule.slot,)
-            if isinstance(self.rule, MonotheticRule)
-            else (self.rule.slot_a, self.rule.slot_b)
-        )
-        for s in slots:
-            if not 0 <= s < self.positions:
-                raise ValueError(f"rule references missing slot {s}")
-        if isinstance(self.rule, PolytheticRule):
-            a = (self.rule.slot_a, self.rule.attribute_a)
-            b = (self.rule.slot_b, self.rule.attribute_b)
-            if a == b:
-                raise ValueError("polythetic rule needs two distinct slot/attribute pairs")
-
-
-def _attr_size(spec: TupleTaskSpec, attribute: str) -> int:
-    return spec.symbols_per_slot if attribute == "symbol" else spec.colors_per_slot
-
-
-def _encode_tuples(spec: TupleTaskSpec, symbols: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    count = symbols.shape[0]
-    width = spec.positions * (spec.symbols_per_slot + spec.colors_per_slot)
-    out = np.zeros((count, width), dtype=np.float64)
-    block = spec.symbols_per_slot + spec.colors_per_slot
-    rows = np.arange(count)
-    for pos in range(spec.positions):
-        base = pos * block
-        out[rows, base + symbols[:, pos]] = 1.0
-        out[rows, base + spec.symbols_per_slot + colors[:, pos]] = 1.0
-    return out
-
-
-def gen_tuple_task(spec: TupleTaskSpec) -> Task:
-    rng = rng_for(spec.seed)
-    rule = spec.rule
-
-    def draw_values(attribute: str) -> np.ndarray:
-        return rng.choice(_attr_size(spec, attribute), size=2, replace=False)
-
-    if isinstance(rule, MonotheticRule):
-        rule_values = draw_values(rule.attribute)
-        groups = [(c,) for c in (0, 1)]  # group id == class
-    else:
-        values_a = draw_values(rule.attribute_a)
-        values_b = draw_values(rule.attribute_b)
-        groups = [(i, j) for i in (0, 1) for j in (0, 1)]  # class = i xor j
-
-    def build(count_per_group: int) -> tuple[np.ndarray, np.ndarray]:
-        total = count_per_group * len(groups)
-        symbols = rng.integers(0, spec.symbols_per_slot, size=(total, spec.positions))
-        colors = rng.integers(0, spec.colors_per_slot, size=(total, spec.positions))
-        labels = np.empty(total, dtype=np.int64)
-        row = 0
-        for group in groups:
-            for _ in range(count_per_group):
-                if isinstance(rule, MonotheticRule):
-                    (i,) = group
-                    labels[row] = i
-                    target = symbols if rule.attribute == "symbol" else colors
-                    target[row, rule.slot] = rule_values[i]
-                else:
-                    i, j = group
-                    labels[row] = i ^ j
-                    target_a = symbols if rule.attribute_a == "symbol" else colors
-                    target_b = symbols if rule.attribute_b == "symbol" else colors
-                    target_a[row, rule.slot_a] = values_a[i]
-                    target_b[row, rule.slot_b] = values_b[j]
-                row += 1
-        return _encode_tuples(spec, symbols, colors), labels
-
-    sup_feats, sup_labels = build(spec.support_per_group)
-    qry_feats, qry_labels = build(spec.query_per_group)
-    return Task(
-        support=LabeledSet(sup_feats, sup_labels, k=2),
-        query=LabeledSet(qry_feats, qry_labels, k=2),
     )

@@ -135,32 +135,36 @@ def _bit_exponents(kernel: Kernel) -> tuple[float, float]:
     return 1.0, -1.0
 
 
+def _bit_moments(params: TheoryParams) -> tuple[float, float]:
+    """(c1, c2): mean of e^g and of e^(2g) for one irrelevant bit's exponent g."""
+    m, mm = _bit_exponents(params.kernel)
+    pb, qb = pbar(params.p), qbar(params.p)
+    return pb * math.exp(m) + qb * math.exp(mm), pb * math.exp(2 * m) + qb * math.exp(2 * mm)
+
+
+def _log_gap(beta: int, c1: float, c2: float) -> float:
+    """log(c2^beta - c1^(2 beta)); c2 > c1^2 by Jensen whenever qbar > 0."""
+    return beta * math.log(c2) + math.log1p(-math.exp(beta * (2 * math.log(c1) - math.log(c2))))
+
+
 def expected_score(delta: int, params: TheoryParams) -> float:
     """Mean of a single support row's score at active distance delta."""
     if not 0 <= delta <= params.alpha:
         raise ValueError("delta must lie in [0, alpha]")
-    m, mm = _bit_exponents(params.kernel)
-    pb, qb = pbar(params.p), qbar(params.p)
-    factor = pb * math.exp(m) + qb * math.exp(mm)
+    c1, _ = _bit_moments(params)
     f = float(_active_exponent(params.kernel, params.alpha, delta))
-    return math.exp(f + params.beta_irrelevant * math.log(factor))
+    return math.exp(f + params.beta_irrelevant * math.log(c1))
 
 
 def var_score(delta: int, params: TheoryParams) -> float:
     """Variance of a single support row's score at active distance delta."""
     if not 0 <= delta <= params.alpha:
         raise ValueError("delta must lie in [0, alpha]")
-    m, mm = _bit_exponents(params.kernel)
-    pb, qb = pbar(params.p), qbar(params.p)
     beta = params.beta_irrelevant
-    c1 = pb * math.exp(m) + qb * math.exp(mm)
-    c2 = pb * math.exp(2 * m) + qb * math.exp(2 * mm)
-    f = float(_active_exponent(params.kernel, params.alpha, delta))
-    if beta == 0 or qb == 0.0:  # no irrelevant bits, or they always match
+    if beta == 0 or qbar(params.p) == 0.0:  # no irrelevant bits, or they always match
         return 0.0
-    # c2^beta - c1^(2 beta) in log space: c2 > c1^2 by Jensen when qb > 0
-    log_gap = beta * math.log(c2) + math.log1p(-math.exp(beta * (2 * math.log(c1) - math.log(c2))))
-    return math.exp(2 * f + log_gap)
+    f = float(_active_exponent(params.kernel, params.alpha, delta))
+    return math.exp(2 * f + _log_gap(beta, *_bit_moments(params)))
 
 
 def _sum_bases(kernel: Kernel, alpha: int) -> tuple[float, float]:
@@ -187,20 +191,16 @@ def support_sum_stats(params: TheoryParams) -> ScoreStats:
     c1^(2 beta)), computed in log space so large beta degrades to inf rather
     than raising.
     """
-    m, mm = _bit_exponents(params.kernel)
-    pb, qb = pbar(params.p), qbar(params.p)
     beta = params.beta_irrelevant
     base1, base2 = _sum_bases(params.kernel, params.alpha)
-    c1 = pb * math.exp(m) + qb * math.exp(mm)
+    c1, c2 = _bit_moments(params)
 
     log_mean = math.log(params.r) + math.log(base1) + beta * math.log(c1)
     mean = math.exp(log_mean) if log_mean <= _EXP_OVERFLOW else math.inf
 
-    if beta == 0 or qb == 0.0:
+    if beta == 0 or qbar(params.p) == 0.0:
         return ScoreStats(mean=mean, variance=0.0)
-    c2 = pb * math.exp(2 * m) + qb * math.exp(2 * mm)
-    log_gap = beta * math.log(c2) + math.log1p(-math.exp(beta * (2 * math.log(c1) - math.log(c2))))
-    log_var = math.log(params.r) + math.log(base2) + log_gap
+    log_var = math.log(params.r) + math.log(base2) + _log_gap(beta, c1, c2)
     variance = math.exp(log_var) if log_var <= _EXP_OVERFLOW else math.inf
     return ScoreStats(mean=mean, variance=variance)
 
@@ -323,10 +323,7 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
             raise ValueError("signed-sum mean must be positive on the range")
         ratios.append(math.sqrt(stats.variance) / stats.mean)
 
-    m, mm = _bit_exponents(params.kernel)
-    pb, qb = pbar(params.p), qbar(params.p)
-    c1 = pb * math.exp(m) + qb * math.exp(mm)
-    c2 = pb * math.exp(2 * m) + qb * math.exp(2 * mm)
+    c1, c2 = _bit_moments(params)
     asymptotic = 0.5 * math.log(c2 / (c1 * c1))
 
     pts = [(b, math.log(x)) for b, x in zip(betas, ratios) if x > 0]

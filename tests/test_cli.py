@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from polyselect.boolefn import threshold_stats
 from polyselect.cli import main
 from polyselect.core import task_from_json
+from polyselect.kernels import Kernel
+from polyselect.theory import TheoryParams, snr_growth
 
 
 class TestGenTasks:
@@ -72,13 +76,37 @@ class TestEval:
         )
         assert code == 0
 
+    def test_config_task_equals_gen_tasks_task(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=6\nalpha=2\nr=3\nseed=7\nencoding=zero_one\n")
+        assert main(["eval", "--config", str(cfg), "--format", "json"]) == 0
+        generated = json.loads(capsys.readouterr().out)
+        assert main(["gen-tasks", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        task_file = tmp_path / "task_00000.json"
+        assert task_from_json(task_file.read_text()).meta.encoding.value == "zero_one"
+        assert main(["eval", "--task", str(task_file), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == generated
+
 
 class TestThresholds:
     def test_count(self, capsys):
         code = main(["thresholds", "count", "--n", "2"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"n": 2, "count": 14, "bound_2_pow_n2": 16}
+        assert payload == {
+            "n": 2,
+            "count": 14,
+            "bound_2_pow_n2": 16,
+            "solved_fraction": 0.875,
+            "mean_best_accuracy": 0.96875,
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_count_prints_threshold_stats(self, n, capsys):
+        assert main(["thresholds", "count", "--n", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["solved_fraction"], payload["mean_best_accuracy"]) == threshold_stats(n)
 
     def test_approx_parity(self, capsys):
         code = main(["thresholds", "approx", "--n", "2", "--truth-table", "6"])
@@ -127,6 +155,42 @@ class TestSweepAndTheory:
         assert lines[0].startswith("alpha,beta,p,r,kernel,analytic_mean")
         assert len(lines) == 3
 
+    # sha256 of the first 13 columns (header included) of
+    # `theory --alpha 3 --beta-values 0,1,2,3,4 --trials 2000 --seed 0`, taken
+    # before the moment helpers were shared and the snr columns were added
+    @pytest.mark.parametrize(
+        "kernel, digest",
+        [
+            ("dot", "5d48e013deb98ead8de9f14d1d43ccc2dda210524d17be8b2342851d0b18863d"),
+            ("cosine", "b893023997e443c0988ca43022048f38e615f53c74f417b075b1394ca9732fe1"),
+            ("sq_euclidean", "a4c3d564b422b007863922002af7086fc38e15ca4c80bb7043c03a3ed554d063"),
+        ],
+    )
+    def test_theory_columns_pinned(self, kernel, digest, capsys):
+        argv = ["theory", "--alpha", "3", "--beta-values", "0,1,2,3,4", "--trials", "2000"]
+        assert main(argv + ["--seed", "0", "--kernel", kernel]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        first13 = "".join(",".join(line.split(",")[:13]) + "\n" for line in lines)
+        assert hashlib.sha256(first13.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kernel", ["dot", "sq_euclidean"])
+    def test_theory_snr_columns(self, kernel, capsys):
+        betas = (3, 4, 5, 6)
+        argv = ["theory", "--alpha", "3", "--p", "0.3", "--beta-values", "3,4,5,6"]
+        assert main(argv + ["--trials", "20", "--kernel", kernel]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split(",")[13:] == ["snr_ratio", "snr_fitted_slope", "snr_asymptotic_slope"]
+        growth = snr_growth(TheoryParams(3, 0, 0.3, 2, Kernel(kernel)), betas)
+        for row, ratio in zip(rows, growth.ratios, strict=True):
+            snr = row.split(",")[13:]
+            assert snr == [repr(ratio), repr(growth.fitted_slope), repr(growth.asymptotic_slope)]
+
+    def test_theory_snr_empty_for_one_beta(self, capsys):
+        assert main(["theory", "--beta-values", "3", "--trials", "20"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert len(header.split(",")) == 16
+        assert row.split(",")[13:] == ["", "", ""]
+
 
 class TestReproduceAndExitCodes:
     def test_reproduce_runs(self, tmp_path, capsys):
@@ -138,6 +202,34 @@ class TestReproduceAndExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "not_a_recipe"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["theory", "--format", "json"], ["eval", "--out-dir", "x"]]
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["eval", "--task", "unread.json"],
+            ["gen-tasks"],
+            ["gen-tasks", "--family", "sphere"],
+            ["sweep", "--tasks-per-cell", "1"],
+            ["theory", "--trials", "10"],
+        ],
+    )
+    def test_unread_config_key_is_runtime_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=2\ntau-inv=50\n")
+        code = main(argv + ["--config", str(cfg)])
+        assert code == 1
+        assert "tau-inv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_runtime_error_exits_1(self, capsys):
         code = main(["eval", "--task", "/nonexistent/task.json"])

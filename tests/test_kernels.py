@@ -9,7 +9,6 @@ from polyselect.kernels import (
     Kernel,
     attend_classify,
     attend_probs,
-    confidence_field,
     predict,
     similarity,
     similarity_matrix,
@@ -183,11 +182,6 @@ def and_support() -> LabeledSet:
 
 
 class TestConfidenceField:
-    def test_requires_two_features(self):
-        bad = LabeledSet(np.ones((2, 3)), [0, 1], k=2)
-        with pytest.raises(ValueError):
-            confidence_field(bad, AttentionConfig())
-
     def test_xor_centre_is_uncertain(self):
         probs = attend_probs(np.array([[0.0, 0.0]]), xor_support(2), AttentionConfig())
         assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -211,8 +205,3 @@ class TestConfidenceField:
         y_star = -0.5 * math.log(math.tanh(3.0))
         probs = attend_probs(np.array([[3.0, y_star]]), and_support(), AttentionConfig())
         assert abs(probs[0, 1] - probs[0, 0]) < 1e-6
-
-    def test_grid_shape_and_range(self):
-        xs, ys, p1 = confidence_field(and_support(), AttentionConfig(), resolution=21)
-        assert xs.shape == (21,) and ys.shape == (21,) and p1.shape == (21, 21)
-        assert np.all((p1 >= 0.0) & (p1 <= 1.0))

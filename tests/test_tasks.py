@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 from polyselect.core import Encoding, task_seed, task_to_json
 from polyselect.tasks import (
     BooleanTaskSpec,
-    MonotheticRule,
-    PolytheticRule,
     SphereTaskSpec,
-    TupleTaskSpec,
     gen_boolean_batch,
     gen_boolean_task,
     gen_sphere_task,
-    gen_tuple_task,
     parity,
     parity_label,
 )
@@ -171,67 +167,3 @@ class TestSphereTasks:
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):
             SphereTaskSpec(sample_count=3, seed=0)
-
-
-def _tuple_spec(rule, **kwargs):
-    defaults = dict(
-        positions=4,
-        symbols_per_slot=10,
-        colors_per_slot=3,
-        rule=rule,
-        support_per_group=8,
-        query_per_group=4,
-        seed=0,
-    )
-    defaults.update(kwargs)
-    return TupleTaskSpec(**defaults)
-
-
-def _single_feature_best_accuracy(features, labels):
-    best = 0.0
-    for j in range(features.shape[1]):
-        for direction in (features[:, j] > 0.5, features[:, j] <= 0.5):
-            best = max(best, np.mean(direction.astype(int) == labels))
-    return best
-
-
-class TestTupleTasks:
-    def test_feature_width(self):
-        task = gen_tuple_task(_tuple_spec(MonotheticRule(slot=1, attribute="color")))
-        assert task.support.cols == 4 * (10 + 3)
-
-    def test_one_hot_blocks(self):
-        task = gen_tuple_task(_tuple_spec(MonotheticRule(slot=0, attribute="symbol")))
-        feats = task.support.features.reshape(task.support.rows, 4, 13)
-        np.testing.assert_array_equal(feats[:, :, :10].sum(axis=2), 1.0)
-        np.testing.assert_array_equal(feats[:, :, 10:].sum(axis=2), 1.0)
-
-    def test_monothetic_has_perfect_single_feature(self):
-        task = gen_tuple_task(_tuple_spec(MonotheticRule(slot=2, attribute="symbol"), seed=4))
-        acc = _single_feature_best_accuracy(task.support.features, task.support.labels)
-        assert acc == 1.0
-
-    def test_polythetic_has_no_single_feature_predictor(self):
-        rule = PolytheticRule(slot_a=0, attribute_a="symbol", slot_b=1, attribute_b="color")
-        task = gen_tuple_task(_tuple_spec(rule, support_per_group=100, seed=5))
-        feats, labels = task.support.features, task.support.labels
-        assert feats.shape[0] == 400
-        # binomial noise ceiling for a fair coin over 400 draws
-        sigma = np.sqrt(0.25 / 400)
-        assert _single_feature_best_accuracy(feats, labels) <= 0.5 + 3 * sigma
-
-    def test_rule_slot_out_of_range(self):
-        with pytest.raises(ValueError):
-            _tuple_spec(MonotheticRule(slot=4, attribute="symbol"))
-
-    def test_duplicate_rule_pair_rejected(self):
-        rule = PolytheticRule(slot_a=1, attribute_a="color", slot_b=1, attribute_b="color")
-        with pytest.raises(ValueError):
-            _tuple_spec(rule)
-
-    def test_group_sizes(self):
-        rule = PolytheticRule(slot_a=0, attribute_a="symbol", slot_b=3, attribute_b="color")
-        task = gen_tuple_task(_tuple_spec(rule))
-        assert task.support.rows == 4 * 8
-        assert task.query.rows == 4 * 4
-        assert (task.support.labels == 1).sum() == 16
