@@ -4,8 +4,10 @@ Every method in a cell is evaluated on the same tasks (seeds derive from the
 global seed and the task's grid position), so per-cell method differences are
 paired comparisons.  Each cell is evaluated in chunks of consecutive tasks,
 stacked on a leading task axis (a TaskBatch) and sized by a fixed memory
-budget; cells and chunks run sequentially in grid order, so rerunning a
-sweep or recipe with the same seed produces byte-identical output files.
+budget.  The chunks of the whole grid run in forked worker processes, up to
+one per usable CPU, and their results are merged in grid order; a chunk's
+tasks depend only on its grid position, so rerunning a sweep or recipe with
+the same seed produces byte-identical output files on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import io
 import itertools
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -173,33 +176,86 @@ def _evaluate_chunk(spec: SweepSpec, batch: TaskBatch, accs: dict[str, list]) ->
     return failures
 
 
+def _cell_shape(spec: SweepSpec, r: int, beta: int) -> BooleanTaskSpec:
+    return BooleanTaskSpec(
+        n=spec.alpha + beta,
+        alpha=spec.alpha,
+        p=spec.p,
+        r=r,
+        query_count=spec.query_count,
+        encoding=spec.encoding,
+    )
+
+
+def _run_chunk(item: tuple) -> tuple[dict[str, np.ndarray], int]:
+    """Each method's per-task accuracies on one chunk, and the chunk's failures.
+
+    An item is (spec, r, beta, first, start, stop): tasks start..stop of the
+    cell whose first task has grid index first.  It is small and picklable, so
+    a worker process builds the chunk's tasks itself.
+    """
+    spec, r, beta, first, start, stop = item
+    shape = _cell_shape(spec, r, beta)
+    seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
+    batch = gen_boolean_batch([replace(shape, seed=s) for s in seeds])
+    accs: dict[str, list] = {m: [] for m in spec.methods}
+    failures = _evaluate_chunk(spec, batch, accs)
+    return {m: np.array(v, dtype=np.float64) for m, v in accs.items()}, failures
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_chunks(items: list) -> list[tuple[dict[str, np.ndarray], int]]:
+    """_run_chunk over items in order, on up to one forked worker per usable CPU.
+
+    The pool lives only for this call: leaving the with block joins and reaps
+    every worker, on error too.  Fork, not spawn or forkserver, because a
+    fresh interpreter per worker would import numpy again.  With one worker
+    or no fork, the chunks run inline and no process starts.
+    """
+    workers = min(_usable_cpus(), len(items))
+    if workers < 2 or not hasattr(os, "fork"):
+        return list(map(_run_chunk, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # items go to the workers in runs of consecutive chunks, about four runs
+    # per worker (multiprocessing.Pool.map's default): one message per chunk
+    # costs more CPU than the chunk, and a few runs per worker keep the tail short
+    runs = -(-len(items) // (4 * workers))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(_run_chunk, items, chunksize=runs))
+
+
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
     """Evaluate every method on every cell of the grid; paired per-task seeds."""
-    results = []
-    cells = itertools.product(spec.r_values, spec.beta_values)
+    cells = list(itertools.product(spec.r_values, spec.beta_values))
+    plan = []
     for cell_index, (r, beta) in enumerate(cells):
-        shape = BooleanTaskSpec(
-            n=spec.alpha + beta,
-            alpha=spec.alpha,
-            p=spec.p,
-            r=r,
-            query_count=spec.query_count,
-            encoding=spec.encoding,
-        )
-        size = _chunk_size(shape, spec.attention.kind)
+        size = _chunk_size(_cell_shape(spec, r, beta), spec.attention.kind)
         first = cell_index * spec.tasks_per_cell
-        accs: dict[str, list] = {m: [] for m in spec.methods}
-        failures = 0
-        for start in range(0, spec.tasks_per_cell, size):
-            stop = min(start + size, spec.tasks_per_cell)
-            seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
-            batch = gen_boolean_batch([replace(shape, seed=s) for s in seeds])
-            failures += _evaluate_chunk(spec, batch, accs)
+        plan.append(
+            [
+                (spec, r, beta, first, start, min(start + size, spec.tasks_per_cell))
+                for start in range(0, spec.tasks_per_cell, size)
+            ]
+        )
+    chunks = iter(_map_chunks([item for items in plan for item in items]))
+    results = []
+    for (r, beta), items in zip(cells, plan):
+        parts = list(itertools.islice(chunks, len(items)))
+        failures = sum(f for _, f in parts)
         mean = {}
         se = {}
         per_task = {}
         for m in spec.methods:
-            arr = np.array(accs[m], dtype=np.float64)
+            arr = np.concatenate([accs[m] for accs, _ in parts])
             per_task[m] = arr
             mean[m] = float(arr.mean()) if arr.size else float("nan")
             se[m] = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
@@ -374,10 +430,18 @@ def _write_json(path: Path, payload) -> Path:
     return path
 
 
+def _count_row(n: int) -> dict:
+    """The n-input threshold-function count and its 2^(n^2) upper bound.
+
+    The bound is None where 2^(n^2) is below the count, which is n=1 only.
+    """
+    count = count_threshold(n)
+    bound = 2 ** (n * n)
+    return {"n": n, "count": count, "bound_2_pow_n2": bound if bound >= count else None}
+
+
 def _recipe_table3_counts(out_dir: Path, seed: int, scale: float) -> list[Path]:
-    rows = [
-        {"n": n, "count": count_threshold(n), "bound_2_pow_n2": 2 ** (n * n)} for n in (2, 3, 4)
-    ]
+    rows = [_count_row(n) for n in (2, 3, 4)]
     return [_write_json(out_dir / "table3_counts.json", rows)]
 
 

@@ -21,6 +21,7 @@ from .bench import (
     METHODS,
     RECIPES,
     SweepSpec,
+    _count_row,
     emit_csv,
     emit_json,
     emit_svg_heatmap,
@@ -32,7 +33,6 @@ from .boolefn import (
     MAX_ENUM_N,
     BooleanFunction,
     best_threshold_agreement,
-    count_threshold,
     threshold_stats,
     verify_xor_worst,
     xor_max_accuracy,
@@ -272,9 +272,7 @@ def _cmd_thresholds(args) -> int:
     if args.action == "count":
         solved_fraction, mean_best_accuracy = threshold_stats(args.n)
         payload = {
-            "n": args.n,
-            "count": count_threshold(args.n),
-            "bound_2_pow_n2": 2 ** (args.n * args.n),
+            **_count_row(args.n),
             "solved_fraction": solved_fraction,
             "mean_best_accuracy": mean_best_accuracy,
         }
@@ -297,6 +295,7 @@ def _cmd_thresholds(args) -> int:
             "n": args.n,
             "holds": holds,
             "xor_bound": xor_max_accuracy(args.n),
+            "worst_count": len(offenders),
             "worst_tables_hex": [format(v, "x") for v in offenders[:64]],
         }
     else:

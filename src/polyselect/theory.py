@@ -308,8 +308,10 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
     """sigma/mu across an irrelevant-feature range, with its log-linear slope.
 
     log(sigma/mu) is asymptotically linear in beta with slope
-    0.5 * log(c2 / c1^2); the fitted slope is the mean successive difference
-    over the top half of the range.
+    0.5 * log(c2 / c1^2); the fitted slope is the least-squares slope of
+    log(sigma/mu) on beta over the top half of the range (all of it below four
+    points).  The fit uses only the finite, positive ratios; with fewer than
+    two of those the slope is undefined and reads nan.
     """
     betas = tuple(int(b) for b in betas)
     if len(betas) < 2:
@@ -326,9 +328,9 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
     c1, c2 = _bit_moments(params)
     asymptotic = 0.5 * math.log(c2 / (c1 * c1))
 
-    pts = [(b, math.log(x)) for b, x in zip(betas, ratios) if x > 0]
+    pts = [(b, math.log(x)) for b, x in zip(betas, ratios) if math.isfinite(x) and x > 0]
     if len(pts) < 2:
-        fitted = 0.0
+        fitted = math.nan
     else:
         tail = pts[len(pts) // 2 :] if len(pts) >= 4 else pts
         bs = np.array([b for b, _ in tail], dtype=np.float64)

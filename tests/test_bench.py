@@ -1,12 +1,21 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields, replace
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyselect
 from polyselect import bench
 from polyselect.bench import (
     METHODS,
+    CellResult,
     SweepSpec,
     _heat_color,
     emit_csv,
@@ -94,6 +103,66 @@ def chunk_sizes(spec: SweepSpec) -> set[int]:
     }
 
 
+def kernel_spec(kind: Kernel, encoding: Encoding) -> SweepSpec:
+    """Every method on small tasks; with CHUNK_BYTES at 2048, several chunks per cell."""
+    return small_spec(
+        alpha=2,
+        query_count=4,
+        encoding=encoding,
+        methods=METHODS,
+        tasks_per_cell=17,
+        attention=AttentionConfig(kind=kind, tau_inv=1.5),
+    )
+
+
+def forced_failure_spec():
+    # zero_one bits at low p leave all-zero rows, where cosine similarity is undefined
+    return small_spec(
+        alpha=2,
+        beta_values=(3, 6),
+        p=0.2,
+        encoding=Encoding.ZERO_ONE,
+        methods=METHODS,
+        tasks_per_cell=30,
+        attention=AttentionConfig(kind=Kernel.COSINE),
+    )
+
+
+def assert_same_cells(got: list[CellResult], want: list[CellResult]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(CellResult):
+            if f.name == "per_task":
+                assert a.per_task.keys() == b.per_task.keys()
+                for m in a.per_task:
+                    assert a.per_task[m].dtype == b.per_task[m].dtype == np.float64
+                    assert a.per_task[m].tobytes() == b.per_task[m].tobytes(), (a.r, a.beta, m)
+            else:
+                # repr, so that a nan mean (every task failed) compares equal
+                assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Every process started from here on, with two usable CPUs assumed."""
+    started = []
+    start = BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", counting_start)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    return started
+
+
+def run_inline(monkeypatch, spec: SweepSpec) -> list[CellResult]:
+    with monkeypatch.context() as m:
+        m.setattr(bench, "_usable_cpus", lambda: 1)
+        return run_sweep(spec)
+
+
 class TestRunSweep:
     def test_deterministic(self):
         a = run_sweep(small_spec())
@@ -135,42 +204,96 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("encoding", list(Encoding))
     @pytest.mark.parametrize("kind", list(Kernel))
-    def test_chunked_sweep_equals_per_task_loop(self, monkeypatch, kind, encoding):
+    def test_chunked_sweep_equals_per_task_loop(self, monkeypatch, process_starts, kind, encoding):
         monkeypatch.setattr(bench, "CHUNK_BYTES", 2048)
-        spec = small_spec(
-            alpha=2,
-            query_count=4,
-            encoding=encoding,
-            methods=METHODS,
-            tasks_per_cell=17,
-            attention=AttentionConfig(kind=kind, tau_inv=1.5),
-        )
+        spec = kernel_spec(kind, encoding)
         # several chunks per cell, the last one partial
         tasks = spec.tasks_per_cell
         assert all(1 < s < tasks and tasks % s for s in chunk_sizes(spec))
         assert_matches_loop(spec)
+        assert len(process_starts) == 2  # run_sweep went through the pool
 
-    def test_forced_failures_match_per_task_loop(self):
-        # zero_one bits at low p leave all-zero rows, where cosine similarity is undefined
-        spec = small_spec(
-            alpha=2,
-            beta_values=(3, 6),
-            p=0.2,
-            encoding=Encoding.ZERO_ONE,
-            methods=METHODS,
-            tasks_per_cell=30,
-            attention=AttentionConfig(kind=Kernel.COSINE),
-        )
+    def test_forced_failures_match_per_task_loop(self, process_starts):
+        spec = forced_failure_spec()
         assert min(chunk_sizes(spec)) > 1
         grid = run_sweep(spec)
         survivors = [cell.per_task["Attn"].size for cell in grid]
         assert 0 < sum(survivors) < spec.tasks_per_cell * len(grid)
         assert assert_matches_loop(spec) > 0
+        assert len(process_starts) == 4  # both run_sweep calls went through the pool
 
     def test_unknown_method_evaluation_rejected(self):
         task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=1))
         with pytest.raises(ValueError):
             evaluate_method("Nope", task, AttentionConfig(), SelectionConfig())
+
+
+class TestSweepProcesses:
+    @pytest.mark.parametrize(
+        "spec",
+        [*(kernel_spec(k, e) for k in Kernel for e in Encoding), forced_failure_spec()],
+        ids=[f"{k.value}-{e.value}" for k in Kernel for e in Encoding] + ["forced_failures"],
+    )
+    def test_pool_equals_inline(self, monkeypatch, process_starts, spec):
+        monkeypatch.setattr(bench, "CHUNK_BYTES", 2048)
+        inline = run_inline(monkeypatch, spec)
+        assert process_starts == []
+        assert_same_cells(run_sweep(spec), inline)
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_starts_no_process(self, monkeypatch, process_starts):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+        run_sweep(small_spec())
+        assert process_starts == []
+
+    def test_workers_are_min_of_cpus_and_chunks(self, monkeypatch, process_starts):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
+        one_cell = small_spec(r_values=(1,), beta_values=(0,))
+        (size,) = chunk_sizes(one_cell)
+        run_sweep(replace(one_cell, tasks_per_cell=size))
+        assert process_starts == []  # one chunk runs inline
+        run_sweep(replace(one_cell, tasks_per_cell=size + 1))
+        assert len(process_starts) == 2  # one worker per chunk
+        process_starts.clear()
+        run_sweep(small_spec())
+        assert len(process_starts) == 3  # one worker per usable CPU
+
+    def test_worker_error_reaches_caller(self, monkeypatch, process_starts):
+        def fail(spec, batch, accs):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(bench, "_evaluate_chunk", fail)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run_sweep(small_spec())
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_crashed_worker_is_broken_pool(self, monkeypatch, process_starts):
+        parent = os.getpid()
+
+        def crash(spec, batch, accs):
+            if os.getpid() == parent:
+                raise AssertionError("chunk ran in the parent process")
+            os._exit(1)
+
+        monkeypatch.setattr(bench, "_evaluate_chunk", crash)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(small_spec())
+        assert multiprocessing.active_children() == []
+
+    def test_import_loads_no_process_machinery(self):
+        # the pool's modules are imported only when a sweep starts one
+        code = (
+            "import sys, polyselect; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestEmitters:

@@ -108,6 +108,15 @@ class TestThresholds:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["solved_fraction"], payload["mean_best_accuracy"]) == threshold_stats(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_count_bound_is_never_below_count(self, n, capsys):
+        assert main(["thresholds", "count", "--n", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if n == 1:  # 2^(1^2) = 2 < 4 threshold functions of one input
+            assert payload["bound_2_pow_n2"] is None
+        else:
+            assert payload["bound_2_pow_n2"] == 2 ** (n * n) >= payload["count"]
+
     def test_approx_parity(self, capsys):
         code = main(["thresholds", "approx", "--n", "2", "--truth-table", "6"])
         assert code == 0
@@ -121,6 +130,16 @@ class TestThresholds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["holds"] is True
         assert payload["xor_bound"] == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_verify_xor_worst_counts_every_offender(self, n, capsys):
+        assert main(["thresholds", "verify-xor-worst", "--n", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if n == 4:  # more offenders than the 64 listed
+            assert payload["worst_count"] == 122
+            assert len(payload["worst_tables_hex"]) == 64
+        else:
+            assert payload["worst_count"] == len(payload["worst_tables_hex"])
 
     @pytest.mark.parametrize("action", ["count", "approx", "verify-xor-worst"])
     @pytest.mark.parametrize("n", ["0", "5"])
@@ -184,6 +203,16 @@ class TestSweepAndTheory:
         for row, ratio in zip(rows, growth.ratios, strict=True):
             snr = row.split(",")[13:]
             assert snr == [repr(ratio), repr(growth.fitted_slope), repr(growth.asymptotic_slope)]
+
+    def test_theory_undefined_snr_slope_is_nan(self, capsys):
+        # the ratio is 0 at beta 0 and nan once the mean overflows, so no slope exists
+        assert main(["theory", "--beta-values", "0,2000,3000", "--trials", "20"]) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[13:15] for row in rows] == [
+            ["0.0", "nan"],
+            ["nan", "nan"],
+            ["nan", "nan"],
+        ]
 
     def test_theory_snr_empty_for_one_beta(self, capsys):
         assert main(["theory", "--beta-values", "3", "--trials", "20"]) == 0

@@ -227,6 +227,20 @@ class TestSnrGrowth:
         growth = snr_growth(TheoryParams(alpha=2, beta_irrelevant=0, p=0.0, r=1), (1, 2, 3))
         assert all(r == 0.0 for r in growth.ratios)
 
+    @pytest.mark.parametrize(
+        "p, betas",
+        [
+            (0.0, (1, 2, 3)),  # every ratio is 0
+            (0.5, (0, 2000, 3000)),  # 0, then nan once the mean overflows
+            (0.5, (0, 1, 2000)),  # a single finite positive ratio
+        ],
+    )
+    def test_slope_without_two_finite_positive_ratios_is_nan(self, p, betas):
+        growth = snr_growth(TheoryParams(alpha=3, beta_irrelevant=0, p=p, r=2), betas)
+        assert sum(math.isfinite(x) and x > 0 for x in growth.ratios) < 2
+        assert math.isnan(growth.fitted_slope)
+        assert math.isfinite(growth.asymptotic_slope)
+
 
 class TestAndBoundary:
     def test_far_field_approaches_zero(self):
