@@ -34,20 +34,14 @@ from .core import (
 from .kernels import (
     AttentionConfig,
     Kernel,
-    attend_classify,
     attend_probs,
     predict,
-    similarity,
     softmax_rows,
 )
 from .prototypes import PrototypeSet, build_prototypes, proto_classify
 from .selection import (
-    Dispersion,
     SelectionConfig,
-    SelectionMode,
-    apply_selection,
     feature_scores,
-    fs_classify,
     self_attention_round,
     standardize,
 )

@@ -32,7 +32,7 @@ from .boolefn import (
 from .core import Encoding, Task, TaskBatch, task_seed
 from .kernels import AttentionConfig, Kernel, attend_probs, predict
 from .prototypes import build_prototypes, proto_classify
-from .selection import SelectionConfig, SelectionMode, feature_scores, score_chunk, select_probs
+from .selection import FACTORS, SelectionConfig, feature_scores, score_chunk, select_probs
 from .tasks import BooleanTaskSpec, SphereTaskSpec, gen_boolean_batch, gen_sphere_task
 from .theory import and_boundary
 
@@ -50,9 +50,9 @@ __all__ = [
 ]
 
 
-def _selection_method(mode: SelectionMode):
+def _selection_method(name: str):
     def probs(batch, attention, selection, scored):
-        return select_probs(scored(), attention, replace(selection, mode=mode), batch.metas)
+        return select_probs(scored(), name, attention, selection, batch.metas)
 
     return probs
 
@@ -63,9 +63,7 @@ _METHODS = {
     "Attn": lambda batch, attention, selection, scored: attend_probs(
         batch.query_features, batch.support, attention
     ),
-    "AttnSoftFS": _selection_method(SelectionMode.SOFT_RESCALE),
-    "AttnSoftFSNorm": _selection_method(SelectionMode.SOFT_RESCALE_NORM),
-    "AttnTopK": _selection_method(SelectionMode.TOP_K),
+    **{name: _selection_method(name) for name in FACTORS},
     "Proto": lambda batch, attention, selection, scored: proto_classify(
         batch.query_features, build_prototypes(batch.support), attention.tau_inv
     ),

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +40,7 @@ from .boolefn import (
 )
 from .core import Encoding, task_from_json, task_seed, task_to_json
 from .kernels import AttentionConfig, Kernel
-from .selection import Dispersion, SelectionConfig, SelectionMode
+from .selection import SelectionConfig, feature_scores
 from .tasks import (
     BooleanTaskSpec,
     SphereTaskSpec,
@@ -105,8 +106,6 @@ def _selection_from(args, config) -> SelectionConfig:
         epsilon=_merged(args, config, "epsilon", float, default.epsilon),
         tau_inv=_merged(args, config, "sel_tau_inv", float, default.tau_inv),
         rounds=_merged(args, config, "rounds", int, default.rounds),
-        dispersion=Dispersion(_merged(args, config, "dispersion", str, default.dispersion)),
-        mode=SelectionMode(_merged(args, config, "mode", str, default.mode)),
         top_k=_merged(args, config, "top_k", int, default.top_k),
     )
 
@@ -137,6 +136,8 @@ def _cmd_gen_tasks(args) -> int:
     else:
         raise ValueError(f"unknown task family {family!r}")
     _reject_unread(config, "gen-tasks")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
 
     tasks = [generate(replace(spec, seed=task_seed(seed, i))) for i in range(count)]
     if out_dir:
@@ -149,6 +150,16 @@ def _cmd_gen_tasks(args) -> int:
         for task in tasks:
             print(task_to_json(task))
     return 0
+
+
+def _write_scores_csv(path: Path, scores) -> None:
+    """Write (feature_index, score) rows for diagnostics."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["feature_index", "score"])
+    for i, s in enumerate(scores):
+        writer.writerow([i, repr(float(s))])
+    path.write_text(buf.getvalue())
 
 
 def _cmd_eval(args) -> int:
@@ -168,9 +179,7 @@ def _cmd_eval(args) -> int:
         task = gen_boolean_task(spec)
     rows = [{"method": m, "accuracy": evaluate_method(m, task, attention, selection)} for m in methods]
     if args.dump_scores:
-        from .selection import feature_scores, scores_csv
-
-        scores_csv(args.dump_scores, feature_scores(task.support, selection))
+        _write_scores_csv(Path(args.dump_scores), feature_scores(task.support, selection))
     if args.format == "json":
         print(json.dumps({"rows": rows}, sort_keys=True, separators=(",", ":")))
     else:
@@ -304,6 +313,13 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
+def _scale(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _cmd_reproduce(args) -> int:
     paths = reproduce(args.recipe, args.out_dir or "out", seed=args.seed or 0, scale=args.scale)
     for path in paths:
@@ -391,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a named experiment recipe")
     p.add_argument("recipe", choices=sorted(RECIPES))
     add_common(p, "--seed", "--out-dir")
-    p.add_argument("--scale", type=float, default=1.0, help="shrink factor for quick runs")
+    p.add_argument("--scale", type=_scale, default=1.0, help="shrink factor for quick runs")
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

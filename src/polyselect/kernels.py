@@ -16,15 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import LabeledSet, Task, one_hot
+from .core import LabeledSet, one_hot
 
 __all__ = [
     "AttentionConfig",
     "Kernel",
-    "attend_classify",
     "attend_probs",
     "predict",
-    "similarity",
     "similarity_matrix",
     "softmax_rows",
 ]
@@ -84,13 +82,6 @@ def similarity_matrix(config: AttentionConfig, queries: np.ndarray, keys: np.nda
     return -np.abs(queries[..., :, None, :] - keys[..., None, :, :]).sum(axis=-1)
 
 
-def similarity(config: AttentionConfig, q: np.ndarray, s: np.ndarray) -> float:
-    """Similarity of two single vectors under the configured kernel."""
-    q = np.asarray(q, dtype=np.float64).reshape(1, -1)
-    s = np.asarray(s, dtype=np.float64).reshape(1, -1)
-    return float(similarity_matrix(config, q, s)[0, 0])
-
-
 def softmax_rows(scores: np.ndarray, tau_inv: float = 1.0) -> np.ndarray:
     """Row-wise softmax of tau_inv * scores, stabilised by row-max subtraction."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -107,11 +98,6 @@ def attend_probs(query_features: np.ndarray, support: LabeledSet, config: Attent
     """Class probabilities for arbitrary query rows against a support set."""
     scores = similarity_matrix(config, query_features, support.features)
     return softmax_rows(scores, config.tau_inv) @ one_hot(support.labels, support.k)
-
-
-def attend_classify(task: Task, config: AttentionConfig) -> np.ndarray:
-    """Class probabilities for the task's query set; rows sum to one."""
-    return attend_probs(task.query.features, task.support, config)
 
 
 def predict(probs: np.ndarray) -> np.ndarray:

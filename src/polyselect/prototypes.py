@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet
-from .kernels import softmax_rows
+from .kernels import AttentionConfig, Kernel, similarity_matrix, softmax_rows
 
 __all__ = ["PrototypeSet", "build_prototypes", "proto_classify"]
 
@@ -48,11 +48,5 @@ def build_prototypes(support: LabeledSet) -> PrototypeSet:
 
 def proto_classify(query_features: np.ndarray, protos: PrototypeSet, tau_inv: float = 1.0) -> np.ndarray:
     """Class probabilities: softmax of -tau_inv * squared distance to each mean."""
-    queries = np.asarray(query_features, dtype=np.float64)
-    means = protos.means
-    if queries.shape[-1] != means.shape[-1]:
-        raise ValueError("query and prototype dimensions differ")
-    q2 = np.sum(queries**2, axis=-1)[..., :, None]
-    m2 = np.sum(means**2, axis=-1)[..., None, :]
-    neg_sq = 2.0 * (queries @ means.swapaxes(-1, -2)) - q2 - m2
+    neg_sq = similarity_matrix(AttentionConfig(Kernel.SQ_EUCLIDEAN), query_features, protos.means)
     return softmax_rows(neg_sq, tau_inv)

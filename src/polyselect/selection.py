@@ -8,40 +8,34 @@ make same-variant rows attend to each other are preserved.  The per-feature
 dispersion of the updated support is the feature's score: high score means
 the feature survived the averaging and is discriminative for this task.
 
-Scores feed classification either softly (multiply features by scores,
-optionally normalised) or hard (keep only the k best-scoring features).
-Rescaling operates on standardised features, with query rows standardised
+Each selection method turns the scores into one per-feature factor, by
+FACTORS: AttnSoftFS multiplies features by the scores, AttnSoftFSNorm by the
+scores scaled to mean one, AttnTopK keeps only the k best-scoring features.
+The factor multiplies standardised features, with query rows standardised
 using support statistics.
 
 Every step works on (..., rows, n) arrays, so a chunk of same-shape tasks
 that share one support label layout is standardised, scored and classified
 at once; score_chunk standardises a chunk once and its Scored result serves
-every selection mode.
+every selection method.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .core import LabeledSet, Task
+from .core import LabeledSet
 from .kernels import AttentionConfig, attend_probs, softmax_rows
 
 __all__ = [
-    "Dispersion",
+    "FACTORS",
     "Scored",
     "SelectionConfig",
-    "SelectionMode",
-    "apply_selection",
     "dispersion",
     "feature_scores",
-    "fs_classify",
     "score_chunk",
-    "scores_csv",
     "select_probs",
     "self_attention_round",
     "standardize",
@@ -49,20 +43,9 @@ __all__ = [
 ]
 
 
-class Dispersion(Enum):
-    MAD = "mad"  # mean absolute deviation from the mean
-    STD = "std"  # population standard deviation
-
-
-class SelectionMode(Enum):
-    SOFT_RESCALE = "soft_rescale"
-    SOFT_RESCALE_NORM = "soft_rescale_norm"  # scores scaled to mean one
-    TOP_K = "top_k"
-
-
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Knobs for the scoring rounds and for how scores are applied.
+    """Knobs for the scoring rounds, and the k of AttnTopK.
 
     tau_inv defaults to 2.0: at 1.0 the within-class iteration mixes variant
     groups into each other and collapses to the class mean within ~10 rounds,
@@ -70,15 +53,13 @@ class SelectionConfig:
     produce; 2.0 keeps groups segregated well past rounds=10 on every task
     family in the test suite.
 
-    top_k is required for TOP_K mode unless the task carries generation
+    top_k is required by AttnTopK unless the task carries generation
     metadata, in which case it defaults to the task's active-feature count.
     """
 
     epsilon: float = 1e-8
     tau_inv: float = 2.0
     rounds: int = 10
-    dispersion: Dispersion = Dispersion.MAD
-    mode: SelectionMode = SelectionMode.SOFT_RESCALE
     top_k: int | None = None
 
     def __post_init__(self):
@@ -130,12 +111,10 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     return weights @ x
 
 
-def dispersion(features: np.ndarray, kind: Dispersion) -> np.ndarray:
-    """Per-feature spread over the rows (population statistics)."""
+def dispersion(features: np.ndarray) -> np.ndarray:
+    """Per-feature mean absolute deviation from the mean over the rows."""
     x = np.asarray(features, dtype=np.float64)
-    if kind is Dispersion.MAD:
-        return np.abs(x - x.mean(axis=-2, keepdims=True)).mean(axis=-2)
-    return x.std(axis=-2)
+    return np.abs(x - x.mean(axis=-2, keepdims=True)).mean(axis=-2)
 
 
 def _scores(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
@@ -148,7 +127,7 @@ def _scores(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
         for _ in range(config.rounds):
             block = self_attention_round(block, config.tau_inv)
         out[..., rows, :] = block
-    return dispersion(out, config.dispersion)
+    return dispersion(out)
 
 
 def feature_scores(support: LabeledSet, config: SelectionConfig = SelectionConfig()) -> np.ndarray:
@@ -165,8 +144,8 @@ class Scored:
     """A chunk standardised once, with the support's feature scores.
 
     The query rows are standardised with the support statistics.  Every
-    selection mode applies its factor to these same arrays, so the scores of
-    a chunk are computed once however many modes use them.
+    selection method applies its factor to these same arrays, so the scores
+    of a chunk are computed once however many methods use them.
     """
 
     support: LabeledSet
@@ -174,16 +153,12 @@ class Scored:
     scores: np.ndarray
 
 
-def _standardized(support: LabeledSet, query_features: np.ndarray, epsilon: float):
-    std_support, mu, sigma = standardize(support, epsilon)
-    return std_support, standardize_features(query_features, mu, sigma, epsilon)
-
-
 def score_chunk(support: LabeledSet, query_features: np.ndarray, config: SelectionConfig) -> Scored:
     """Standardise support and queries, then score the support's features."""
-    std_support, query = _standardized(support, query_features, config.epsilon)
+    std_support, mu, sigma = standardize(support, config.epsilon)
+    query = standardize_features(query_features, mu, sigma, config.epsilon)
     scores = _scores(std_support, config)
-    query.setflags(write=False)  # shared by every mode that reads this chunk
+    query.setflags(write=False)  # shared by every method that reads this chunk
     scores.setflags(write=False)
     return Scored(std_support, query, scores)
 
@@ -205,72 +180,34 @@ def _resolve_top_k(metas, config: SelectionConfig) -> int:
     alphas = {None if m is None else m.alpha for m in metas}
     if len(alphas) == 1 and None not in alphas:
         return alphas.pop()
-    raise ValueError("TOP_K mode needs top_k (or task metadata with an active count)")
+    raise ValueError("AttnTopK needs top_k (or task metadata with an active count)")
 
 
-def _factor(scores: np.ndarray, config: SelectionConfig, metas) -> np.ndarray:
-    """Per-task (..., n) multipliers that the configured mode applies to features."""
+def _mean_one(scores: np.ndarray, config: SelectionConfig, metas) -> np.ndarray:
+    total = np.abs(scores).sum(axis=-1, keepdims=True)
+    if np.any(total == 0):
+        raise ValueError("cannot normalise all-zero scores")
+    return scores / total * scores.shape[-1]
+
+
+# method name -> factor(scores, config, metas): the per-task (..., n)
+# multipliers the method applies to the standardised features; metas are the
+# chunk's task metadata, read only by AttnTopK when config.top_k is None
+FACTORS = {
+    "AttnSoftFS": lambda scores, config, metas: scores,
+    "AttnSoftFSNorm": _mean_one,
+    "AttnTopK": lambda scores, config, metas: _top_k_mask(scores, _resolve_top_k(metas, config)),
+}
+
+
+def select_probs(
+    scored: Scored, method: str, attn: AttentionConfig, sel: SelectionConfig, metas
+) -> np.ndarray:
+    """Apply the method's factor to a scored chunk, then attend-classify its queries."""
+    scores = scored.scores
     if np.any(scores < 0) or not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite and nonnegative")
-    if config.mode is SelectionMode.SOFT_RESCALE:
-        return scores
-    if config.mode is SelectionMode.SOFT_RESCALE_NORM:
-        total = np.abs(scores).sum(axis=-1, keepdims=True)
-        if np.any(total == 0):
-            raise ValueError("cannot normalise all-zero scores")
-        return scores / total * scores.shape[-1]
-    return _top_k_mask(scores, _resolve_top_k(metas, config))
-
-
-def _rescaled(scored: Scored, config: SelectionConfig, metas) -> tuple[LabeledSet, np.ndarray]:
-    factor = _factor(scored.scores, config, metas)[..., None, :]
+    factor = FACTORS[method](scores, sel, metas)[..., None, :]
     sup = scored.support
-    return LabeledSet(sup.features * factor, sup.labels, sup.k), scored.query_features * factor
-
-
-def select_probs(scored: Scored, attn: AttentionConfig, sel: SelectionConfig, metas) -> np.ndarray:
-    """Rescale or mask a scored chunk by sel.mode, then attend-classify its queries.
-
-    metas are the chunk's task metadata, read only when TOP_K mode has no top_k.
-    """
-    support, query = _rescaled(scored, sel, metas)
-    return attend_probs(query, support, attn)
-
-
-def apply_selection(task: Task, scores: np.ndarray, config: SelectionConfig) -> Task:
-    """Rescale or mask the task's features by the given scores.
-
-    Support and query are standardised with the support statistics first and
-    the selected transform is applied identically to both.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (task.n_features,):
-        raise ValueError("scores length must match the feature count")
-    std_support, query = _standardized(task.support, task.query.features, config.epsilon)
-    support, query = _rescaled(Scored(std_support, query, scores), config, (task.meta,))
-    return Task(
-        support=support,
-        query=LabeledSet(features=query, labels=task.query.labels, k=task.query.k),
-        meta=task.meta,
-    )
-
-
-def fs_classify(
-    task: Task,
-    attn: AttentionConfig = AttentionConfig(),
-    sel: SelectionConfig = SelectionConfig(),
-) -> np.ndarray:
-    """Full pipeline: standardise, score, rescale/mask, then attend-classify."""
-    scored = score_chunk(task.support, task.query.features, sel)
-    return select_probs(scored, attn, sel, (task.meta,))
-
-
-def scores_csv(path: str | Path, scores: np.ndarray) -> Path:
-    """Write (feature_index, score) rows for diagnostics."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_index", "score"])
-        for i, s in enumerate(np.asarray(scores, dtype=np.float64)):
-            writer.writerow([i, repr(float(s))])
-    return path
+    support = LabeledSet(sup.features * factor, sup.labels, sup.k)
+    return attend_probs(scored.query_features * factor, support, attn)

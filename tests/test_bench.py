@@ -26,7 +26,7 @@ from polyselect.bench import (
     reproduce,
     run_sweep,
 )
-from polyselect.core import Encoding, task_seed
+from polyselect.core import Encoding, TaskBatch, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import SelectionConfig
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
@@ -226,6 +226,30 @@ class TestRunSweep:
         task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=1))
         with pytest.raises(ValueError):
             evaluate_method("Nope", task, AttentionConfig(), SelectionConfig())
+
+
+# a non-default value for every field of the configs the methods read
+KNOBS = {
+    SelectionConfig: {"epsilon": 0.5, "tau_inv": 0.5, "rounds": 1, "top_k": 1},
+    AttentionConfig: {"kind": Kernel.COSINE, "tau_inv": 3.0},
+}
+
+
+class TestConfigKnobs:
+    def _probs(self, task, attention, selection) -> list[np.ndarray]:
+        batch = TaskBatch.of(task)
+        scored = bench._scorer(batch, selection)
+        return [bench._METHODS[m](batch, attention, selection, scored) for m in METHODS]
+
+    @pytest.mark.parametrize("config, name", [(c, f.name) for c in KNOBS for f in fields(c)])
+    def test_every_field_changes_some_method(self, config, name):
+        # a field that no method reads is an option without effect
+        task = gen_boolean_task(BooleanTaskSpec(n=7, alpha=3, p=0.5, r=3, seed=5))
+        defaults = {SelectionConfig: SelectionConfig(), AttentionConfig: AttentionConfig()}
+        changed = {**defaults, config: replace(defaults[config], **{name: KNOBS[config][name]})}
+        before = self._probs(task, defaults[AttentionConfig], defaults[SelectionConfig])
+        after = self._probs(task, changed[AttentionConfig], changed[SelectionConfig])
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(before, after, strict=True))
 
 
 class TestSweepProcesses:

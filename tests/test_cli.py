@@ -7,6 +7,7 @@ from polyselect.boolefn import threshold_stats
 from polyselect.cli import main
 from polyselect.core import task_from_json
 from polyselect.kernels import Kernel
+from polyselect.selection import feature_scores
 from polyselect.theory import TheoryParams, snr_growth
 
 
@@ -27,6 +28,18 @@ class TestGenTasks:
         files = sorted(tmp_path.glob("task_*.json"))
         assert len(files) == 3
         task_from_json(files[0].read_text())
+
+    @pytest.mark.parametrize(
+        "flags, cfg", [(["--count", "0"], ""), (["--count", "-1"], ""), ([], "count=0\n")]
+    )
+    def test_count_below_one_is_runtime_error(self, flags, cfg, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(cfg)
+        out = tmp_path / "tasks"
+        code = main(["gen-tasks", "--config", str(config), "--out-dir", str(out), *flags])
+        assert code == 1
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sphere_family(self, capsys):
         code = main(["gen-tasks", "--family", "sphere", "--sample-count", "8", "--seed", "1"])
@@ -55,14 +68,14 @@ class TestEval:
         assert payload["rows"][0]["method"] == "Attn"
 
     def test_dump_scores(self, tmp_path, capsys):
+        assert main(["gen-tasks", "--n", "5", "--alpha", "2", "--out-dir", str(tmp_path)]) == 0
+        task_file = tmp_path / "task_00000.json"
         out = tmp_path / "scores.csv"
-        code = main(
-            ["eval", "--n", "5", "--alpha", "2", "--dump-scores", str(out), "--methods", "Attn"]
-        )
+        code = main(["eval", "--task", str(task_file), "--dump-scores", str(out), "--methods", "Attn"])
         assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "feature_index,score"
-        assert len(lines) == 6
+        scores = feature_scores(task_from_json(task_file.read_text()).support)
+        expected = "feature_index,score\n" + "".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist()))
+        assert out.read_bytes() == expected.encode()  # LF line ends, like every CSV written
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -259,6 +272,30 @@ class TestReproduceAndExitCodes:
         assert code == 1
         assert "tau-inv" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--tasks-per-cell", "1"]])
+    @pytest.mark.parametrize("key", ["mode=top_k", "dispersion=std"])
+    def test_removed_selection_keys_are_runtime_errors(self, argv, key, tmp_path, monkeypatch, capsys):
+        # the method name alone chooses how scores are applied, and scores are MAD
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert key.split("=")[0] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "-inf"])
+    def test_bad_scale_is_usage_error(self, scale, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "table3_counts", "--out-dir", str(out), f"--scale={scale}"])
+        assert exc.value.code == 2
+        assert "--scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scale_above_one_is_valid(self, tmp_path, capsys):
+        assert main(["reproduce", "table3_counts", "--out-dir", str(tmp_path), "--scale", "2.5"]) == 0
+        assert (tmp_path / "table3_counts.json").exists()
 
     def test_runtime_error_exits_1(self, capsys):
         code = main(["eval", "--task", "/nonexistent/task.json"])

@@ -7,10 +7,8 @@ from polyselect.core import LabeledSet, Task
 from polyselect.kernels import (
     AttentionConfig,
     Kernel,
-    attend_classify,
     attend_probs,
     predict,
-    similarity,
     similarity_matrix,
     softmax_rows,
 )
@@ -37,25 +35,27 @@ class TestSimilarity:
     def test_dot_on_pm_vectors_is_alpha_minus_2delta(self):
         q = np.array([1.0, 1.0, 1.0])
         s = np.array([1.0, 1.0, -1.0])  # one differing position
-        assert similarity(AttentionConfig(Kernel.DOT), q, s) == pytest.approx(1.0)
+        assert similarity_matrix(AttentionConfig(Kernel.DOT), [q], [s])[0, 0] == pytest.approx(1.0)
 
     def test_sq_euclidean_on_bits_is_minus_delta(self):
         q = np.array([1.0, 0.0, 1.0])
         s = np.array([0.0, 1.0, 1.0])  # two differing positions
-        assert similarity(AttentionConfig(Kernel.SQ_EUCLIDEAN), q, s) == pytest.approx(-2.0)
+        sim = similarity_matrix(AttentionConfig(Kernel.SQ_EUCLIDEAN), [q], [s])
+        assert sim[0, 0] == pytest.approx(-2.0)
 
     def test_cosine_self_is_one(self):
         v = np.array([0.3, -1.2, 2.0])
-        assert similarity(AttentionConfig(Kernel.COSINE), v, v) == pytest.approx(1.0)
+        assert similarity_matrix(AttentionConfig(Kernel.COSINE), [v], [v])[0, 0] == pytest.approx(1.0)
 
     def test_cosine_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            similarity(AttentionConfig(Kernel.COSINE), np.zeros(3), np.ones(3))
+            similarity_matrix(AttentionConfig(Kernel.COSINE), [np.zeros(3)], [np.ones(3)])
 
     def test_laplace_is_negative_l1(self):
         q = np.array([1.0, 0.0])
         s = np.array([0.0, 1.0])
-        assert similarity(AttentionConfig(Kernel.LAPLACE), q, s) == pytest.approx(-2.0)
+        sim = similarity_matrix(AttentionConfig(Kernel.LAPLACE), [q], [s])
+        assert sim[0, 0] == pytest.approx(-2.0)
 
 
 class TestStacks:
@@ -139,7 +139,7 @@ class TestAttendClassify:
     def test_rows_stochastic(self):
         for seed in range(5):
             task = _random_task(seed)
-            probs = attend_classify(task, AttentionConfig())
+            probs = attend_probs(task.query.features, task.support, AttentionConfig())
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
@@ -159,7 +159,7 @@ class TestAttendClassify:
         taus = [0.5, 1.0, 2.0, 4.0, 8.0]
         prev = None
         for tau in taus:
-            probs = attend_classify(task, AttentionConfig(tau_inv=tau))
+            probs = attend_probs(task.query.features, task.support, AttentionConfig(tau_inv=tau))
             top = probs.max(axis=1)
             if prev is not None:
                 assert np.all(top >= prev - 1e-12)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polyselect.core import LabeledSet, Task, task_seed
-from polyselect.kernels import AttentionConfig, attend_classify, predict
+from polyselect.bench import evaluate_method
+from polyselect.core import LabeledSet, task_seed
+from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict
 from polyselect.selection import (
-    Dispersion,
+    FACTORS,
     SelectionConfig,
-    SelectionMode,
-    apply_selection,
     dispersion,
     feature_scores,
-    fs_classify,
+    score_chunk,
+    select_probs,
     self_attention_round,
     standardize,
 )
@@ -104,7 +105,7 @@ class TestSelfAttentionRound:
         x = np.array([[-2.0], [1.0], [2.0]])
         out = self_attention_round(x, 1.0)
         assert out.min() >= x.min() and out.max() <= x.max()
-        assert dispersion(out, Dispersion.MAD)[0] > dispersion(x, Dispersion.MAD)[0]
+        assert dispersion(out)[0] > dispersion(x)[0]
 
 
 class TestFeatureScores:
@@ -112,7 +113,7 @@ class TestFeatureScores:
         task = gen_boolean_task(BooleanTaskSpec(n=8, alpha=3, p=0.5, r=5, seed=2))
         config = SelectionConfig(rounds=0)
         std, _, _ = standardize(task.support)
-        expected = dispersion(std.features, Dispersion.MAD)
+        expected = dispersion(std.features)
         np.testing.assert_allclose(feature_scores(task.support, config), expected, atol=1e-15)
 
     def test_scores_nonnegative_and_finite(self):
@@ -138,12 +139,11 @@ class TestFeatureScores:
     def test_stacked_support_scores_each_task(self):
         tasks = [gen_boolean_task(BooleanTaskSpec(n=7, alpha=3, p=0.5, r=2, seed=s)) for s in range(5)]
         stacked = LabeledSet(np.stack([t.support.features for t in tasks]), tasks[0].support.labels, k=2)
-        for dispersion_kind in Dispersion:
-            config = SelectionConfig(rounds=3, dispersion=dispersion_kind)
-            scores = feature_scores(stacked, config)
-            assert scores.shape == (5, 7)
-            for i, task in enumerate(tasks):
-                assert scores[i].tobytes() == feature_scores(task.support, config).tobytes()
+        config = SelectionConfig(rounds=3)
+        scores = feature_scores(stacked, config)
+        assert scores.shape == (5, 7)
+        for i, task in enumerate(tasks):
+            assert scores[i].tobytes() == feature_scores(task.support, config).tobytes()
 
     def test_column_permutation_equivariance(self):
         task = gen_boolean_task(BooleanTaskSpec(n=7, alpha=3, p=0.5, r=3, seed=5))
@@ -156,78 +156,118 @@ class TestFeatureScores:
         np.testing.assert_allclose(feature_scores(permuted), scores[perm], atol=1e-12)
 
 
+def scored_with(task, scores, config=SelectionConfig()):
+    """The task's standardised chunk of one, carrying the given scores."""
+    scored = score_chunk(task.support, task.query.features, config)
+    return replace(scored, scores=np.asarray(scores, dtype=np.float64))
+
+
 class TestApplySelection:
+    """The FACTORS table and select_probs, which multiplies features by a factor."""
+
     def _task(self, seed=7):
         return gen_boolean_task(BooleanTaskSpec(n=6, alpha=2, p=0.5, r=3, seed=seed))
 
     def test_uniform_scores_keep_dot_predictions(self):
         task = self._task()
-        config = SelectionConfig()
-        uniform = np.full(6, 0.7)
-        selected = apply_selection(task, uniform, config)
-        base = apply_selection(task, np.ones(6), config)
-        attn = AttentionConfig()
-        np.testing.assert_array_equal(
-            predict(attend_classify(selected, attn)), predict(attend_classify(base, attn))
-        )
+        attn, config = AttentionConfig(), SelectionConfig()
+        selected = select_probs(scored_with(task, np.full(6, 0.7)), "AttnSoftFS", attn, config, (task.meta,))
+        base = select_probs(scored_with(task, np.ones(6)), "AttnSoftFS", attn, config, (task.meta,))
+        np.testing.assert_array_equal(predict(selected), predict(base))
 
     def test_top_k_full_width_is_identity_mask(self):
         task = self._task()
-        config = SelectionConfig(mode=SelectionMode.TOP_K, top_k=6)
-        selected = apply_selection(task, np.arange(1.0, 7.0), config)
-        std, _, _ = standardize(task.support)
-        np.testing.assert_allclose(selected.support.features, std.features, atol=1e-15)
+        factor = FACTORS["AttnTopK"](np.arange(1.0, 7.0), SelectionConfig(top_k=6), (task.meta,))
+        np.testing.assert_array_equal(factor, np.ones(6))
+        scored = scored_with(task, np.arange(1.0, 7.0))
+        probs = select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=6), (task.meta,))
+        plain = attend_probs(scored.query_features, scored.support, AttentionConfig())
+        assert probs.tobytes() == plain.tobytes()
 
     def test_top_k_rank_selection(self):
-        task = gen_boolean_task(BooleanTaskSpec(n=3, alpha=2, p=0.5, r=2, seed=1))
-        config = SelectionConfig(mode=SelectionMode.TOP_K, top_k=2)
-        scores = np.array([3.0, 1.0, 2.0])
-        selected = apply_selection(task, scores, config)
-        std, _, _ = standardize(task.support)
-        np.testing.assert_allclose(selected.support.features[:, 1], 0.0, atol=1e-15)
-        np.testing.assert_allclose(selected.support.features[:, 0], std.features[:, 0])
+        factor = FACTORS["AttnTopK"](np.array([3.0, 1.0, 2.0]), SelectionConfig(top_k=2), (None,))
+        np.testing.assert_array_equal(factor, [1.0, 0.0, 1.0])
 
     def test_top_k_tie_break_keeps_lowest_index(self):
-        task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, p=0.5, r=2, seed=1))
-        config = SelectionConfig(mode=SelectionMode.TOP_K, top_k=2)
-        selected = apply_selection(task, np.array([1.0, 1.0, 1.0, 1.0]), config)
-        masked = np.abs(selected.support.features).sum(axis=0)
-        assert masked[0] > 0 and masked[1] > 0 and masked[2] == 0 and masked[3] == 0
+        factor = FACTORS["AttnTopK"](np.ones((2, 4)), SelectionConfig(top_k=2), (None, None))
+        np.testing.assert_array_equal(factor, [[1.0, 1.0, 0.0, 0.0]] * 2)
 
     def test_top_k_exceeding_width_rejected(self):
         task = self._task()
-        config = SelectionConfig(mode=SelectionMode.TOP_K, top_k=7)
-        with pytest.raises(ValueError):
-            apply_selection(task, np.ones(6), config)
+        scored = scored_with(task, np.ones(6))
+        with pytest.raises(ValueError, match="top_k must lie"):
+            select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=7), (task.meta,))
 
     def test_top_k_defaults_to_active_count(self):
         task = self._task()
-        config = SelectionConfig(mode=SelectionMode.TOP_K)
-        selected = apply_selection(task, np.ones(6), config)
-        kept = (np.abs(selected.support.features).sum(axis=0) > 0).sum()
-        assert kept == task.meta.alpha
+        factor = FACTORS["AttnTopK"](np.arange(6.0), SelectionConfig(), (task.meta, task.meta))
+        assert factor.sum() == task.meta.alpha
+        with pytest.raises(ValueError, match="needs top_k"):
+            FACTORS["AttnTopK"](np.arange(6.0), SelectionConfig(), (task.meta, None))
 
     def test_normalised_scores_mean_one(self):
         task = self._task()
-        config = SelectionConfig(mode=SelectionMode.SOFT_RESCALE_NORM)
         scores = np.array([4.0, 0.0, 0.0, 0.0, 0.0, 2.0])
-        selected = apply_selection(task, scores, config)
-        std, _, _ = standardize(task.support)
-        factors = scores / scores.sum() * 6
-        np.testing.assert_allclose(selected.support.features, std.features * factors, atol=1e-14)
+        factor = FACTORS["AttnSoftFSNorm"](scores, SelectionConfig(), (task.meta,))
+        np.testing.assert_allclose(factor, scores / scores.sum() * 6, rtol=1e-15)
+        assert factor.mean() == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(ValueError, match="all-zero"):
+            FACTORS["AttnSoftFSNorm"](np.zeros(6), SelectionConfig(), (task.meta,))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("method", sorted(FACTORS))
+    def test_negative_or_non_finite_scores_rejected(self, method, bad):
+        task = self._task()
+        scored = scored_with(task, [1.0, 2.0, bad, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            select_probs(scored, method, AttentionConfig(), SelectionConfig(top_k=2), (task.meta,))
 
 
 class TestFsClassify:
+    """The whole selection pipeline as evaluate_method and select_probs run it."""
+
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_complete_noiseless_tasks_solved(self, alpha):
         for seed in range(5):
             task = gen_boolean_task(
                 BooleanTaskSpec(n=alpha, alpha=alpha, p=0.5, r=1, query_count=16, seed=seed)
             )
-            probs = fs_classify(task)
-            assert np.mean(predict(probs) == task.query.labels) == 1.0
+            assert evaluate_method("AttnSoftFS", task, AttentionConfig(), SelectionConfig()) == 1.0
 
     def test_rounds_zero_runs(self):
         task = gen_boolean_task(BooleanTaskSpec(n=6, alpha=3, p=0.5, r=2, seed=9))
-        probs = fs_classify(task, sel=SelectionConfig(rounds=0))
+        config = SelectionConfig(rounds=0)
+        scored = score_chunk(task.support, task.query.features, config)
+        probs = select_probs(scored, "AttnSoftFS", AttentionConfig(), config, (task.meta,))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestNormIsATemperature:
+    """AttnSoftFSNorm multiplies AttnSoftFS's features by n/sum(s) per task."""
+
+    def _pairs(self):
+        for t in range(50):
+            task = gen_boolean_task(BooleanTaskSpec(n=9, alpha=3, p=0.5, r=3, seed=task_seed(11, t)))
+            scored = score_chunk(task.support, task.query.features, SelectionConfig())
+            yield task, scored, task.n_features / scored.scores.sum()
+
+    def test_dot_norm_is_soft_at_rescaled_temperature(self):
+        # dot products of features scaled by c gain c^2, which the softmax
+        # folds into its temperature
+        sel = SelectionConfig()
+        worst = 0.0
+        for task, scored, c in self._pairs():
+            norm = select_probs(scored, "AttnSoftFSNorm", AttentionConfig(tau_inv=1.5), sel, (task.meta,))
+            soft = select_probs(scored, "AttnSoftFS", AttentionConfig(tau_inv=1.5 * c**2), sel, (task.meta,))
+            worst = max(worst, float(np.abs(norm - soft).max()))
+        assert worst <= 1e-12
+
+    def test_cosine_norm_is_soft_at_same_temperature(self):
+        # cosine similarity does not see a common scale of both vectors
+        attn, sel = AttentionConfig(Kernel.COSINE, 1.5), SelectionConfig()
+        worst = 0.0
+        for task, scored, _ in self._pairs():
+            norm = select_probs(scored, "AttnSoftFSNorm", attn, sel, (task.meta,))
+            soft = select_probs(scored, "AttnSoftFS", attn, sel, (task.meta,))
+            worst = max(worst, float(np.abs(norm - soft).max()))
+        assert worst <= 1e-12
