@@ -93,6 +93,13 @@ class SweepSpec:
     def __post_init__(self):
         if not self.r_values or not self.beta_values:
             raise ValueError("r_values and beta_values must be nonempty")
+        if min(self.r_values) < 1:
+            raise ValueError(f"r_values must all be >= 1, got {list(self.r_values)}")
+        if min(self.beta_values) < 0:
+            raise ValueError(f"beta_values must all be >= 0, got {list(self.beta_values)}")
+        # the cells differ only in r and n = alpha + beta, so this one checks alpha, p
+        # and query_count for all of them, before any cell runs
+        _cell_shape(self, min(self.r_values), min(self.beta_values))
         if self.tasks_per_cell < 1:
             raise ValueError("tasks_per_cell must be >= 1")
         unknown = [m for m in self.methods if m not in METHODS]

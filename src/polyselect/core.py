@@ -214,7 +214,7 @@ def one_hot(labels: Sequence[int], k: int) -> np.ndarray:
 def encode_bits(bits: Sequence[int], encoding: Encoding) -> np.ndarray:
     """Map {0,1} bits to real feature values under the given encoding."""
     arr = np.asarray(bits)
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bits must be 0 or 1")
     arr = arr.astype(np.float64)
     if encoding is Encoding.PLUS_MINUS:
@@ -226,10 +226,10 @@ def decode_bits(values: Sequence[float], encoding: Encoding) -> np.ndarray:
     """Inverse of encode_bits; rejects values outside the encoding's image."""
     arr = np.asarray(values, dtype=np.float64)
     if encoding is Encoding.PLUS_MINUS:
-        if not np.isin(arr, (-1.0, 1.0)).all():
+        if not ((arr == -1.0) | (arr == 1.0)).all():
             raise ValueError("values must be -1 or +1 for plus_minus encoding")
         return ((arr + 1.0) / 2.0).astype(np.int64)
-    if not np.isin(arr, (0.0, 1.0)).all():
+    if not ((arr == 0.0) | (arr == 1.0)).all():
         raise ValueError("values must be 0 or 1 for zero_one encoding")
     return arr.astype(np.int64)
 

@@ -82,22 +82,42 @@ def similarity_matrix(config: AttentionConfig, queries: np.ndarray, keys: np.nda
     return -np.abs(queries[..., :, None, :] - keys[..., None, :, :]).sum(axis=-1)
 
 
-def softmax_rows(scores: np.ndarray, tau_inv: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of tau_inv * scores, stabilised by row-max subtraction."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
         raise ValueError("softmax input must be finite")
-    z = tau_inv * scores  # the only temporary: every later step works in place
-    z -= z.max(axis=-1, keepdims=True)
+
+
+def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
+    """Row-wise softmax of tau_inv * z, computed in z's own buffer and returned.
+
+    Only the (..., rows) row maxima are checked: NaN or +inf anywhere in a row
+    reaches its maximum, and so does a tau_inv * z that overflows upwards.  A
+    -inf below a finite maximum would pass, so a caller whose buffer can hold
+    one checks it whole first.  A Gram X X^T needs no such scan: since
+    |G_ij| <= max(G_ii, G_jj), any infinite or NaN entry comes with a +inf or
+    NaN on the diagonal, where it is the maximum of its row.
+    """
+    z *= tau_inv
+    peak = z.max(axis=-1, keepdims=True)
+    _require_finite(peak)
+    z -= peak
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
+def softmax_rows(scores: np.ndarray, tau_inv: float = 1.0) -> np.ndarray:
+    """Row-wise softmax of tau_inv * scores, stabilised by row-max subtraction."""
+    scores = np.array(scores, dtype=np.float64)  # a copy: the softmax overwrites it
+    _require_finite(scores)
+    return _softmax_in_place(scores, tau_inv)
+
+
 def attend_probs(query_features: np.ndarray, support: LabeledSet, config: AttentionConfig) -> np.ndarray:
     """Class probabilities for arbitrary query rows against a support set."""
     scores = similarity_matrix(config, query_features, support.features)
-    return softmax_rows(scores, config.tau_inv) @ one_hot(support.labels, support.k)
+    _require_finite(scores)
+    return _softmax_in_place(scores, config.tau_inv) @ one_hot(support.labels, support.k)
 
 
 def predict(probs: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet
-from .kernels import AttentionConfig, Kernel, similarity_matrix, softmax_rows
+from .kernels import AttentionConfig, Kernel, _require_finite, _softmax_in_place, similarity_matrix
 
 __all__ = ["PrototypeSet", "build_prototypes", "proto_classify"]
 
@@ -49,4 +49,5 @@ def build_prototypes(support: LabeledSet) -> PrototypeSet:
 def proto_classify(query_features: np.ndarray, protos: PrototypeSet, tau_inv: float = 1.0) -> np.ndarray:
     """Class probabilities: softmax of -tau_inv * squared distance to each mean."""
     neg_sq = similarity_matrix(AttentionConfig(Kernel.SQ_EUCLIDEAN), query_features, protos.means)
-    return softmax_rows(neg_sq, tau_inv)
+    _require_finite(neg_sq)
+    return _softmax_in_place(neg_sq, tau_inv)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet
-from .kernels import AttentionConfig, attend_probs, softmax_rows
+from .kernels import AttentionConfig, _softmax_in_place, attend_probs
 
 __all__ = [
     "FACTORS",
@@ -100,14 +100,16 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
 
     Every output row is a convex combination of the input rows, so each
     coordinate stays inside the class's [min, max] for that coordinate, and a
-    single-row class is returned unchanged.
+    single-row class is returned unchanged.  With two or more rows, non-finite
+    input or an overflowing scaled Gram entry raises ValueError.
     """
     x = np.asarray(class_features, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < 1:
         raise ValueError("class features must be a non-empty (..., rows, n) array")
     if x.shape[-2] == 1:
         return x.copy()
-    weights = softmax_rows(x @ x.swapaxes(-1, -2), tau_inv)
+    # one rows x rows buffer: the Gram, scaled and normalised in place
+    weights = _softmax_in_place(x @ x.swapaxes(-1, -2), tau_inv)
     return weights @ x
 
 

@@ -33,7 +33,7 @@ def parity(x: np.ndarray, active_indices) -> int:
     if len(idx) == 0:
         raise ValueError("parity needs a nonempty index set")
     vals = np.asarray(x, dtype=np.float64)[list(idx)]
-    if not np.isin(vals, (-1.0, 1.0)).all():
+    if not ((vals == -1.0) | (vals == 1.0)).all():
         raise ValueError("parity expects +-1 encoded values")
     return int(np.prod(vals))
 

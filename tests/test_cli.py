@@ -180,6 +180,22 @@ class TestSweepAndTheory:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep_Attn.svg").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--r-values", "1", "--beta-values", "-1"], "beta_values must all be >= 0"),
+            (["--r-values", "0", "--beta-values", "1"], "r_values must all be >= 1"),
+            (["--r-values", "2,-3", "--beta-values", "1"], "r_values must all be >= 1"),
+            (["--alpha", "0", "--r-values", "1", "--beta-values", "1"], "alpha must lie in"),
+        ],
+    )
+    def test_bad_grid_is_runtime_error_with_no_directory(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "D"
+        code = main(["sweep", *flags, "--tasks-per-cell", "2", "--out-dir", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theory_table(self, capsys):
         code = main(["theory", "--alpha", "2", "--beta-values", "0,1", "--trials", "500"])
         assert code == 0

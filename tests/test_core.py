@@ -57,6 +57,21 @@ class TestEncodeBits:
         with pytest.raises(ValueError):
             decode_bits([0.5], Encoding.PLUS_MINUS)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    @pytest.mark.parametrize("scheme", list(Encoding))
+    def test_encode_rejects_non_bits(self, bad, scheme):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            encode_bits([1, bad, 0], scheme)
+
+    @pytest.mark.parametrize(
+        "scheme,bad",
+        [(Encoding.PLUS_MINUS, v) for v in (2, 0, 0.5, np.nan)]
+        + [(Encoding.ZERO_ONE, v) for v in (2, -1, 0.5, np.nan)],
+    )
+    def test_decode_rejects_every_off_image_value(self, scheme, bad):
+        with pytest.raises(ValueError, match="values must be"):
+            decode_bits([1.0, bad], scheme)
+
 
 class TestTaskSeed:
     def test_deterministic(self):

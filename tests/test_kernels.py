@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyselect.core import LabeledSet, Task
+from polyselect.core import LabeledSet, Task, one_hot
 from polyselect.kernels import (
     AttentionConfig,
     Kernel,
@@ -12,6 +12,8 @@ from polyselect.kernels import (
     similarity_matrix,
     softmax_rows,
 )
+from polyselect.prototypes import build_prototypes, proto_classify
+from polyselect.selection import self_attention_round
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
 from polyselect.theory import and_boundary
 
@@ -205,3 +207,79 @@ class TestConfidenceField:
         y_star = -0.5 * math.log(math.tanh(3.0))
         probs = attend_probs(np.array([[3.0, y_star]]), and_support(), AttentionConfig())
         assert abs(probs[0, 1] - probs[0, 0]) < 1e-6
+
+
+def _parent_attend_probs(query_features, support, config):
+    """attend_probs as a copy-then-softmax of the similarities, the reference."""
+    scores = similarity_matrix(config, query_features, support.features)
+    return softmax_rows(scores, config.tau_inv) @ one_hot(support.labels, support.k)
+
+
+class TestAttendProbsBitIdentity:
+    @pytest.mark.parametrize("shape", [(6, 40, 14), (32, 8, 8), (25, 10, 5)])
+    @pytest.mark.parametrize("kind", list(Kernel))
+    @pytest.mark.parametrize("tau_inv", [1.0, 2.0])
+    def test_equals_softmax_rows_formulation(self, shape, kind, tau_inv):
+        rng = np.random.default_rng(sum(shape))
+        keys = rng.choice([-1.0, 1.0], size=shape) + rng.normal(scale=0.1, size=shape)
+        queries = rng.choice([-1.0, 1.0], size=(shape[0], 7, shape[2]))
+        support = LabeledSet(keys, np.arange(shape[1]) % 2, k=2)
+        config = AttentionConfig(kind, tau_inv)
+        assert np.array_equal(
+            attend_probs(queries, support, config), _parent_attend_probs(queries, support, config)
+        )
+
+
+# NaN, +inf and -inf entries, and finite rows whose Gram entries overflow
+_NON_FINITE = [
+    np.array([[np.nan, 1.0], [1.0, 2.0]]),
+    np.array([[np.inf, 1.0], [1.0, 2.0]]),
+    np.array([[-np.inf, 1.0], [1.0, 2.0]]),
+    np.array([[1e200, 1.0], [1.0, 2.0]]),
+    np.array([[1e200, 1.0], [-1e200, 2.0]]),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("x", _NON_FINITE)
+    def test_self_attention_round(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            self_attention_round(x, 1.0)
+
+    @pytest.mark.parametrize("x", _NON_FINITE)
+    def test_softmax_rows_of_gram(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            softmax_rows(x @ x.T)
+
+    @pytest.mark.parametrize("x", _NON_FINITE[:3])
+    def test_softmax_rows(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            softmax_rows(x)
+
+    @pytest.mark.parametrize("x", _NON_FINITE)
+    @pytest.mark.parametrize("kind", [Kernel.DOT, Kernel.SQ_EUCLIDEAN])
+    def test_attend_probs(self, x, kind):
+        # a LabeledSet holds finite features only, so the bad entries ride in the queries
+        support = LabeledSet(np.where(np.isfinite(x), x, 3.0), [0, 1], k=2)
+        with pytest.raises(ValueError, match="finite"):
+            attend_probs(x, support, AttentionConfig(kind))
+
+    @pytest.mark.parametrize(
+        "kind,query,keys",
+        [
+            (Kernel.DOT, [[1e200, 0.0]], [[-1e200, 0.0], [1.0, 0.0]]),
+            (Kernel.SQ_EUCLIDEAN, [[1.0, 0.0]], [[1e200, 0.0], [0.0, 0.0]]),
+        ],
+    )
+    def test_attend_probs_overflow_below_a_finite_row_maximum(self, kind, query, keys):
+        # one similarity overflows to -inf, the row maximum stays finite
+        support = LabeledSet(np.array(keys), [0, 1], k=2)
+        with pytest.raises(ValueError, match="finite"):
+            attend_probs(np.array(query), support, AttentionConfig(kind))
+
+    def test_proto_classify_overflow_below_a_finite_row_maximum(self):
+        # -|q - m0|^2 overflows to -inf while the other class keeps a finite maximum
+        protos = build_prototypes(LabeledSet(np.array([[1e200, 0.0], [0.0, 0.0]]), [0, 1], k=2))
+        with pytest.raises(ValueError, match="finite"):
+            proto_classify(np.array([[1.0, 0.0]]), protos)

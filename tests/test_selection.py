@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from polyselect.bench import evaluate_method
 from polyselect.core import LabeledSet, task_seed
-from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict
+from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict, softmax_rows
 from polyselect.selection import (
     FACTORS,
     SelectionConfig,
@@ -106,6 +107,51 @@ class TestSelfAttentionRound:
         out = self_attention_round(x, 1.0)
         assert out.min() >= x.min() and out.max() <= x.max()
         assert dispersion(out)[0] > dispersion(x)[0]
+
+
+def _sphere_block(rows: int) -> np.ndarray:
+    """A standardised block of unit-sphere points, as fig5_sphere scores them."""
+    v = np.random.default_rng(rows).normal(size=(rows, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return (v - v.mean(axis=0)) / (v.std(axis=0) + 1e-8)
+
+
+def _parity_blocks(shape: tuple[int, int, int]) -> np.ndarray:
+    """Stacked standardised +-1 class blocks, as parity sweeps score them."""
+    b = np.random.default_rng(sum(shape)).choice([-1.0, 1.0], size=shape)
+    b[..., 0] = 1.0  # a constant column, standardised to 0
+    return (b - b.mean(axis=-2, keepdims=True)) / (b.std(axis=-2, keepdims=True) + 1e-8)
+
+
+class TestSelfAttentionRoundBitIdentity:
+    @pytest.mark.parametrize(
+        "x",
+        [_sphere_block(511), _sphere_block(513)]
+        + [_parity_blocks(s) for s in [(6, 40, 14), (32, 8, 8), (25, 10, 5)]],
+        ids=["sphere511", "sphere513", "parity6x40x14", "parity32x8x8", "parity25x10x5"],
+    )
+    @pytest.mark.parametrize("tau_inv", [1.0, 2.0])
+    def test_equals_softmax_rows_formulation(self, x, tau_inv):
+        expected = softmax_rows(x @ x.swapaxes(-1, -2), tau_inv) @ x
+        assert np.array_equal(self_attention_round(x, tau_inv), expected)
+
+    def test_one_rows_by_rows_buffer_per_round(self):
+        x = _sphere_block(511)
+        gram_bytes = 511 * 511 * 8
+        tracemalloc.start()
+        try:
+            self_attention_round(x, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram_bytes <= peak < 1.5 * gram_bytes
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scaled_gram_overflow_raises_in_its_own_round(self):
+        # the Gram itself is finite; tau_inv * 1e300 is not
+        x = np.array([[1e150, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            self_attention_round(x, 1e10)
 
 
 class TestFeatureScores:

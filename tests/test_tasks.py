@@ -29,6 +29,11 @@ class TestParity:
         with pytest.raises(ValueError):
             parity([1.0], ())
 
+    @pytest.mark.parametrize("bad", [2.0, 0.0, 0.5, np.nan])
+    def test_off_image_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="parity expects"):
+            parity([1.0, bad, -1.0], (0, 1, 2))
+
     @given(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=8), st.integers(0, 7))
     def test_single_flip_flips_parity(self, values, pos):
         pos = pos % len(values)
