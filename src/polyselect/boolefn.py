@@ -12,7 +12,10 @@ Whole-cube enumerations use integer weights instead: by Muroga's bound
 every threshold function of n inputs has integer weights with |w_i| <= 1, 1,
 2, 3 for n = 1..4, so one integer matmul over that weight box lists the whole
 set, each table with its integer (w, t) as a witness.  The exact LP decides
-single functions and is the oracle the enumeration is tested against.
+single functions and is the oracle the enumeration is tested against.  The
+best agreement of every truth table with any threshold function comes from
+one exact Hamming distance transform over the cube of all 2^(2^n) tables,
+seeded with the enumerated set.
 
 Corner order: corner i takes coordinate k from bit k of i (little-endian),
 bit 1 -> +1 and bit 0 -> -1.  Truth tables are bit vectors in that order and
@@ -228,7 +231,11 @@ def threshold_tables(n: int) -> np.ndarray:
     cuts = np.arange(-n * bound - 1, n * bound + 1)
     powers = np.uint64(1) << np.arange(2**n, dtype=np.uint64)
     bits = sums[:, None, :] > cuts[None, :, None]
-    return np.unique((bits * powers).sum(axis=-1, dtype=np.uint64))
+    packed = np.sort((bits * powers).sum(axis=-1, dtype=np.uint64), axis=None)
+    # np.unique would import numpy.ma on first use, about 30 ms of a cold start
+    first = np.ones(packed.shape, dtype=bool)
+    first[1:] = packed[1:] != packed[:-1]
+    return packed[first]
 
 
 def count_threshold(n: int) -> int:
@@ -236,36 +243,40 @@ def count_threshold(n: int) -> int:
     return int(threshold_tables(n).shape[0])
 
 
-_SCAN_CHUNK = 4096  # functions per agreement block
+def _agreements(n: int) -> np.ndarray:
+    """Best corner agreement of every n-input truth table with any threshold
+    function, indexed by the table's integer.
 
-
-def _nearest_tables(
-    values: np.ndarray, tables: np.ndarray, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best corner agreement of each function in `values` with any table in
-    `tables`, and the index of the first table attaining it."""
-    tables16 = tables.astype(np.uint16)
-    best = np.empty(values.shape[0], dtype=np.int64)
-    nearest = np.empty(values.shape[0], dtype=np.int64)
-    for start in range(0, values.shape[0], _SCAN_CHUNK):
-        block = values[start : start + _SCAN_CHUNK].astype(np.uint16)
-        distance = np.bitwise_count(block[:, None] ^ tables16[None, :])
-        rows = slice(start, start + block.shape[0])
-        nearest[rows] = distance.argmin(axis=1)
-        best[rows] = size - distance[np.arange(block.shape[0]), nearest[rows]]
-    return best, nearest
+    An exact Hamming distance transform on the 2^n-dimensional cube of
+    tables: distance 0 on the threshold tables, then one relaxation per
+    corner bit k, d[v] = min(d[v], d[v ^ 2^k] + 1).  After bit k every entry
+    holds the distance to the nearest table that agrees with it on the
+    higher bits, so after the last bit it is the Hamming distance.
+    """
+    tables = threshold_tables(n)  # bounds n before the 2^(2^n) array exists
+    size = 2**n
+    distance = np.full(2**size, size + 1, dtype=np.int8)
+    distance[tables] = 0
+    for k in range(size):
+        pairs = distance.reshape(-1, 2, 2**k)  # pairs[:, 0] and pairs[:, 1] differ in bit k
+        step = np.minimum(pairs[:, 0], pairs[:, 1]) + 1
+        np.minimum(pairs, step[:, None], out=pairs)
+    return size - distance
 
 
 def best_threshold_agreement(fn: BooleanFunction) -> tuple[int, ThresholdWitness]:
     """Best corner agreement achievable by any threshold function, plus a
-    witness of a maximiser."""
-    tables = threshold_tables(fn.n)
-    best, nearest = _nearest_tables(np.array([fn.to_int()], dtype=np.uint64), tables, 2**fn.n)
-    best_fn = BooleanFunction.from_int(fn.n, int(tables[nearest[0]]))
-    witness = is_threshold(best_fn)
+    witness of a maximiser: the first sorted table at that distance."""
+    size = 2**fn.n
+    value = fn.to_int()
+    best = _agreements(fn.n)
+    tables = np.flatnonzero(best == size)  # the threshold tables, sorted
+    distance = np.bitwise_count(tables ^ value)
+    nearest = int(tables[np.argmax(distance == size - best[value])])
+    witness = is_threshold(BooleanFunction.from_int(fn.n, nearest))
     if witness is None:  # soundness guard; every enumerated table has a witness
         raise AssertionError("enumerated table is not a threshold function")
-    return int(best[0]), witness
+    return int(best[value]), witness
 
 
 def xor_max_accuracy(n: int) -> int:
@@ -285,8 +296,7 @@ def verify_xor_worst(n: int) -> tuple[bool, list[int]]:
 
     Returns (claim holds, truth tables attaining the minimum best-agreement).
     """
-    values = np.arange(2 ** (2**n), dtype=np.uint64)
-    best, _ = _nearest_tables(values, threshold_tables(n), 2**n)
+    best = _agreements(n)
     worst = int(best.min())
     offenders = [int(v) for v in np.flatnonzero(best == worst)]
     return worst == xor_max_accuracy(n), offenders
@@ -295,11 +305,9 @@ def verify_xor_worst(n: int) -> tuple[bool, list[int]]:
 def threshold_stats(n: int) -> tuple[float, float]:
     """(solved fraction, mean best accuracy) over all n-input functions."""
     size = 2**n
-    total = 2 ** (2**n)
-    tables = threshold_tables(n)
-    solved_fraction = tables.shape[0] / total
-    best, _ = _nearest_tables(np.arange(total, dtype=np.uint64), tables, size)
-    acc_sum = 0.0
-    for start in range(0, total, _SCAN_CHUNK):
-        acc_sum += float(best[start : start + _SCAN_CHUNK].sum()) / size
-    return solved_fraction, acc_sum / total
+    total = 2**size
+    best = _agreements(n)
+    solved_fraction = int(np.count_nonzero(best == size)) / total
+    # the sum is an integer below 2^53 and the divisors are powers of two,
+    # so the mean is exact
+    return solved_fraction, int(best.sum(dtype=np.int64)) / size / total

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyselect
 from polyselect import boolefn
 from polyselect.boolefn import (
     BooleanFunction,
@@ -65,6 +70,24 @@ def _lp_threshold_tables(n: int) -> np.ndarray:
         [is_threshold(BooleanFunction.from_int(n, int(r))) is not None for r in reps]
     )
     return values[decided[np.searchsorted(reps, canon)]]
+
+
+def _scan_agreements(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference all-pairs scan: the popcount distance of every function to
+    every threshold table, giving each function's best agreement and the
+    first table that attains it."""
+    tables = threshold_tables(n)
+    tables16 = tables.astype(np.uint16)
+    best = np.empty(2 ** (2**n), dtype=np.int64)
+    nearest = np.empty(2 ** (2**n), dtype=np.uint64)
+    for start in range(0, best.shape[0], 4096):  # a 4096 x 1882 block is 7.7 MB
+        block = np.arange(start, min(start + 4096, best.shape[0]), dtype=np.uint16)
+        distance = np.bitwise_count(block[:, None] ^ tables16[None, :])
+        first = distance.argmin(axis=1)
+        rows = slice(start, start + block.shape[0])
+        best[rows] = 2**n - distance[np.arange(block.shape[0]), first]
+        nearest[rows] = tables[first]
+    return best, nearest
 
 
 class TestCornerOrder:
@@ -158,6 +181,34 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_threshold(5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dedup_equals_np_unique(self, n, monkeypatch):
+        packed = []
+        sort = np.sort
+
+        def spy(a, *args, **kwargs):
+            packed.append(np.array(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", spy)
+        tables = threshold_tables(n)
+        monkeypatch.undo()
+        assert len(packed) == 1
+        assert np.array_equal(tables, np.unique(packed[0]))
+        assert tables.dtype == np.uint64
+
+    def test_enumeration_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, which costs a cold start
+        code = (
+            "import sys; from polyselect.boolefn import threshold_tables; "
+            "threshold_tables(4); print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_every_enumerated_table_has_exact_witness(self):
         rng = np.random.default_rng(0)
         tables = threshold_tables(3)
@@ -196,6 +247,58 @@ class TestAgreement:
         monkeypatch.setattr(boolefn, "is_threshold", lambda fn: None)
         with pytest.raises(AssertionError):
             best_threshold_agreement(xor_function(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_transform_equals_all_pairs_scan(self, n):
+        best, _ = _scan_agreements(n)
+        agreements = boolefn._agreements(n)
+        assert agreements.shape == (2 ** (2**n),)
+        assert np.array_equal(agreements, best)
+
+    def test_witness_is_first_nearest_table(self, monkeypatch):
+        best, nearest = _scan_agreements(4)
+        full = 2**16 - 1
+        rng = np.random.default_rng(7)
+        sample = [int(v) for v in rng.choice(2**16, size=96, replace=False)]
+        sample += [int(v) for v in rng.choice(threshold_tables(4), size=8, replace=False)]
+        sample += [xor_function(4).to_int()]
+        sample += [full ^ v for v in sample]
+        assert len(set(sample)) >= 200
+        seen = []
+
+        def record(fn):
+            seen.append(fn.to_int())
+            return ThresholdWitness(weights=(Fraction(0),) * fn.n, threshold=Fraction(0))
+
+        monkeypatch.setattr(boolefn, "is_threshold", record)
+        for v in sample:
+            agreement, _ = best_threshold_agreement(BooleanFunction.from_int(4, v))
+            assert agreement == best[v]
+            assert seen[-1] == nearest[v]
+        monkeypatch.undo()
+        # the exact LP's witness cuts exactly that table
+        xor4 = xor_function(4)
+        _, witness = best_threshold_agreement(xor4)
+        assert witness.verify(BooleanFunction.from_int(4, int(nearest[xor4.to_int()])))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify_xor_worst(5),
+            lambda: threshold_stats(5),
+            lambda: best_threshold_agreement(xor_function(5)),
+        ],
+        ids=["verify_xor_worst", "threshold_stats", "best_threshold_agreement"],
+    )
+    def test_n5_rejected_before_any_allocation(self, call, monkeypatch):
+        # n=5 has 2^32 truth tables: the bound must fire before any array exists
+        def refuse(*args, **kwargs):
+            raise AssertionError("array built before the enumeration bound")
+
+        for name in ("arange", "array", "empty", "full", "ones", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(ValueError, match="whole-cube enumeration supports n in"):
+            call()
 
     def test_agreement_never_below_majority(self):
         holds, _ = verify_xor_worst(2)
