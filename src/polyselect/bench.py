@@ -8,6 +8,7 @@ budget.  The chunks of the whole grid run in forked worker processes, up to
 one per usable CPU, and their results are merged in grid order; a chunk's
 tasks depend only on its grid position, so rerunning a sweep or recipe with
 the same seed produces byte-identical output files on any number of CPUs.
+fig5_sphere sends its tasks through the same pool.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import itertools
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -215,17 +217,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_chunks(items: list) -> list[tuple[dict[str, np.ndarray], int]]:
-    """_run_chunk over items in order, on up to one forked worker per usable CPU.
+def _map_chunks(fn: Callable, items: list) -> list:
+    """fn over items in order, on up to one forked worker per usable CPU.
 
     The pool lives only for this call: leaving the with block joins and reaps
     every worker, on error too.  Fork, not spawn or forkserver, because a
     fresh interpreter per worker would import numpy again.  With one worker
-    or no fork, the chunks run inline and no process starts.
+    or no fork, the items run inline and no process starts.
     """
     workers = min(_usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
-        return list(map(_run_chunk, items))
+        return list(map(fn, items))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -235,7 +237,7 @@ def _map_chunks(items: list) -> list[tuple[dict[str, np.ndarray], int]]:
     runs = -(-len(items) // (4 * workers))
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(_run_chunk, items, chunksize=runs))
+        return list(pool.map(fn, items, chunksize=runs))
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
@@ -251,7 +253,7 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
                 for start in range(0, spec.tasks_per_cell, size)
             ]
         )
-    chunks = iter(_map_chunks([item for items in plan for item in items]))
+    chunks = iter(_map_chunks(_run_chunk, [item for items in plan for item in items]))
     results = []
     for (r, beta), items in zip(cells, plan):
         parts = list(itertools.islice(chunks, len(items)))
@@ -503,23 +505,25 @@ def _recipe_appc_boundary(out_dir: Path, seed: int, scale: float) -> list[Path]:
     return paths
 
 
+def _sphere_ratios(spec: SphereTaskSpec) -> np.ndarray:
+    """Per-feature scores after the default rounds over the scores at rounds=0."""
+    task = gen_sphere_task(spec)
+    sel = SelectionConfig()
+    return feature_scores(task.support, sel) / feature_scores(task.support, replace(sel, rounds=0))
+
+
 def _recipe_fig5_sphere(out_dir: Path, seed: int, scale: float) -> list[Path]:
     tasks = max(2, int(200 * scale))
     sample_count = max(16, int(1024 * scale))
-    sel = SelectionConfig()
+    specs = [SphereTaskSpec(sample_count=sample_count, seed=task_seed(seed, t)) for t in range(tasks)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["task_seed", "x_ratio", "y_ratio", "z_ratio"])
     hits = 0
-    for t in range(tasks):
-        s = task_seed(seed, t)
-        task = gen_sphere_task(SphereTaskSpec(sample_count=sample_count, seed=s))
-        base = feature_scores(task.support, replace(sel, rounds=0))
-        after = feature_scores(task.support, sel)
-        ratio = after / base
+    for spec, ratio in zip(specs, _map_chunks(_sphere_ratios, specs)):
         if ratio[2] < 0.2 and ratio[0] > 0.6 and ratio[1] > 0.6:
             hits += 1
-        writer.writerow([s, repr(float(ratio[0])), repr(float(ratio[1])), repr(float(ratio[2]))])
+        writer.writerow([spec.seed, repr(float(ratio[0])), repr(float(ratio[1])), repr(float(ratio[2]))])
     csv_path = out_dir / "fig5_sphere_ratios.csv"
     csv_path.write_text(buf.getvalue())
     summary = {

@@ -87,13 +87,13 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("softmax input must be finite")
 
 
-def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
-    """Row-wise softmax of tau_inv * z, computed in z's own buffer and returned.
+def _exp_rows_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
+    """Overwrite z with exp(tau_inv * z - row max) and return the (..., rows, 1) row sums.
 
     Only the (..., rows) row maxima are checked: NaN or +inf anywhere in a row
     reaches its maximum, and so does a tau_inv * z that overflows upwards.  A
     -inf below a finite maximum would pass, so a caller whose buffer can hold
-    one checks it whole first.  A Gram X X^T needs no such scan: since
+    one checks it whole first.  Rows of a Gram X X^T need no such scan: since
     |G_ij| <= max(G_ii, G_jj), any infinite or NaN entry comes with a +inf or
     NaN on the diagonal, where it is the maximum of its row.
     """
@@ -102,7 +102,15 @@ def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
     _require_finite(peak)
     z -= peak
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    return z.sum(axis=-1, keepdims=True)
+
+
+def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
+    """Row-wise softmax of tau_inv * z, computed in z's own buffer and returned.
+
+    The checks are _exp_rows_in_place's.
+    """
+    z /= _exp_rows_in_place(z, tau_inv)
     return z
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet
-from .kernels import AttentionConfig, _softmax_in_place, attend_probs
+from .kernels import AttentionConfig, _exp_rows_in_place, _softmax_in_place, attend_probs
 
 __all__ = [
     "FACTORS",
@@ -95,6 +95,14 @@ def standardize(support: LabeledSet, epsilon: float = 1e-8) -> tuple[LabeledSet,
     return LabeledSet(features=feats, labels=support.labels, k=support.k), mu, sigma
 
 
+# Multiply-adds of one Gram product.  A class whose rows x rows Gram costs
+# more is built in blocks of rows, each a gemm within this budget: OpenBLAS
+# runs a gemm of at most 2^18 multiply-adds on one thread, so such a class
+# has the same bits under any BLAS thread count.  Smaller classes keep their
+# single product, and with it the bits of every parity sweep.
+_GRAM_BUDGET = 2**18
+
+
 def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarray:
     """One self-attention update X <- row_softmax(tau_inv * X X^T) X.
 
@@ -106,11 +114,25 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     x = np.asarray(class_features, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < 1:
         raise ValueError("class features must be a non-empty (..., rows, n) array")
-    if x.shape[-2] == 1:
+    rows, n = x.shape[-2:]
+    if rows == 1:
         return x.copy()
-    # one rows x rows buffer: the Gram, scaled and normalised in place
-    weights = _softmax_in_place(x @ x.swapaxes(-1, -2), tau_inv)
-    return weights @ x
+    if rows * rows * n <= _GRAM_BUDGET:
+        # one rows x rows buffer: the Gram, scaled and normalised in place
+        weights = _softmax_in_place(x @ x.swapaxes(-1, -2), tau_inv)
+        return weights @ x
+    # a block of Gram rows at a time, each product within the budget; the
+    # row sums divide the block's output rows rather than the block itself
+    xt = np.ascontiguousarray(x.swapaxes(-1, -2))
+    step = max(1, _GRAM_BUDGET // (rows * n))
+    gram = np.empty((*x.shape[:-2], step, rows))
+    out = np.empty(x.shape)
+    for start in range(0, rows, step):
+        block = np.matmul(x[..., start : start + step, :], xt, out=gram[..., : rows - start, :])
+        sums = _exp_rows_in_place(block, tau_inv)
+        updated = np.matmul(block, x, out=out[..., start : start + step, :])
+        updated /= sums
+    return out
 
 
 def dispersion(features: np.ndarray) -> np.ndarray:

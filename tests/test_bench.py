@@ -306,6 +306,16 @@ class TestSweepProcesses:
             run_sweep(small_spec())
         assert multiprocessing.active_children() == []
 
+    def test_fig5_pool_equals_inline(self, monkeypatch, process_starts, tmp_path):
+        with monkeypatch.context() as m:
+            m.setattr(bench, "_usable_cpus", lambda: 1)
+            inline = reproduce("fig5_sphere", tmp_path / "inline", seed=5, scale=0.05)
+        assert process_starts == []
+        pooled = reproduce("fig5_sphere", tmp_path / "pool", seed=5, scale=0.05)
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+        assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in inline]
+
     def test_import_loads_no_process_machinery(self):
         # the pool's modules are imported only when a sweep starts one
         code = (
@@ -399,6 +409,7 @@ class TestReproduce:
             ("appC_boundary", "appC"),
             ("fig11_topk", "fig11"),
             ("binary_strings_fs_raw", "binary_strings"),
+            ("fig5_sphere", "fig5"),
         ],
     )
     def test_regenerates_committed_golden(self, tmp_path, recipe, golden):

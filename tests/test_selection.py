@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import polyselect
 from polyselect.bench import evaluate_method
 from polyselect.core import LabeledSet, task_seed
 from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict, softmax_rows
@@ -125,17 +130,28 @@ def _parity_blocks(shape: tuple[int, int, int]) -> np.ndarray:
 
 class TestSelfAttentionRoundBitIdentity:
     @pytest.mark.parametrize(
-        "x",
-        [_sphere_block(511), _sphere_block(513)]
-        + [_parity_blocks(s) for s in [(6, 40, 14), (32, 8, 8), (25, 10, 5)]],
+        "x, rtol",
+        [(_sphere_block(511), 1e-12), (_sphere_block(513), 1e-12)]
+        + [(_parity_blocks(s), 0.0) for s in [(6, 40, 14), (32, 8, 8), (25, 10, 5)]],
         ids=["sphere511", "sphere513", "parity6x40x14", "parity32x8x8", "parity25x10x5"],
     )
     @pytest.mark.parametrize("tau_inv", [1.0, 2.0])
-    def test_equals_softmax_rows_formulation(self, x, tau_inv):
+    def test_equals_softmax_rows_formulation(self, x, rtol, tau_inv):
+        # parity classes keep the single Gram product and agree bit for bit;
+        # the blocked sphere classes divide each output row by its row sum
+        # instead of dividing the weights, so they agree to rounding
         expected = softmax_rows(x @ x.swapaxes(-1, -2), tau_inv) @ x
-        assert np.array_equal(self_attention_round(x, tau_inv), expected)
+        np.testing.assert_allclose(self_attention_round(x, tau_inv), expected, rtol=rtol, atol=0)
+
+    def test_blocked_stack_equals_its_slices(self):
+        # 513 rows leave a partial last block, written through a strided view
+        x = np.stack([_sphere_block(513), _sphere_block(513)[::-1]])
+        stacked = self_attention_round(x, 2.0)
+        for t in range(2):
+            assert np.array_equal(stacked[t], self_attention_round(x[t], 2.0))
 
     def test_one_rows_by_rows_buffer_per_round(self):
+        # a blocked round holds a few rows of the Gram at a time, never all of it
         x = _sphere_block(511)
         gram_bytes = 511 * 511 * 8
         tracemalloc.start()
@@ -144,12 +160,54 @@ class TestSelfAttentionRoundBitIdentity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gram_bytes <= peak < 1.5 * gram_bytes
+        assert peak < gram_bytes / 2
+
+    def test_bits_equal_under_one_and_two_blas_threads(self):
+        # every 7th size up to 1,200 rows, then sizes at which a fixed block of
+        # 128 rows would cost a product of 1M multiply-adds or more at n = 3
+        sizes = [*range(2, 1201, 7), 2652, 2700, 3000, 4000]
+        code = (
+            "import hashlib, numpy as np\n"
+            "from polyselect.selection import self_attention_round\n"
+            "for n in (3, 14):\n"
+            f"    for rows in {sizes}:\n"
+            "        x = np.random.default_rng(rows * 100 + n).normal(size=(rows, n))\n"
+            "        digest = hashlib.sha256(self_attention_round(x, 2.0).tobytes()).hexdigest()\n"
+            "        print(n, rows, digest)\n"
+        )
+        src = str(Path(polyselect.__file__).parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            runs.append(out.stdout.splitlines())
+        one, two = runs
+        assert len(one) == len(two) == 2 * len(sizes)
+        differ = [a.rsplit(" ", 1)[0] for a, b in zip(one, two) if a != b]
+        assert differ == [], f"(n, rows) whose bits depend on the thread count: {differ}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row", [0, 599], ids=["first_block", "last_block"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_in_a_blocked_class(self, row, bad):
+        x = _sphere_block(600)
+        x[row, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self_attention_round(x, 2.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_scaled_gram_overflow_raises_in_its_own_round(self):
         # the Gram itself is finite; tau_inv * 1e300 is not
         x = np.array([[1e150, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            self_attention_round(x, 1e10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scaled_gram_overflow_raises_in_a_blocked_class(self):
+        x = _sphere_block(600)
+        x[300, 0] = 1e150  # a middle block
         with pytest.raises(ValueError, match="finite"):
             self_attention_round(x, 1e10)
 
