@@ -73,7 +73,14 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 # Chunk size budget: bytes of the largest per-task float64 temporary in a chunk.
-CHUNK_BYTES = 128 * 1024
+# A chunk has a fixed cost (validating its task specs, a few hundred numpy
+# operations of scoring) whatever its size, so small chunks spend their time
+# on it: at 128 KiB an alpha=4, r=5 cell ran 6 tasks per chunk.  A large
+# budget leaves the pool too few chunks to balance: at 8 MiB a 1000-task
+# binary_strings cell is 1 to 3 chunks for 2 workers.  512 KiB gives the
+# alpha=4 cell 40 chunks of 25 tasks, and every recipe sweep at least 8
+# chunks (a test checks this).
+CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("softmax input must be finite")
 
 
-def _exp_rows_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
+def _exp_rows_in_place(z: np.ndarray, tau_inv: float, symmetric: bool = False) -> np.ndarray:
     """Overwrite z with exp(tau_inv * z - row max) and return the (..., rows, 1) row sums.
 
     Only the (..., rows) row maxima are checked: NaN or +inf anywhere in a row
@@ -96,9 +96,14 @@ def _exp_rows_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
     one checks it whole first.  Rows of a Gram X X^T need no such scan: since
     |G_ij| <= max(G_ii, G_jj), any infinite or NaN entry comes with a +inf or
     NaN on the diagonal, where it is the maximum of its row.
+
+    symmetric=True promises that z equals its own transpose bit for bit; the
+    row maxima are then taken as column maxima, a faster reduction on short
+    rows.  A maximum does not depend on the order it is taken in, so the bits
+    are the same, NaN and inf included, but only for such a z.
     """
     z *= tau_inv
-    peak = z.max(axis=-1, keepdims=True)
+    peak = z.max(axis=-2)[..., None] if symmetric else z.max(axis=-1, keepdims=True)
     _require_finite(peak)
     z -= peak
     np.exp(z, out=z)

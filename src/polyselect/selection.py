@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabeledSet
-from .kernels import AttentionConfig, _exp_rows_in_place, _softmax_in_place, attend_probs
+from .kernels import AttentionConfig, _exp_rows_in_place, attend_probs
 
 __all__ = [
     "FACTORS",
@@ -110,6 +110,12 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     coordinate stays inside the class's [min, max] for that coordinate, and a
     single-row class is returned unchanged.  With two or more rows, non-finite
     input or an overflowing scaled Gram entry raises ValueError.
+
+    A class within the budget is one Gram product x @ x^T, which numpy builds
+    with syrk and a copy of one triangle into the other, so the Gram equals
+    its transpose bit for bit and its row maxima are taken as column maxima.
+    The blocked path's buffers hold a few rows of the Gram, not a symmetric
+    matrix, so it keeps the row maxima.
     """
     x = np.asarray(class_features, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < 1:
@@ -118,8 +124,9 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     if rows == 1:
         return x.copy()
     if rows * rows * n <= _GRAM_BUDGET:
-        # one rows x rows buffer: the Gram, scaled and normalised in place
-        weights = _softmax_in_place(x @ x.swapaxes(-1, -2), tau_inv)
+        # one rows x rows buffer: the symmetric Gram, scaled and normalised in place
+        weights = x @ x.swapaxes(-1, -2)
+        weights /= _exp_rows_in_place(weights, tau_inv, symmetric=True)
         return weights @ x
     # a block of Gram rows at a time, each product within the budget; the
     # row sums divide the block's output rows rather than the block itself

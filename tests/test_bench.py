@@ -316,6 +316,26 @@ class TestSweepProcesses:
         assert multiprocessing.active_children() == []
         assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in inline]
 
+    def test_full_scale_recipe_sweeps_plan_eight_chunks_or_more(self, monkeypatch, tmp_path):
+        # two workers take runs of ceil(chunks / 8) chunks; 8 chunks or more make
+        # 5 runs or more, so the last run is a small part of the call (a 1000-task
+        # cell at a CHUNK_BYTES of 8 MiB was 1 to 3 chunks, and one worker ran two)
+        planned = []
+
+        def plan_only(fn, items):
+            assert fn is bench._run_chunk
+            planned.append(len(items))
+            return [
+                ({m: np.zeros(stop - start) for m in spec.methods}, 0)
+                for spec, *_, start, stop in items
+            ]
+
+        monkeypatch.setattr(bench, "_map_chunks", plan_only)
+        for recipe in ("fig7_soft_fs", "fig11_topk", "binary_strings_fs_raw"):
+            reproduce(recipe, tmp_path / recipe)
+        assert len(planned) == 1 + 1 + 6  # binary_strings_fs_raw sweeps six grids
+        assert min(planned) >= 8, planned
+
     def test_import_loads_no_process_machinery(self):
         # the pool's modules are imported only when a sweep starts one
         code = (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import polyselect
+from polyselect import selection
 from polyselect.bench import evaluate_method
 from polyselect.core import LabeledSet, task_seed
 from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict, softmax_rows
@@ -128,20 +130,50 @@ def _parity_blocks(shape: tuple[int, int, int]) -> np.ndarray:
     return (b - b.mean(axis=-2, keepdims=True)) / (b.std(axis=-2, keepdims=True) + 1e-8)
 
 
+# (stack, class rows, n) as the parity sweeps score them: the class rows
+# r * 2^(alpha-1) of the recipes, n from 4 to 14, and stacks from one task to
+# the 128 of a chunk of alpha=4, r=1 tasks
+_PARITY_SHAPES = [(6, 40, 14), (32, 8, 8), (25, 10, 5)] + [
+    (stack, rows, n)
+    for (rows, n), stack in zip(
+        itertools.product((8, 10, 12, 16, 20, 28, 40, 80), (4, 9, 14)), itertools.cycle((1, 25, 128))
+    )
+]
+
+
 class TestSelfAttentionRoundBitIdentity:
     @pytest.mark.parametrize(
         "x, rtol",
         [(_sphere_block(511), 1e-12), (_sphere_block(513), 1e-12)]
-        + [(_parity_blocks(s), 0.0) for s in [(6, 40, 14), (32, 8, 8), (25, 10, 5)]],
-        ids=["sphere511", "sphere513", "parity6x40x14", "parity32x8x8", "parity25x10x5"],
+        + [(_parity_blocks(s), 0.0) for s in _PARITY_SHAPES],
+        ids=["sphere511", "sphere513"] + ["parity{}x{}x{}".format(*s) for s in _PARITY_SHAPES],
     )
     @pytest.mark.parametrize("tau_inv", [1.0, 2.0])
     def test_equals_softmax_rows_formulation(self, x, rtol, tau_inv):
-        # parity classes keep the single Gram product and agree bit for bit;
-        # the blocked sphere classes divide each output row by its row sum
-        # instead of dividing the weights, so they agree to rounding
+        # parity classes keep the single Gram product and agree bit for bit,
+        # its row maxima taken as column maxima included; the blocked sphere
+        # classes divide each output row by its row sum instead of dividing
+        # the weights, so they agree to rounding
         expected = softmax_rows(x @ x.swapaxes(-1, -2), tau_inv) @ x
         np.testing.assert_allclose(self_attention_round(x, tau_inv), expected, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("shape", _PARITY_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_single_product_gram_equals_its_transpose(self, monkeypatch, shape):
+        # the column maxima are the row maxima only if the Gram is symmetric
+        # bit for bit; tau_inv is not a power of two, so a Gram with tau_inv
+        # folded into one factor, (tau_inv * x) @ x^T, would not be
+        grams = []
+        exp_rows = selection._exp_rows_in_place
+
+        def spy(z, tau_inv, symmetric=False):
+            grams.append((symmetric, z.copy()))
+            return exp_rows(z, tau_inv, symmetric)
+
+        monkeypatch.setattr(selection, "_exp_rows_in_place", spy)
+        self_attention_round(_parity_blocks(shape), 1.5)
+        ((symmetric, gram),) = grams
+        assert symmetric
+        assert np.array_equal(gram, gram.swapaxes(-1, -2))
 
     def test_blocked_stack_equals_its_slices(self):
         # 513 rows leave a partial last block, written through a strided view
