@@ -12,7 +12,6 @@ from .boolefn import (
     ThresholdWitness,
     best_threshold_agreement,
     count_threshold,
-    is_threshold,
     threshold_stats,
     verify_xor_worst,
     xor_function,

@@ -1,21 +1,16 @@
 """Exact Boolean threshold-function lab.
 
 A Boolean function over the +-1 cube is a threshold function when some
-hyperplane w.x > t reproduces its truth table.  Everything here is exact:
-feasibility is decided by a rational phase-1 simplex over the unit-margin
-system (w.x >= t+1 on true corners, w.x <= t-1 on false ones; scale
-invariance makes the margin free), every returned witness is re-verified by
-substitution on all corners, and "not a threshold function" means the exact
-LP proved infeasibility.
-
-Whole-cube enumerations use integer weights instead: by Muroga's bound
-every threshold function of n inputs has integer weights with |w_i| <= 1, 1,
-2, 3 for n = 1..4, so one integer matmul over that weight box lists the whole
-set, each table with its integer (w, t) as a witness.  The exact LP decides
-single functions and is the oracle the enumeration is tested against.  The
-best agreement of every truth table with any threshold function comes from
-one exact Hamming distance transform over the cube of all 2^(2^n) tables,
-seeded with the enumerated set.
+hyperplane w.x > t reproduces its truth table.  Everything here is exact
+integer arithmetic.  By Muroga's bound every threshold function of n inputs
+has integer weights with |w_i| <= 1, 1, 2, 3 for n = 1..4, so one integer
+matmul over that weight box, with every integer cut t, lists the whole set,
+each table with its integer (w, t) as a witness.  The same box answers a
+single function: one popcount against every cut finds the nearest threshold
+table and its (w, t), which is re-verified by substitution on every corner.
+The best agreement of every truth table with any threshold function comes
+from one exact Hamming distance transform over the cube of all 2^(2^n)
+tables, seeded with the enumerated set.
 
 Corner order: corner i takes coordinate k from bit k of i (little-endian),
 bit 1 -> +1 and bit 0 -> -1.  Truth tables are bit vectors in that order and
@@ -27,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +32,6 @@ __all__ = [
     "best_threshold_agreement",
     "corners",
     "count_threshold",
-    "is_threshold",
     "threshold_stats",
     "threshold_tables",
     "verify_xor_worst",
@@ -46,7 +39,6 @@ __all__ = [
     "xor_max_accuracy",
 ]
 
-_MAX_SOLVE_N = 8  # 2^n margin constraints per feasibility solve
 MAX_ENUM_N = 4  # 2^(2^n) truth tables per whole-cube scan
 
 
@@ -105,10 +97,10 @@ def xor_function(n: int) -> BooleanFunction:
 
 @dataclass(frozen=True)
 class ThresholdWitness:
-    """Exact rational certificate (w, t) with w.x > t iff f(x) = 1."""
+    """Exact integer certificate (w, t) with w.x > t iff f(x) = 1."""
 
-    weights: tuple[Fraction, ...]
-    threshold: Fraction
+    weights: tuple[int, ...]
+    threshold: int
 
     def verify(self, fn: BooleanFunction) -> bool:
         if len(self.weights) != fn.n:
@@ -120,118 +112,32 @@ class ThresholdWitness:
         return True
 
 
-def _margin_feasible(rows: list[tuple[int, ...]]) -> list[Fraction] | None:
-    """Exact phase-1 simplex for the system A.u >= 1 with u free.
-
-    Free variables split into positive parts, surplus variables bring rows to
-    equalities, and artificials give the starting basis.  Bland's rule on the
-    structural columns guarantees termination; an artificial never re-enters
-    the basis, which preserves completeness for pure feasibility.  Returns a
-    feasible u or None when the optimal artificial sum is nonzero (the exact
-    proof of infeasibility).
-    """
-    m = len(rows)
-    d = len(rows[0])
-    nstruct = 2 * d + m
-    ncols = nstruct + m
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    tableau: list[list[Fraction]] = []
-    for i, a in enumerate(rows):
-        row = [Fraction(c) for c in a] + [Fraction(-c) for c in a]
-        row += [-one if j == i else zero for j in range(m)]
-        row += [one if j == i else zero for j in range(m)]
-        row.append(one)
-        tableau.append(row)
-    basis = [nstruct + i for i in range(m)]
-
-    # reduced costs of structural columns under the all-artificial basis
-    reduced = [zero] * nstruct
-    for j in range(nstruct):
-        s = zero
-        for i in range(m):
-            s += tableau[i][j]
-        reduced[j] = -s
-
-    while True:
-        enter = -1
-        for j in range(nstruct):  # Bland: first improving structural column
-            if reduced[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best = None
-        for i in range(m):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][ncols] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:  # phase-1 objective is bounded below; unreachable
-            return None
-        pivot = tableau[leave][enter]
-        pivot_row = [v / pivot for v in tableau[leave]]
-        tableau[leave] = pivot_row
-        for i in range(m):
-            if i != leave:
-                f = tableau[i][enter]
-                if f != 0:
-                    tableau[i] = [a - f * b for a, b in zip(tableau[i], pivot_row)]
-        f = reduced[enter]
-        if f != 0:
-            for j in range(nstruct):
-                reduced[j] -= f * pivot_row[j]
-        basis[leave] = enter
-
-    infeasibility = sum(tableau[i][ncols] for i in range(m) if basis[i] >= nstruct)
-    if infeasibility != 0:
-        return None
-    parts = [zero] * (2 * d)
-    for i, b in enumerate(basis):
-        if b < 2 * d:
-            parts[b] = tableau[i][ncols]
-    return [parts[j] - parts[d + j] for j in range(d)]
-
-
-def is_threshold(fn: BooleanFunction) -> ThresholdWitness | None:
-    """Exact threshold decision; a witness when one exists, else None."""
-    if fn.n > _MAX_SOLVE_N:
-        raise ValueError(f"feasibility solve supports n <= {_MAX_SOLVE_N}")
-    rows = []
-    for i, x in enumerate(corners(fn.n)):
-        s = 1 if fn.truth_table[i] else -1
-        rows.append(tuple(s * c for c in x) + (-s,))
-    u = _margin_feasible(rows)
-    if u is None:
-        return None
-    witness = ThresholdWitness(weights=tuple(u[: fn.n]), threshold=u[fn.n])
-    if not witness.verify(fn):  # soundness guard; a correct solve always passes
-        raise AssertionError("simplex produced an invalid witness")
-    return witness
-
-
-def threshold_tables(n: int) -> np.ndarray:
-    """Sorted integer truth tables of every threshold function of n inputs.
+def _weight_box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Muroga's integer weight box: (weights, cuts, packed), where packed[i, j]
+    is the integer truth table of w.x > t for w = weights[i], t = cuts[j].
 
     Every threshold function of n inputs has integer weights with |w_i| <= B,
     B = floor((n+1)^((n+1)/2) / 2^n) (Muroga, Threshold Logic and Its
     Applications, 1971), so the cuts w.x > t over the integer box [-B, B]^n
-    and every integer t in [-(nB+1), nB] produce the whole set; each table
-    comes with its (w, t) as an exact witness.
+    and every integer t in [-(nB+1), nB] produce the whole set.  Each
+    coordinate runs 0, 1, -1, 2, -2, ..., so small weights come first.
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"whole-cube enumeration supports n in [1, {MAX_ENUM_N}]")
     bound = math.isqrt((n + 1) ** (n + 1)) // 2**n
-    weights = np.array(list(itertools.product(range(-bound, bound + 1), repeat=n)))
+    values = [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]
+    weights = np.array(list(itertools.product(values, repeat=n)))
     sums = weights @ np.array(corners(n)).T
     cuts = np.arange(-n * bound - 1, n * bound + 1)
     powers = np.uint64(1) << np.arange(2**n, dtype=np.uint64)
     bits = sums[:, None, :] > cuts[None, :, None]
-    packed = np.sort((bits * powers).sum(axis=-1, dtype=np.uint64), axis=None)
+    return weights, cuts, (bits * powers).sum(axis=-1, dtype=np.uint64)
+
+
+def threshold_tables(n: int) -> np.ndarray:
+    """Sorted integer truth tables of every threshold function of n inputs:
+    the distinct tables of the weight box."""
+    packed = np.sort(_weight_box(n)[2], axis=None)
     # np.unique would import numpy.ma on first use, about 30 ms of a cold start
     first = np.ones(packed.shape, dtype=bool)
     first[1:] = packed[1:] != packed[:-1]
@@ -265,18 +171,16 @@ def _agreements(n: int) -> np.ndarray:
 
 
 def best_threshold_agreement(fn: BooleanFunction) -> tuple[int, ThresholdWitness]:
-    """Best corner agreement achievable by any threshold function, plus a
-    witness of a maximiser: the first sorted table at that distance."""
-    size = 2**fn.n
-    value = fn.to_int()
-    best = _agreements(fn.n)
-    tables = np.flatnonzero(best == size)  # the threshold tables, sorted
-    distance = np.bitwise_count(tables ^ value)
-    nearest = int(tables[np.argmax(distance == size - best[value])])
-    witness = is_threshold(BooleanFunction.from_int(fn.n, nearest))
-    if witness is None:  # soundness guard; every enumerated table has a witness
-        raise AssertionError("enumerated table is not a threshold function")
-    return int(best[value]), witness
+    """Best corner agreement achievable by any threshold function, plus the
+    integer (w, t) of the first cut of the weight box that attains it."""
+    weights, cuts, packed = _weight_box(fn.n)
+    distance = np.bitwise_count(packed ^ np.uint64(fn.to_int()))
+    row, col = divmod(int(distance.argmin()), cuts.shape[0])
+    witness = ThresholdWitness(tuple(int(w) for w in weights[row]), int(cuts[col]))
+    # soundness guard: the packed table must be the one the witness cuts
+    if not witness.verify(BooleanFunction.from_int(fn.n, int(packed[row, col]))):
+        raise AssertionError("weight box witness does not cut its table")
+    return 2**fn.n - int(distance[row, col]), witness
 
 
 def xor_max_accuracy(n: int) -> int:

@@ -295,8 +295,8 @@ def _cmd_thresholds(args) -> int:
             "truth_table": fn.to_hex(),
             "max_agreement": agreement,
             "accuracy": agreement / 2**args.n,
-            "witness_weights": [str(w) for w in witness.weights],
-            "witness_threshold": str(witness.threshold),
+            "witness_weights": list(witness.weights),
+            "witness_threshold": witness.threshold,
         }
     elif args.action == "verify-xor-worst":
         holds, offenders = verify_xor_worst(args.n)
@@ -416,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "thresholds" and args.action != "approx" and args.truth_table is not None:
+        parser.error(f"thresholds {args.action} does not read --truth-table")
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

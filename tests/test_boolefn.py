@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from polyselect.boolefn import (
     best_threshold_agreement,
     corners,
     count_threshold,
-    is_threshold,
     threshold_stats,
     threshold_tables,
     verify_xor_worst,
@@ -52,6 +52,112 @@ def _permuted(bits: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return bits @ (np.uint64(1) << pi.astype(np.uint64))
 
 
+def _margin_feasible(rows: list[tuple[int, ...]]) -> list[Fraction] | None:
+    """Exact phase-1 simplex for the system A.u >= 1 with u free.
+
+    Free variables split into positive parts, surplus variables bring rows to
+    equalities, and artificials give the starting basis.  Bland's rule on the
+    structural columns guarantees termination; an artificial never re-enters
+    the basis, which preserves completeness for pure feasibility.  Returns a
+    feasible u or None when the optimal artificial sum is nonzero (the exact
+    proof of infeasibility).
+    """
+    m = len(rows)
+    d = len(rows[0])
+    nstruct = 2 * d + m
+    ncols = nstruct + m
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    tableau: list[list[Fraction]] = []
+    for i, a in enumerate(rows):
+        row = [Fraction(c) for c in a] + [Fraction(-c) for c in a]
+        row += [-one if j == i else zero for j in range(m)]
+        row += [one if j == i else zero for j in range(m)]
+        row.append(one)
+        tableau.append(row)
+    basis = [nstruct + i for i in range(m)]
+
+    # reduced costs of structural columns under the all-artificial basis
+    reduced = [zero] * nstruct
+    for j in range(nstruct):
+        s = zero
+        for i in range(m):
+            s += tableau[i][j]
+        reduced[j] = -s
+
+    while True:
+        enter = -1
+        for j in range(nstruct):  # Bland: first improving structural column
+            if reduced[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][ncols] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:  # phase-1 objective is bounded below; unreachable
+            return None
+        pivot = tableau[leave][enter]
+        pivot_row = [v / pivot for v in tableau[leave]]
+        tableau[leave] = pivot_row
+        for i in range(m):
+            if i != leave:
+                f = tableau[i][enter]
+                if f != 0:
+                    tableau[i] = [a - f * b for a, b in zip(tableau[i], pivot_row)]
+        f = reduced[enter]
+        if f != 0:
+            for j in range(nstruct):
+                reduced[j] -= f * pivot_row[j]
+        basis[leave] = enter
+
+    infeasibility = sum(tableau[i][ncols] for i in range(m) if basis[i] >= nstruct)
+    if infeasibility != 0:
+        return None
+    parts = [zero] * (2 * d)
+    for i, b in enumerate(basis):
+        if b < 2 * d:
+            parts[b] = tableau[i][ncols]
+    return [parts[j] - parts[d + j] for j in range(d)]
+
+
+def _lp_is_threshold(fn: BooleanFunction) -> ThresholdWitness | None:
+    """Exact LP threshold decision, independent of the weight box: an integer
+    witness (the rational solution with its denominators cleared, which keeps
+    every strict inequality) when one exists, else None."""
+    rows = []
+    for i, x in enumerate(corners(fn.n)):
+        s = 1 if fn.truth_table[i] else -1
+        rows.append(tuple(s * c for c in x) + (-s,))
+    u = _margin_feasible(rows)
+    if u is None:
+        return None
+    scale = math.lcm(*(v.denominator for v in u))
+    witness = ThresholdWitness(
+        weights=tuple(int(v * scale) for v in u[: fn.n]), threshold=int(u[fn.n] * scale)
+    )
+    if not witness.verify(fn):  # soundness guard; a correct solve always passes
+        raise AssertionError("simplex produced an invalid witness")
+    return witness
+
+
+def _run_fresh(code: str) -> str:
+    """Standard output of code run in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def _lp_threshold_tables(n: int) -> np.ndarray:
     """Reference set: one exact LP per class of the symmetry group that preserves
     threshold-ness (signed input permutations and output complement), with the
@@ -67,27 +173,21 @@ def _lp_threshold_tables(n: int) -> np.ndarray:
         np.minimum(canon, full - permuted, out=canon)
     reps = np.unique(canon)
     decided = np.array(
-        [is_threshold(BooleanFunction.from_int(n, int(r))) is not None for r in reps]
+        [_lp_is_threshold(BooleanFunction.from_int(n, int(r))) is not None for r in reps]
     )
     return values[decided[np.searchsorted(reps, canon)]]
 
 
-def _scan_agreements(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference all-pairs scan: the popcount distance of every function to
-    every threshold table, giving each function's best agreement and the
-    first table that attains it."""
-    tables = threshold_tables(n)
-    tables16 = tables.astype(np.uint16)
+def _scan_agreements(n: int) -> np.ndarray:
+    """Reference all-pairs scan: each function's best agreement from the
+    popcount distance to every threshold table."""
+    tables16 = threshold_tables(n).astype(np.uint16)
     best = np.empty(2 ** (2**n), dtype=np.int64)
-    nearest = np.empty(2 ** (2**n), dtype=np.uint64)
     for start in range(0, best.shape[0], 4096):  # a 4096 x 1882 uint16 block is 15 MB
         block = np.arange(start, min(start + 4096, best.shape[0]), dtype=np.uint16)
         distance = np.bitwise_count(block[:, None] ^ tables16[None, :])
-        first = distance.argmin(axis=1)
-        rows = slice(start, start + block.shape[0])
-        best[rows] = 2**n - distance[np.arange(block.shape[0]), first]
-        nearest[rows] = tables[first]
-    return best, nearest
+        best[start : start + block.shape[0]] = 2**n - distance.min(axis=1)
+    return best
 
 
 class TestCornerOrder:
@@ -120,21 +220,21 @@ class TestBooleanFunction:
 class TestIsThreshold:
     def test_and_has_witness(self):
         and2 = BooleanFunction(2, (0, 0, 0, 1))
-        witness = is_threshold(and2)
+        witness = _lp_is_threshold(and2)
         assert witness is not None
         assert witness.verify(and2)
 
     def test_xor_has_none(self):
-        assert is_threshold(xor_function(2)) is None
+        assert _lp_is_threshold(xor_function(2)) is None
 
     def test_constant_true(self):
         fn = BooleanFunction(2, (1, 1, 1, 1))
-        witness = is_threshold(fn)
+        witness = _lp_is_threshold(fn)
         assert witness is not None and witness.verify(fn)
 
     def test_hand_witness_verifies(self):
         and2 = BooleanFunction(2, (0, 0, 0, 1))
-        manual = ThresholdWitness(weights=(Fraction(1), Fraction(1)), threshold=Fraction(1))
+        manual = ThresholdWitness(weights=(1, 1), threshold=1)
         assert manual.verify(and2)
         assert not manual.verify(xor_function(2))
 
@@ -142,7 +242,7 @@ class TestIsThreshold:
         table = []
         for x in corners(3):
             table.append(1 if sum(x) > 0 else 0)
-        witness = is_threshold(BooleanFunction(3, tuple(table)))
+        witness = _lp_is_threshold(BooleanFunction(3, tuple(table)))
         assert witness is not None
 
     def test_complement_closure_all_n_le_3(self):
@@ -203,11 +303,7 @@ class TestCounts:
             "import sys; from polyselect.boolefn import threshold_tables; "
             "threshold_tables(4); print('numpy.ma' in sys.modules)"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
+        assert _run_fresh(code) == "False"
 
     def test_every_enumerated_table_has_exact_witness(self):
         rng = np.random.default_rng(0)
@@ -215,13 +311,13 @@ class TestCounts:
         sample = rng.choice(tables, size=20, replace=False)
         for v in sample:
             fn = BooleanFunction.from_int(3, int(v))
-            witness = is_threshold(fn)
+            witness = _lp_is_threshold(fn)
             assert witness is not None and witness.verify(fn)
 
     def test_non_members_are_not_threshold(self):
         tables = set(int(v) for v in threshold_tables(2))
         for v in range(16):
-            assert (is_threshold(BooleanFunction.from_int(2, v)) is not None) == (v in tables)
+            assert (_lp_is_threshold(BooleanFunction.from_int(2, v)) is not None) == (v in tables)
 
 
 class TestAgreement:
@@ -244,19 +340,27 @@ class TestAgreement:
         assert xor_max_accuracy(2) / 4 == 0.75
 
     def test_missing_witness_raises(self, monkeypatch):
-        monkeypatch.setattr(boolefn, "is_threshold", lambda fn: None)
+        # pair every packed row with the next row's weights: the guard must see
+        # that the witness does not cut the table it was found for
+        box = boolefn._weight_box
+
+        def shifted(n):
+            weights, cuts, packed = box(n)
+            return np.roll(weights, 1, axis=0), cuts, packed
+
+        monkeypatch.setattr(boolefn, "_weight_box", shifted)
         with pytest.raises(AssertionError):
             best_threshold_agreement(xor_function(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_transform_equals_all_pairs_scan(self, n):
-        best, _ = _scan_agreements(n)
+        best = _scan_agreements(n)
         agreements = boolefn._agreements(n)
         assert agreements.shape == (2 ** (2**n),)
         assert np.array_equal(agreements, best)
 
-    def test_witness_is_first_nearest_table(self, monkeypatch):
-        best, nearest = _scan_agreements(4)
+    def test_witness_is_first_nearest_table(self):
+        muroga = {1: 1, 2: 1, 3: 2, 4: 3}  # floor((n+1)^((n+1)/2) / 2^n)
         full = 2**16 - 1
         rng = np.random.default_rng(7)
         sample = [int(v) for v in rng.choice(2**16, size=96, replace=False)]
@@ -264,22 +368,29 @@ class TestAgreement:
         sample += [xor_function(4).to_int()]
         sample += [full ^ v for v in sample]
         assert len(set(sample)) >= 200
-        seen = []
+        cases = [(n, v) for n in (1, 2, 3) for v in range(2 ** (2**n))] + [(4, v) for v in sample]
+        best = {n: boolefn._agreements(n) for n in (1, 2, 3, 4)}
+        for n, v in cases:
+            agreement, witness = best_threshold_agreement(BooleanFunction.from_int(n, v))
+            assert agreement == best[n][v]
+            assert all(type(w) is int and abs(w) <= muroga[n] for w in witness.weights)
+            assert type(witness.threshold) is int
+            # the table the witness cuts, by substitution on every corner
+            cut = np.array(corners(n)) @ np.array(witness.weights) > witness.threshold
+            table = int(cut @ (1 << np.arange(2**n)))
+            assert witness.verify(BooleanFunction.from_int(n, table))
+            assert bin(table ^ v).count("1") == 2**n - agreement
+        # each coordinate runs 0, 1, -1, ..., so the first minimiser has small weights
+        _, witness = best_threshold_agreement(xor_function(4))
+        assert witness == ThresholdWitness(weights=(1, 1, 1, 1), threshold=0)
 
-        def record(fn):
-            seen.append(fn.to_int())
-            return ThresholdWitness(weights=(Fraction(0),) * fn.n, threshold=Fraction(0))
-
-        monkeypatch.setattr(boolefn, "is_threshold", record)
-        for v in sample:
-            agreement, _ = best_threshold_agreement(BooleanFunction.from_int(4, v))
-            assert agreement == best[v]
-            assert seen[-1] == nearest[v]
-        monkeypatch.undo()
-        # the exact LP's witness cuts exactly that table
-        xor4 = xor_function(4)
-        _, witness = best_threshold_agreement(xor4)
-        assert witness.verify(BooleanFunction.from_int(4, int(nearest[xor4.to_int()])))
+    def test_agreement_does_not_import_fractions(self):
+        code = (
+            "import sys, polyselect; "
+            "polyselect.boolefn.best_threshold_agreement(polyselect.xor_function(4)); "
+            "print('fractions' in sys.modules)"
+        )
+        assert _run_fresh(code) == "False"
 
     @pytest.mark.parametrize(
         "call",

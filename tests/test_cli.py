@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polyselect.boolefn import threshold_stats
+from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
 from polyselect.cli import main
 from polyselect.core import task_from_json
 from polyselect.kernels import Kernel
@@ -165,6 +165,30 @@ class TestThresholds:
     def test_missing_table_is_runtime_error(self, capsys):
         code = main(["thresholds", "approx", "--n", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("action", ["count", "verify-xor-worst"])
+    @pytest.mark.parametrize("table", ["zz", "6"])
+    def test_truth_table_outside_approx_is_usage_error(self, action, table, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", action, "--n", "2", "--truth-table", table])
+        assert exc.value.code == 2
+        assert "--truth-table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_approx_witness_is_integer_at_best_distance(self, n, capsys):
+        for v in range(2 ** (2**n)):
+            assert main(["thresholds", "approx", "--n", str(n), "--truth-table", format(v, "x")]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            witness = ThresholdWitness(
+                weights=tuple(payload["witness_weights"]), threshold=payload["witness_threshold"]
+            )
+            assert all(type(w) is int for w in (*witness.weights, witness.threshold))
+            table = sum(
+                1 << i
+                for i, x in enumerate(corners(n))
+                if sum(w * c for w, c in zip(witness.weights, x)) > witness.threshold
+            )
+            assert bin(table ^ v).count("1") == 2**n - payload["max_agreement"]
 
 
 class TestSweepAndTheory:
