@@ -2,7 +2,8 @@
 
 A Boolean function over the +-1 cube is a threshold function when some
 hyperplane w.x > t reproduces its truth table.  Everything here is exact
-integer arithmetic.  By Muroga's bound every threshold function of n inputs
+integer arithmetic (tables are packed through float64 sums of distinct
+powers of two below 2^53, which are exact).  By Muroga's bound every threshold function of n inputs
 has integer weights with |w_i| <= 1, 1, 2, 3 for n = 1..4, so one integer
 matmul over that weight box, with every integer cut t, lists the whole set,
 each table with its integer (w, t) as a witness.  The same box answers a
@@ -19,7 +20,7 @@ pack into integers with table[i] at bit i.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +113,7 @@ class ThresholdWitness:
         return True
 
 
+@functools.cache
 def _weight_box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Muroga's integer weight box: (weights, cuts, packed), where packed[i, j]
     is the integer truth table of w.x > t for w = weights[i], t = cuts[j].
@@ -121,17 +123,25 @@ def _weight_box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Applications, 1971), so the cuts w.x > t over the integer box [-B, B]^n
     and every integer t in [-(nB+1), nB] produce the whole set.  Each
     coordinate runs 0, 1, -1, 2, -2, ..., so small weights come first.
+
+    Built once per n and process, and read-only, since every caller shares
+    the same three arrays.  MAX_ENUM_N bounds what the cache can hold.
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"whole-cube enumeration supports n in [1, {MAX_ENUM_N}]")
     bound = math.isqrt((n + 1) ** (n + 1)) // 2**n
-    values = [0] + [s * k for k in range(1, bound + 1) for s in (1, -1)]
-    weights = np.array(list(itertools.product(values, repeat=n)))
+    values = np.array([0] + [s * k for k in range(1, bound + 1) for s in (1, -1)])
+    # every n-tuple of values, the last coordinate running fastest
+    weights = values[np.indices((values.shape[0],) * n).reshape(n, -1).T]
     sums = weights @ np.array(corners(n)).T
     cuts = np.arange(-n * bound - 1, n * bound + 1)
-    powers = np.uint64(1) << np.arange(2**n, dtype=np.uint64)
-    bits = sums[:, None, :] > cuts[None, :, None]
-    return weights, cuts, (bits * powers).sum(axis=-1, dtype=np.uint64)
+    # one cut at a time keeps the (weights, cuts, corners) bits out of memory;
+    # float64 is exact here: every table is below 2^(2^n), and 2^n <= 16 < 53
+    powers = 2.0 ** np.arange(2**n)
+    packed = np.stack([(sums > t) @ powers for t in cuts], axis=1).astype(np.uint64)
+    for array in (weights, cuts, packed):
+        array.flags.writeable = False
+    return weights, cuts, packed
 
 
 def threshold_tables(n: int) -> np.ndarray:

@@ -114,6 +114,11 @@ def qbar(p: float) -> float:
     return 1.0 - pbar(p)
 
 
+def _check_tau_inv(tau_inv: float) -> None:
+    if not math.isfinite(tau_inv) or tau_inv <= 0:
+        raise ValueError(f"tau_inv must be positive and finite, got {tau_inv}")
+
+
 def _base_kernel(kernel: Kernel) -> Kernel:
     return Kernel.SQ_EUCLIDEAN if kernel is Kernel.LAPLACE else kernel
 
@@ -222,32 +227,35 @@ def exhaustive_stats(params: TheoryParams) -> ScoreStats:
         )
     m, mm = _bit_exponents(params.kernel)
 
-    # Enumerate irrelevant-bit pairs once: match-count distribution over
-    # 2^beta x 2^beta weighted configurations.
-    e1_bits = 0.0
-    e2_bits = 0.0
-    for q_bits in range(2**beta):
-        pq = 1.0
-        for j in range(beta):
-            pq *= params.p if (q_bits >> j) & 1 else 1.0 - params.p
-        for s_bits in range(2**beta):
-            ps = 1.0
-            for j in range(beta):
-                ps *= params.p if (s_bits >> j) & 1 else 1.0 - params.p
-            matches = beta - bin(q_bits ^ s_bits).count("1")
-            g = matches * m + (beta - matches) * mm
-            e1_bits += pq * ps * math.exp(g)
-            e2_bits += pq * ps * math.exp(2 * g)
+    # Enumerate irrelevant-bit pairs once: all 2^beta x 2^beta (query,
+    # support) configurations in row-major order, each configuration's
+    # probability the left-to-right product of its bit factors.
+    configs = np.arange(2**beta)
+    bits = (configs[:, None] >> np.arange(beta)) & 1
+    factors = np.ones((configs.shape[0], beta + 1))
+    factors[:, 1:] = np.where(bits, params.p, 1.0 - params.p)
+    prob = np.multiply.accumulate(factors, axis=1)[:, -1]
+    weight = (prob[:, None] * prob).ravel()
+    matches = beta - np.bitwise_count(configs[:, None] ^ configs).ravel()
+    # the exponent g takes beta + 1 values, one per match count
+    g = [k * m + (beta - k) * mm for k in range(beta + 1)]
+
+    def pair_sum(exp_by_matches: list[float]) -> float:
+        # accumulate adds in order, as the pairs were enumerated; np.sum would not
+        return float(np.add.accumulate(weight * np.array(exp_by_matches)[matches])[-1])
+
+    e1_bits = pair_sum([math.exp(v) for v in g])
+    e2_bits = pair_sum([math.exp(2 * v) for v in g])
 
     mean = 0.0
     variance = 0.0
     bit_var = e2_bits - e1_bits * e1_bits  # exactly 0 when beta == 0
+    f = _active_exponent(params.kernel, alpha, np.arange(alpha + 1)).tolist()
     for delta in range(alpha + 1):
         count = r * math.comb(alpha, delta)
-        f = float(_active_exponent(params.kernel, alpha, delta))
         sign = -1.0 if delta % 2 else 1.0
-        mean += sign * count * math.exp(f) * e1_bits
-        variance += count * math.exp(2 * f) * bit_var
+        mean += sign * count * math.exp(f[delta]) * e1_bits
+        variance += count * math.exp(2 * f[delta]) * bit_var
     return ScoreStats(mean=mean, variance=variance)
 
 
@@ -264,6 +272,7 @@ def mc_signed_sums(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_tau_inv(tau_inv)
     alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
     rng = rng_for(seed)
 
@@ -277,7 +286,12 @@ def mc_signed_sums(
     rows = deltas.shape[0]
     sup_bits = rng.random(size=(trials, rows, beta)) < params.p
     qry_bits = rng.random(size=(trials, 1, beta)) < params.p
-    matches = np.sum(sup_bits == qry_bits, axis=2, dtype=np.float64)
+    # exact match counts, one bit plane at a time in the smallest dtype that
+    # holds beta, then one conversion
+    counts = np.zeros((trials, rows), dtype=np.min_scalar_type(beta))
+    for j in range(beta):
+        counts += sup_bits[:, :, j] == qry_bits[:, :, j]
+    matches = counts.astype(np.float64)
 
     m, mm = _bit_exponents(params.kernel)
     exponents = f[None, :] + matches * m + (beta - matches) * mm
@@ -351,8 +365,7 @@ def and_boundary(tau_inv: float, x) -> np.ndarray | float:
     0 under dot attention with sharpness tau_inv, the boundary is
     y = -log(tanh(tau_inv * x)) / (2 * tau_inv), defined for x > 0.
     """
-    if tau_inv <= 0:
-        raise ValueError("tau_inv must be positive")
+    _check_tau_inv(tau_inv)
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0):
         raise ValueError("boundary defined for x > 0 only")

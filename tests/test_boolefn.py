@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -280,6 +281,29 @@ class TestCounts:
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
             count_threshold(5)
+
+    def test_weight_box_is_built_once_and_read_only(self):
+        for n in (1, 2, 3, 4):
+            box = boolefn._weight_box(n)
+            again = boolefn._weight_box(n)
+            assert all(a is b for a, b in zip(box, again))
+            for array in box:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_weight_box_bound_raises_on_every_call(self, n):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="enumeration supports"):
+                boolefn._weight_box(n)
+
+    def test_public_functions_stay_plain_functions(self):
+        # layer tracing wraps only objects that inspect.isfunction accepts
+        for name in boolefn.__all__:
+            obj = getattr(boolefn, name)
+            if callable(obj) and not inspect.isclass(obj):
+                assert inspect.isfunction(obj), name
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dedup_equals_np_unique(self, n, monkeypatch):

@@ -1,10 +1,15 @@
+import inspect
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from polyselect import theory
+from polyselect.core import rng_for
 from polyselect.kernels import Kernel
 from polyselect.theory import (
+    ScoreStats,
     TheoryParams,
     and_boundary,
     exhaustive_stats,
@@ -19,6 +24,64 @@ from polyselect.theory import (
 )
 
 E = math.e
+
+
+def _loop_exhaustive_stats(params: TheoryParams) -> ScoreStats:
+    """Reference oracle: the (query bits, support bits) pairs as nested loops,
+    each probability built bit by bit and each term added as it is reached."""
+    alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
+    m, mm = theory._bit_exponents(params.kernel)
+    e1_bits = 0.0
+    e2_bits = 0.0
+    for q_bits in range(2**beta):
+        pq = 1.0
+        for j in range(beta):
+            pq *= params.p if (q_bits >> j) & 1 else 1.0 - params.p
+        for s_bits in range(2**beta):
+            ps = 1.0
+            for j in range(beta):
+                ps *= params.p if (s_bits >> j) & 1 else 1.0 - params.p
+            matches = beta - bin(q_bits ^ s_bits).count("1")
+            g = matches * m + (beta - matches) * mm
+            e1_bits += pq * ps * math.exp(g)
+            e2_bits += pq * ps * math.exp(2 * g)
+
+    mean = 0.0
+    variance = 0.0
+    bit_var = e2_bits - e1_bits * e1_bits
+    for delta in range(alpha + 1):
+        count = r * math.comb(alpha, delta)
+        f = float(theory._active_exponent(params.kernel, alpha, delta))
+        sign = -1.0 if delta % 2 else 1.0
+        mean += sign * count * math.exp(f) * e1_bits
+        variance += count * math.exp(2 * f) * bit_var
+    return ScoreStats(mean=mean, variance=variance)
+
+
+def _reference_mc_signed_sums(params, trials, seed, tau_inv=1.0):
+    """Reference sampler: the same draws, matches summed in one float64 reduction."""
+    alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
+    rng = rng_for(seed)
+    deltas = np.repeat(np.arange(alpha + 1), [math.comb(alpha, d) for d in range(alpha + 1)])
+    deltas = np.tile(deltas, r)
+    signs = np.where(deltas % 2 == 0, 1.0, -1.0)
+    f = theory._active_exponent(params.kernel, alpha, deltas)
+    rows = deltas.shape[0]
+    sup_bits = rng.random(size=(trials, rows, beta)) < params.p
+    qry_bits = rng.random(size=(trials, 1, beta)) < params.p
+    matches = np.sum(sup_bits == qry_bits, axis=2, dtype=np.float64)
+    m, mm = theory._bit_exponents(params.kernel)
+    exponents = f[None, :] + matches * m + (beta - matches) * mm
+    scores = np.exp(tau_inv * exponents)
+    return np.sum(signs[None, :] * scores, axis=1)
+
+
+def test_public_functions_stay_plain_functions():
+    # layer tracing wraps only objects that inspect.isfunction accepts
+    for name in theory.__all__:
+        obj = getattr(theory, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert inspect.isfunction(obj), name
 
 
 class TestPbar:
@@ -121,6 +184,15 @@ class TestExhaustiveOracle:
         b = support_sum_stats(TheoryParams(2, 2, 0.4, 1, Kernel.SQ_EUCLIDEAN))
         assert a == b
 
+    def test_equals_loop_oracle_bit_for_bit(self):
+        # r = 2 is left out to keep the loops under 2 s; r only scales counts
+        grid = itertools.product(
+            range(1, 5), range(7), (0.0, 0.3, 0.5, 0.8, 1.0), (1, 3), list(Kernel)
+        )
+        for alpha, beta, p, r, kernel in grid:
+            params = TheoryParams(alpha, beta, p, r, kernel)
+            assert exhaustive_stats(params) == _loop_exhaustive_stats(params), params
+
     def test_enumeration_bounds(self):
         with pytest.raises(ValueError):
             exhaustive_stats(TheoryParams(alpha=5, beta_irrelevant=0, p=0.5, r=1))
@@ -171,6 +243,33 @@ class TestMonteCarlo:
         )
         slack = 2 * math.sqrt(p_lo.misclass_rate * (1 - p_lo.misclass_rate) / p_lo.trials)
         assert p_hi.misclass_rate <= p_lo.misclass_rate + slack
+
+    @pytest.mark.parametrize("kernel", list(Kernel))
+    @pytest.mark.parametrize(
+        "alpha, beta, p, r, trials",
+        [(3, 0, 0.5, 2, 50), (2, 3, 0.0, 1, 200), (2, 3, 1.0, 2, 200), (3, 4, 0.4, 2, 500),
+         (1, 300, 0.95, 1, 40)],
+    )
+    def test_signed_sums_equal_reference(self, kernel, alpha, beta, p, r, trials):
+        # beta = 300 at p = 0.95 gives about 270 matches, past a uint8 counter
+        params = TheoryParams(alpha, beta, p, r, kernel)
+        for tau_inv in (1.0, 0.5):
+            got = mc_signed_sums(params, trials=trials, seed=11, tau_inv=tau_inv)
+            want = _reference_mc_signed_sums(params, trials, seed=11, tau_inv=tau_inv)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tau_inv", [math.nan, math.inf, 0.0, -1.0])
+    def test_signed_sums_reject_bad_tau_inv(self, tau_inv):
+        params = TheoryParams(alpha=2, beta_irrelevant=2, p=0.5, r=1)
+        with pytest.raises(ValueError, match="tau_inv"):
+            mc_signed_sums(params, trials=10, seed=0, tau_inv=tau_inv)
+
+    @pytest.mark.parametrize("tau_inv", [math.nan, math.inf, 0.0, -1.0])
+    def test_misclassification_rejects_bad_tau_inv(self, tau_inv):
+        # NaN sums would read as a misclass_rate of 0.0, a perfect classifier
+        params = TheoryParams(alpha=2, beta_irrelevant=2, p=0.5, r=1)
+        with pytest.raises(ValueError, match="tau_inv"):
+            mc_misclassification(params, trials=10, seed=0, tau_inv=tau_inv)
 
     def test_dot_and_sq_euclidean_agree_on_shared_draws(self):
         """Dot at tau and squared-Euclidean at 2*tau differ by the positive
@@ -276,3 +375,8 @@ class TestAndBoundary:
             and_boundary(1.0, 0.0)
         with pytest.raises(ValueError):
             and_boundary(-1.0, 1.0)
+
+    @pytest.mark.parametrize("tau_inv", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_tau_inv(self, tau_inv):
+        with pytest.raises(ValueError, match="tau_inv"):
+            and_boundary(tau_inv, np.array([0.5, 1.0]))
