@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
-import json
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -31,7 +29,7 @@ from .boolefn import (
     verify_xor_worst,
     xor_max_accuracy,
 )
-from .core import Encoding, Task, TaskBatch, task_seed
+from .core import Encoding, LabeledSet, Task, TaskBatch, csv_text, json_text, task_seed
 from .kernels import AttentionConfig, Kernel, attend_probs, predict
 from .prototypes import build_prototypes, proto_classify
 from .selection import FACTORS, SelectionConfig, feature_scores, score_chunk, select_probs
@@ -120,13 +118,19 @@ class SweepSpec:
 
 @dataclass
 class CellResult:
+    """One grid cell; per_task holds each method's accuracies, none for a task it raised on."""
+
     r: int
     beta: int
     tasks: int
-    failures: int
     accuracy_mean: dict[str, float]
     accuracy_se: dict[str, float]
     per_task: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+
+    @property
+    def failures(self) -> int:
+        """Method evaluations that raised, summed over the methods."""
+        return sum(self.tasks - accs.size for accs in self.per_task.values())
 
 
 def _scorer(batch: TaskBatch, selection: SelectionConfig):
@@ -166,14 +170,13 @@ def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
     return max(1, CHUNK_BYTES // (8 * floats))
 
 
-def _evaluate_chunk(spec: SweepSpec, batch: TaskBatch, accs: dict[str, list]) -> int:
-    """Append each method's per-task accuracies on the chunk; returns failures.
+def _evaluate_chunk(spec: SweepSpec, batch: TaskBatch, accs: dict[str, list]) -> None:
+    """Append each method's per-task accuracies on the chunk.
 
     A method that raises ValueError on the chunk is evaluated again task by
-    task, so only the tasks it fails on are dropped and counted.
+    task, so only the tasks it fails on are dropped.
     """
     scored = _scorer(batch, spec.selection)
-    failures = 0
     for m in spec.methods:
         try:
             accs[m].extend(_accuracies(m, batch, spec.attention, spec.selection, scored))
@@ -182,12 +185,9 @@ def _evaluate_chunk(spec: SweepSpec, batch: TaskBatch, accs: dict[str, list]) ->
                 one = TaskBatch.of(batch.task(t))
                 scored_one = _scorer(one, spec.selection)
                 try:
-                    acc = _accuracies(m, one, spec.attention, spec.selection, scored_one)
+                    accs[m].extend(_accuracies(m, one, spec.attention, spec.selection, scored_one))
                 except ValueError:
-                    failures += 1
-                else:
-                    accs[m].extend(acc)
-    return failures
+                    pass
 
 
 def _cell_shape(spec: SweepSpec, r: int, beta: int) -> BooleanTaskSpec:
@@ -201,20 +201,19 @@ def _cell_shape(spec: SweepSpec, r: int, beta: int) -> BooleanTaskSpec:
     )
 
 
-def _run_chunk(item: tuple) -> tuple[dict[str, np.ndarray], int]:
-    """Each method's per-task accuracies on one chunk, and the chunk's failures.
+def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
+    """Each method's per-task accuracies on one chunk.
 
     An item is (spec, r, beta, first, start, stop): tasks start..stop of the
     cell whose first task has grid index first.  It is small and picklable, so
     a worker process builds the chunk's tasks itself.
     """
     spec, r, beta, first, start, stop = item
-    shape = _cell_shape(spec, r, beta)
     seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
-    batch = gen_boolean_batch([replace(shape, seed=s) for s in seeds])
+    batch = gen_boolean_batch(_cell_shape(spec, r, beta), seeds)
     accs: dict[str, list] = {m: [] for m in spec.methods}
-    failures = _evaluate_chunk(spec, batch, accs)
-    return {m: np.array(v, dtype=np.float64) for m, v in accs.items()}, failures
+    _evaluate_chunk(spec, batch, accs)
+    return {m: np.array(v, dtype=np.float64) for m, v in accs.items()}
 
 
 def _usable_cpus() -> int:
@@ -264,12 +263,11 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     results = []
     for (r, beta), items in zip(cells, plan):
         parts = list(itertools.islice(chunks, len(items)))
-        failures = sum(f for _, f in parts)
         mean = {}
         se = {}
         per_task = {}
         for m in spec.methods:
-            arr = np.concatenate([accs[m] for accs, _ in parts])
+            arr = np.concatenate([accs[m] for accs in parts])
             per_task[m] = arr
             mean[m] = float(arr.mean()) if arr.size else float("nan")
             se[m] = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
@@ -278,7 +276,6 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
                 r=r,
                 beta=beta,
                 tasks=spec.tasks_per_cell,
-                failures=failures,
                 accuracy_mean=mean,
                 accuracy_se=se,
                 per_task=per_task,
@@ -287,62 +284,41 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     return results
 
 
-_CSV_COLUMNS = [
-    "family",
-    "alpha",
-    "beta",
-    "p",
-    "r",
-    "method",
-    "tasks",
-    "accuracy_mean",
-    "accuracy_se",
-    "seed",
-]
+# the sweep CSV's columns in order, each with the type it is written and parsed as
+_CSV_TYPES = {
+    "family": str,
+    "alpha": int,
+    "beta": int,
+    "p": float,
+    "r": int,
+    "method": str,
+    "tasks": int,
+    "accuracy_mean": float,
+    "accuracy_se": float,
+    "seed": int,
+}
 
 
 def _grid_rows(spec: SweepSpec, grid: list[CellResult], family: str = "xor") -> list[dict]:
-    rows = []
-    for cell in grid:
-        for m in spec.methods:
-            rows.append(
-                {
-                    "family": family,
-                    "alpha": spec.alpha,
-                    "beta": cell.beta,
-                    "p": spec.p,
-                    "r": cell.r,
-                    "method": m,
-                    "tasks": cell.tasks,
-                    "accuracy_mean": cell.accuracy_mean[m],
-                    "accuracy_se": cell.accuracy_se[m],
-                    "seed": spec.global_seed,
-                }
+    """One row per (cell, method) under _CSV_TYPES; tasks counts the method's accuracies."""
+    return [
+        dict(
+            zip(
+                _CSV_TYPES,
+                (family, spec.alpha, cell.beta, spec.p, cell.r, m, cell.per_task[m].size,
+                 cell.accuracy_mean[m], cell.accuracy_se[m], spec.global_seed),
+                strict=True,
             )
-    return rows
+        )
+        for cell in grid
+        for m in spec.methods
+    ]
 
 
 def _write_rows_csv(rows: list[dict], path: Path) -> Path:
-    """Write grid rows under _CSV_COLUMNS; floats via repr so parsing round-trips."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row["family"],
-                row["alpha"],
-                row["beta"],
-                repr(float(row["p"])),
-                row["r"],
-                row["method"],
-                row["tasks"],
-                repr(float(row["accuracy_mean"])),
-                repr(float(row["accuracy_se"])),
-                row["seed"],
-            ]
-        )
-    path.write_text(buf.getvalue())
+    """Write grid rows under _CSV_TYPES, each value cast to its column's type."""
+    typed = [[cast(row[c]) for c, cast in _CSV_TYPES.items()] for row in rows]
+    path.write_text(csv_text(list(_CSV_TYPES), typed))
     return path
 
 
@@ -353,24 +329,8 @@ def emit_csv(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
 
 def parse_csv(path: str | Path) -> list[dict]:
     """Read a sweep CSV back into typed rows."""
-    rows = []
     with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "family": row["family"],
-                    "alpha": int(row["alpha"]),
-                    "beta": int(row["beta"]),
-                    "p": float(row["p"]),
-                    "r": int(row["r"]),
-                    "method": row["method"],
-                    "tasks": int(row["tasks"]),
-                    "accuracy_mean": float(row["accuracy_mean"]),
-                    "accuracy_se": float(row["accuracy_se"]),
-                    "seed": int(row["seed"]),
-                }
-            )
-    return rows
+        return [{c: cast(row[c]) for c, cast in _CSV_TYPES.items()} for row in csv.DictReader(fh)]
 
 
 def emit_json(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
@@ -440,7 +400,7 @@ def emit_svg_heatmap(
 
 
 def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    path.write_text(json_text(payload) + "\n")
     return path
 
 
@@ -481,8 +441,6 @@ def _recipe_appd_xor_bound(out_dir: Path, seed: int, scale: float) -> list[Path]
 
 
 def _recipe_appc_boundary(out_dir: Path, seed: int, scale: float) -> list[Path]:
-    from .core import LabeledSet
-
     corners = np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
     labels = np.array([1, 0, 0, 0])
     support = LabeledSet(corners, labels, k=2)
@@ -492,22 +450,10 @@ def _recipe_appc_boundary(out_dir: Path, seed: int, scale: float) -> list[Path]:
         ys = and_boundary(tau, xs)
         pts = np.column_stack([xs, ys])
         probs = attend_probs(pts, support, AttentionConfig(tau_inv=tau))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tau_inv", "x", "y", "p0", "p1", "gap"])
-        for i in range(xs.shape[0]):
-            writer.writerow(
-                [
-                    repr(tau),
-                    repr(float(xs[i])),
-                    repr(float(ys[i])),
-                    repr(float(probs[i, 0])),
-                    repr(float(probs[i, 1])),
-                    repr(float(abs(probs[i, 1] - probs[i, 0]))),
-                ]
-            )
+        gap = np.abs(probs[:, 1] - probs[:, 0])
+        rows = [[tau, *row] for row in np.column_stack([pts, probs, gap]).tolist()]
         path = out_dir / f"appC_boundary_tau{tau:g}.csv"
-        path.write_text(buf.getvalue())
+        path.write_text(csv_text(["tau_inv", "x", "y", "p0", "p1", "gap"], rows))
         paths.append(path)
     return paths
 
@@ -523,16 +469,11 @@ def _recipe_fig5_sphere(out_dir: Path, seed: int, scale: float) -> list[Path]:
     tasks = max(2, int(200 * scale))
     sample_count = max(16, int(1024 * scale))
     specs = [SphereTaskSpec(sample_count=sample_count, seed=task_seed(seed, t)) for t in range(tasks)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task_seed", "x_ratio", "y_ratio", "z_ratio"])
-    hits = 0
-    for spec, ratio in zip(specs, _map_chunks(_sphere_ratios, specs)):
-        if ratio[2] < 0.2 and ratio[0] > 0.6 and ratio[1] > 0.6:
-            hits += 1
-        writer.writerow([spec.seed, repr(float(ratio[0])), repr(float(ratio[1])), repr(float(ratio[2]))])
+    ratios = [ratio.tolist() for ratio in _map_chunks(_sphere_ratios, specs)]
+    hits = sum(1 for x, y, z in ratios if z < 0.2 and x > 0.6 and y > 0.6)
+    rows = [[spec.seed, *ratio] for spec, ratio in zip(specs, ratios)]
     csv_path = out_dir / "fig5_sphere_ratios.csv"
-    csv_path.write_text(buf.getvalue())
+    csv_path.write_text(csv_text(["task_seed", "x_ratio", "y_ratio", "z_ratio"], rows))
     summary = {
         "tasks": tasks,
         "sample_count": sample_count,

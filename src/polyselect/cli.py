@@ -10,9 +10,6 @@ command does not read is a runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 from dataclasses import replace
@@ -38,7 +35,7 @@ from .boolefn import (
     verify_xor_worst,
     xor_max_accuracy,
 )
-from .core import Encoding, task_from_json, task_seed, task_to_json
+from .core import Encoding, csv_text, json_text, task_from_json, task_seed, task_to_json
 from .kernels import AttentionConfig, Kernel
 from .selection import SelectionConfig, feature_scores
 from .tasks import (
@@ -152,16 +149,6 @@ def _cmd_gen_tasks(args) -> int:
     return 0
 
 
-def _write_scores_csv(path: Path, scores) -> None:
-    """Write (feature_index, score) rows for diagnostics."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["feature_index", "score"])
-    for i, s in enumerate(scores):
-        writer.writerow([i, repr(float(s))])
-    path.write_text(buf.getvalue())
-
-
 def _cmd_eval(args) -> int:
     config = _read_config(args.config)
     attention = _attention_from(args, config)
@@ -179,16 +166,12 @@ def _cmd_eval(args) -> int:
         task = gen_boolean_task(spec)
     rows = [{"method": m, "accuracy": evaluate_method(m, task, attention, selection)} for m in methods]
     if args.dump_scores:
-        _write_scores_csv(Path(args.dump_scores), feature_scores(task.support, selection))
+        scores = feature_scores(task.support, selection).tolist()
+        Path(args.dump_scores).write_text(csv_text(["feature_index", "score"], enumerate(scores)))
     if args.format == "json":
-        print(json.dumps({"rows": rows}, sort_keys=True, separators=(",", ":")))
+        print(json_text({"rows": rows}))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", "accuracy"])
-        for row in rows:
-            writer.writerow([row["method"], repr(row["accuracy"])])
-        print(buf.getvalue(), end="")
+        print(csv_text(["method", "accuracy"], [[r["method"], r["accuracy"]] for r in rows]), end="")
     return 0
 
 
@@ -214,6 +197,10 @@ def _cmd_sweep(args) -> int:
     _reject_unread(config, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = run_sweep(spec)
+    failures = sum(cell.failures for cell in grid)
+    if failures:
+        message = "method evaluation(s) failed and are left out of the means and the tasks column"
+        print(f"warning: {failures} {message}", file=sys.stderr)
     written = []
     if args.format in ("csv", None):
         written.append(emit_csv(spec, grid, out_dir / "sweep.csv"))
@@ -239,41 +226,34 @@ def _cmd_theory(args) -> int:
     _reject_unread(config, "theory")
     growth = snr_growth(TheoryParams(alpha, 0, p, r, kernel), betas) if len(betas) > 1 else None
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "alpha", "beta", "p", "r", "kernel",
-            "analytic_mean", "analytic_var",
-            "exhaustive_mean", "exhaustive_var",
-            "mc_mean", "mc_var", "mc_misclass_rate", "trials",
-            "snr_ratio", "snr_fitted_slope", "snr_asymptotic_slope",
-        ]
-    )
+    header = [
+        "alpha", "beta", "p", "r", "kernel",
+        "analytic_mean", "analytic_var",
+        "exhaustive_mean", "exhaustive_var",
+        "mc_mean", "mc_var", "mc_misclass_rate", "trials",
+        "snr_ratio", "snr_fitted_slope", "snr_asymptotic_slope",
+    ]
+    rows = []
     for i, beta in enumerate(betas):
         params = TheoryParams(alpha=alpha, beta_irrelevant=beta, p=p, r=r, kernel=kernel)
         analytic = support_sum_stats(params)
         try:
             exact = exhaustive_stats(params)
-            ex_mean, ex_var = repr(exact.mean), repr(exact.variance)
+            exhaustive = [exact.mean, exact.variance]
         except ValueError:
-            ex_mean, ex_var = "", ""
+            exhaustive = ["", ""]
         mc = mc_misclassification(params, trials=trials, seed=task_seed(seed, beta))
-        snr = (
-            [repr(growth.ratios[i]), repr(growth.fitted_slope), repr(growth.asymptotic_slope)]
-            if growth
-            else ["", "", ""]
-        )
-        writer.writerow(
+        snr = [growth.ratios[i], growth.fitted_slope, growth.asymptotic_slope] if growth else ["", "", ""]
+        rows.append(
             [
-                alpha, beta, repr(p), r, kernel.value,
-                repr(analytic.mean), repr(analytic.variance),
-                ex_mean, ex_var,
-                repr(mc.mean), repr(mc.variance), repr(mc.misclass_rate), trials,
+                alpha, beta, p, r, kernel.value,
+                analytic.mean, analytic.variance,
+                *exhaustive,
+                mc.mean, mc.variance, mc.misclass_rate, trials,
                 *snr,
             ]
         )
-    print(buf.getvalue(), end="")
+    print(csv_text(header, rows), end="")
     return 0
 
 
@@ -309,7 +289,7 @@ def _cmd_thresholds(args) -> int:
         }
     else:
         raise ValueError(f"unknown thresholds action {args.action!r}")
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(json_text(payload))
     return 0
 
 

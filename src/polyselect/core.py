@@ -11,6 +11,8 @@ the last two axes, so a single task is the case with no leading axis.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -24,8 +26,10 @@ __all__ = [
     "Task",
     "TaskBatch",
     "TaskMeta",
+    "csv_text",
     "decode_bits",
     "encode_bits",
+    "json_text",
     "one_hot",
     "rng_for",
     "task_from_json",
@@ -255,6 +259,26 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def csv_text(header: Sequence[str], rows) -> str:
+    """CSV text with LF line ends, the one format of every CSV the package writes.
+
+    Every float, numpy scalars included, is written as repr(float(v)), so it
+    parses back to the same bits; other values are written as str(v).
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+    )
+    return buf.getvalue()
+
+
+def json_text(payload) -> str:
+    """Canonical JSON, the one format of every JSON the package writes: sorted keys, compact."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _labeled_to_obj(ls: LabeledSet) -> dict:
     return {
         "features": [[float(v) for v in row] for row in ls.features],
@@ -288,7 +312,7 @@ def task_to_json(task: Task) -> str:
             "seed": task.meta.seed,
         },
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json_text(obj)
 
 
 def task_from_json(text: str) -> Task:

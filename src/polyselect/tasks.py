@@ -81,51 +81,47 @@ def _pattern_labels(patterns: np.ndarray) -> np.ndarray:
     return (zeros % 2).astype(np.int64)
 
 
-def gen_boolean_batch(specs: Sequence[BooleanTaskSpec]) -> TaskBatch:
-    """One task per spec, stacked; the specs may differ only in their seed.
+def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> TaskBatch:
+    """One task of spec's shape per seed, stacked; spec's own seed is not read.
 
     Each task draws from its own seed's stream exactly as a lone task would:
     the active set, the support noise, the query noise, the query patterns.
     """
-    first = specs[0]
-    shape = (first.n, first.alpha, first.p, first.r, first.query_count, first.encoding)
-    if any((s.n, s.alpha, s.p, s.r, s.query_count, s.encoding) != shape for s in specs):
-        raise ValueError("a batch needs specs that differ only in their seed")
-    n, alpha, q = first.n, first.alpha, first.query_count
+    n, alpha, q = spec.n, spec.alpha, spec.query_count
     patterns = _variant_patterns(alpha)
     pattern_labels = _pattern_labels(patterns)
-    rows = first.r * patterns.shape[0]
+    rows = spec.r * patterns.shape[0]
 
-    tasks = len(specs)
+    tasks = len(seeds)
     active = np.empty((tasks, alpha), dtype=np.int64)
     sup_u = np.empty((tasks, rows, n))
     qry_u = np.empty((tasks, q, n))
     qry_variant = np.empty((tasks, q), dtype=np.int64)
-    for t, spec in enumerate(specs):
-        rng = rng_for(spec.seed)
+    for t, seed in enumerate(seeds):
+        rng = rng_for(seed)
         active[t] = np.sort(rng.choice(n, size=alpha, replace=False))
         rng.random(out=sup_u[t])
         rng.random(out=qry_u[t])
         qry_variant[t] = rng.integers(0, patterns.shape[0], size=q)
 
     def place(uniform: np.ndarray, variant_bits: np.ndarray) -> np.ndarray:
-        bits = (uniform < first.p).astype(np.int64)
+        bits = (uniform < spec.p).astype(np.int64)
         cols = np.broadcast_to(active[:, None, :], bits.shape[:2] + (alpha,))
         np.put_along_axis(bits, cols, variant_bits, axis=-1)
-        return encode_bits(bits, first.encoding)
+        return encode_bits(bits, spec.encoding)
 
-    sup_variant = np.repeat(np.arange(patterns.shape[0]), first.r)
+    sup_variant = np.repeat(np.arange(patterns.shape[0]), spec.r)
     metas = tuple(
         TaskMeta(
             active_indices=tuple(int(i) for i in act),
             alpha=alpha,
             beta_irrelevant=n - alpha,
-            p=first.p,
-            r=first.r,
-            encoding=first.encoding,
-            seed=spec.seed,
+            p=spec.p,
+            r=spec.r,
+            encoding=spec.encoding,
+            seed=seed,
         )
-        for act, spec in zip(active, specs)
+        for act, seed in zip(active, seeds)
     )
     return TaskBatch(
         support=LabeledSet(place(sup_u, patterns[sup_variant]), pattern_labels[sup_variant], k=2),
@@ -136,7 +132,7 @@ def gen_boolean_batch(specs: Sequence[BooleanTaskSpec]) -> TaskBatch:
 
 
 def gen_boolean_task(spec: BooleanTaskSpec) -> Task:
-    return gen_boolean_batch((spec,)).task(0)
+    return gen_boolean_batch(spec, [spec.seed]).task(0)
 
 
 @dataclass(frozen=True)

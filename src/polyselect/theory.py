@@ -62,6 +62,9 @@ _MAX_R = 3
 # whose log exceeds this still overflow to inf on conversion.
 _EXP_OVERFLOW = 709.0
 
+# Uniforms per block of mc_signed_sums trials (8 MB of float64): bounds its memory.
+_MC_BLOCK_DRAWS = 1 << 20
+
 
 @dataclass(frozen=True)
 class TheoryParams:
@@ -269,12 +272,14 @@ def mc_signed_sums(
     comparisons, exactly as the task generator does.  The underlying bit
     draws depend only on (params sizes, seed), not on the kernel, so runs
     with different kernels on the same seed see identical bit patterns.
+    The stream holds every support bit, then every query bit; both are drawn
+    in blocks of trials, the query bits from a second generator on the same
+    seed, advanced past the support draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_tau_inv(tau_inv)
     alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
-    rng = rng_for(seed)
 
     # delta profile: the query's active pattern sits at distance delta from
     # r * C(alpha, delta) support rows regardless of which pattern it is.
@@ -284,13 +289,19 @@ def mc_signed_sums(
     f = _active_exponent(params.kernel, alpha, deltas)
 
     rows = deltas.shape[0]
-    sup_bits = rng.random(size=(trials, rows, beta)) < params.p
-    qry_bits = rng.random(size=(trials, 1, beta)) < params.p
+    support_rng, query_rng = rng_for(seed), rng_for(seed)
+    # each float64 uniform takes one 64-bit PCG64 output
+    query_rng.bit_generator.advance(trials * rows * beta)
     # exact match counts, one bit plane at a time in the smallest dtype that
     # holds beta, then one conversion
     counts = np.zeros((trials, rows), dtype=np.min_scalar_type(beta))
-    for j in range(beta):
-        counts += sup_bits[:, :, j] == qry_bits[:, :, j]
+    block = max(1, _MC_BLOCK_DRAWS // max(1, rows * beta))
+    for start in range(0, trials, block):
+        part = counts[start : start + block]
+        sup_bits = support_rng.random(size=(part.shape[0], rows, beta)) < params.p
+        qry_bits = query_rng.random(size=(part.shape[0], 1, beta)) < params.p
+        for j in range(beta):
+            part += sup_bits[:, :, j] == qry_bits[:, :, j]
     matches = counts.astype(np.float64)
 
     m, mm = _bit_exponents(params.kernel)

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -26,7 +27,7 @@ from polyselect.bench import (
     reproduce,
     run_sweep,
 )
-from polyselect.core import Encoding, TaskBatch, task_seed
+from polyselect.core import Encoding, TaskBatch, csv_text, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import SelectionConfig
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
@@ -325,10 +326,7 @@ class TestSweepProcesses:
         def plan_only(fn, items):
             assert fn is bench._run_chunk
             planned.append(len(items))
-            return [
-                ({m: np.zeros(stop - start) for m in spec.methods}, 0)
-                for spec, *_, start, stop in items
-            ]
+            return [{m: np.zeros(stop - start) for m in spec.methods} for spec, *_, start, stop in items]
 
         monkeypatch.setattr(bench, "_map_chunks", plan_only)
         for recipe in ("fig7_soft_fs", "fig11_topk", "binary_strings_fs_raw"):
@@ -373,6 +371,32 @@ class TestEmitters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "family,alpha,beta,p,r,method,tasks,accuracy_mean,accuracy_se,seed"
         assert len(lines) == 1 + len(spec.methods)
+
+    def test_tasks_column_counts_evaluations_that_succeeded(self, tmp_path):
+        spec = forced_failure_spec()
+        grid = run_sweep(spec)
+        rows = parse_csv(emit_csv(spec, grid, tmp_path / "f.csv"))
+        by_key = {(r["r"], r["beta"], r["method"]): r for r in rows}
+        for cell in grid:
+            for m in spec.methods:
+                assert by_key[(cell.r, cell.beta, m)]["tasks"] == cell.per_task[m].size
+        assert by_key[(1, 3, "Attn")]["tasks"] == 4  # of 30
+        missing = sum(spec.tasks_per_cell - r["tasks"] for r in rows)
+        assert missing == sum(cell.failures for cell in grid) > 0
+
+    def test_csv_text_floats_round_trip(self, tmp_path):
+        values = [np.float64(0.1), np.float32(0.1), math.nan, math.inf, -math.inf, -0.0, 0.1 + 0.2, 5e-324]
+        text = csv_text(["v"], [[v] for v in values])
+        assert "np.float64(" not in text
+        row = {"family": "xor", "alpha": 2, "beta": 3, "p": np.float64(0.3), "r": 1,
+               "method": "Attn", "tasks": 5, "seed": 7}
+        rows = [{**row, "accuracy_mean": v, "accuracy_se": v} for v in values]
+        parsed = parse_csv(bench._write_rows_csv(rows, tmp_path / "f.csv"))
+        for got in ([float(line) for line in text.splitlines()[1:]],
+                    [r["accuracy_mean"] for r in parsed], [r["accuracy_se"] for r in parsed]):
+            for a, b in zip(got, map(float, values), strict=True):
+                assert (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+        assert all(r["p"] == 0.3 for r in parsed)
 
     def test_json_mirrors_csv(self, tmp_path):
         spec = small_spec(r_values=(1,), beta_values=(2,), tasks_per_cell=5)

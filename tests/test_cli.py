@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 
 import pytest
 
+from polyselect.bench import parse_csv
 from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
 from polyselect.cli import main
 from polyselect.core import task_from_json
@@ -220,6 +222,24 @@ class TestSweepAndTheory:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_sweep_failures_reported_on_stderr(self, tmp_path, capsys):
+        # attention logits overflow at this tau_inv, so every Attn and AttnSoftFS evaluation fails
+        argv = [
+            "sweep", "--alpha", "2", "--r-values", "1", "--beta-values", "2", "--tau-inv", "1e308",
+            "--tasks-per-cell", "20", "--methods", "Attn", "AttnSoftFS", "--out-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 40 method evaluation(s) failed and are left out of the means and the tasks column"
+        ]
+        rows = parse_csv(tmp_path / "sweep.csv")
+        assert [(r["tasks"], math.isnan(r["accuracy_mean"])) for r in rows] == [(0, True), (0, True)]
+        # no failure, no line
+        assert main([a if a != "1e308" else "3" for a in argv]) == 0
+        assert capsys.readouterr().err == ""
+        assert [r["tasks"] for r in parse_csv(tmp_path / "sweep.csv")] == [20, 20]
+
     def test_theory_table(self, capsys):
         code = main(["theory", "--alpha", "2", "--beta-values", "0,1", "--trials", "500"])
         assert code == 0
@@ -341,3 +361,40 @@ class TestReproduceAndExitCodes:
         code = main(["eval", "--task", "/nonexistent/task.json"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# sha256 of every byte a command prints (and, for --dump-scores, writes), taken
+# before every CSV and JSON went through core.csv_text and core.json_text
+EVAL = ["eval", "--n", "6", "--alpha", "2", "--r", "3", "--seed", "4", "--methods",
+        "Attn", "AttnSoftFS", "AttnSoftFSNorm", "AttnTopK", "Proto"]
+PINNED_OUTPUTS = [
+    (EVAL, "18342d2dc41f41a56bb030d3a95fc5a147c978d2bf7889c0b1d48d1f1d37d512"),
+    (EVAL + ["--format", "json"], "45ed9c96f8ebd9657333530ed318688baad0e3491f6ba0833edf464de7aee287"),
+    # beta 7 is past the exhaustive oracle's bound, so its two columns are blank
+    (["theory", "--alpha", "3", "--beta-values", "0,3,5,7", "--trials", "500", "--p", "0.3"],
+     "0ae5c8243a3c9603922fa3c187d9d06467513622943ea2e48cda41974a583d9f"),
+    (["theory", "--alpha", "2", "--beta-values", "0,1,2,3,4,5,6,7", "--trials", "300",
+      "--kernel", "sq_euclidean", "--seed", "3"],
+     "58eba7fcefc4c22556f1aafc761aaac99d27988d1d4296fe051242f75f721701"),
+    (["thresholds", "approx", "--n", "4", "--truth-table", "6996"],
+     "5b52a6f12bdfae3941f937a90ec9588063f65ef09bc27c8ecb8ec899d16bd42f"),
+]
+
+
+class TestOutputBytesPinned:
+    @pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS, ids=lambda v: " ".join(v)[:40])
+    def test_stdout_pinned(self, argv, digest, capsys):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_dump_scores_pinned(self, tmp_path, capsys):
+        out = tmp_path / "scores.csv"
+        argv = ["eval", "--n", "7", "--alpha", "3", "--r", "2", "--seed", "9", "--dump-scores", str(out)]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "2fcd3f2d4fcc9ba26c2782c8cad6c8344e65ca80c936cf024d7d07d92398bf4d"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6637f109b39d42ce64d93c8b184c4a8bc0548cfedddbcd919fd021e5f0bacd4d"
+        )

@@ -130,17 +130,12 @@ class TestBooleanBatch:
     @pytest.mark.parametrize("encoding", list(Encoding))
     def test_batch_rows_equal_lone_tasks(self, encoding):
         base = BooleanTaskSpec(n=7, alpha=3, p=0.4, r=2, query_count=9, encoding=encoding)
-        specs = [replace(base, seed=task_seed(3, t)) for t in range(6)]
-        batch = gen_boolean_batch(specs)
+        seeds = [task_seed(3, t) for t in range(6)]
+        batch = gen_boolean_batch(base, seeds)
         assert len(batch) == 6
         assert batch.support.features.shape == (6, 16, 7)
-        for t, spec in enumerate(specs):
-            assert task_to_json(batch.task(t)) == task_to_json(gen_boolean_task(spec))
-
-    def test_mixed_shapes_rejected(self):
-        specs = [BooleanTaskSpec(n=5, alpha=2, seed=1), BooleanTaskSpec(n=5, alpha=2, r=2, seed=2)]
-        with pytest.raises(ValueError):
-            gen_boolean_batch(specs)
+        for t, seed in enumerate(seeds):
+            assert task_to_json(batch.task(t)) == task_to_json(gen_boolean_task(replace(base, seed=seed)))
 
 
 class TestSphereTasks:

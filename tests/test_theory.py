@@ -258,6 +258,17 @@ class TestMonteCarlo:
             want = _reference_mc_signed_sums(params, trials, seed=11, tau_inv=tau_inv)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("block_draws", [1, 1000, 4097])
+    @pytest.mark.parametrize(
+        "alpha, beta, p, r, trials", [(3, 0, 0.5, 2, 50), (3, 4, 0.4, 2, 500), (1, 300, 0.95, 1, 40)]
+    )
+    def test_blocked_draws_equal_reference(self, monkeypatch, block_draws, alpha, beta, p, r, trials):
+        # blocks of one trial, of a few trials with a partial last block, and larger
+        monkeypatch.setattr(theory, "_MC_BLOCK_DRAWS", block_draws)
+        params = TheoryParams(alpha, beta, p, r, Kernel.DOT)
+        got = mc_signed_sums(params, trials=trials, seed=11)
+        assert np.array_equal(got, _reference_mc_signed_sums(params, trials, seed=11))
+
     @pytest.mark.parametrize("tau_inv", [math.nan, math.inf, 0.0, -1.0])
     def test_signed_sums_reject_bad_tau_inv(self, tau_inv):
         params = TheoryParams(alpha=2, beta_irrelevant=2, p=0.5, r=1)
