@@ -62,8 +62,10 @@ _MAX_R = 3
 # whose log exceeds this still overflow to inf on conversion.
 _EXP_OVERFLOW = 709.0
 
-# Uniforms per block of mc_signed_sums trials (8 MB of float64): bounds its memory.
-_MC_BLOCK_DRAWS = 1 << 20
+# Support uniforms per block of mc_signed_sums trials: 2^16 float64 (512 KiB),
+# sized to stay in L2.  A call's buffers then total at most about 1.6 MiB
+# (unless one trial alone needs more uniforms) besides its (trials,) output.
+_MC_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -272,9 +274,18 @@ def mc_signed_sums(
     comparisons, exactly as the task generator does.  The underlying bit
     draws depend only on (params sizes, seed), not on the kernel, so runs
     with different kernels on the same seed see identical bit patterns.
-    The stream holds every support bit, then every query bit; both are drawn
-    in blocks of trials, the query bits from a second generator on the same
-    seed, advanced past the support draws.
+    The stream holds every support bit, then every query bit; the query bits
+    come from a second generator on the same seed, advanced past the support
+    draws.
+
+    The trials run in blocks of at most _MC_BLOCK_DRAWS support uniforms
+    (at least one trial), from the draws to the row sums, in buffers
+    allocated once; only the (trials,) result grows with trials.  At
+    alpha=4, beta=4, r=5 and 200,000 trials a call peaks at 3.1 MiB under
+    tracemalloc, 1.5 MiB of it the result.  Each element goes through the
+    same float operations as the one-shot formula
+    sum(signs * exp(tau_inv * (f + k*m + (beta - k)*mm))) over k matching
+    bits, so the values do not depend on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -287,27 +298,38 @@ def mc_signed_sums(
     deltas = np.tile(deltas, r)
     signs = np.where(deltas % 2 == 0, 1.0, -1.0)
     f = _active_exponent(params.kernel, alpha, deltas)
+    m, mm = _bit_exponents(params.kernel)
 
     rows = deltas.shape[0]
     support_rng, query_rng = rng_for(seed), rng_for(seed)
     # each float64 uniform takes one 64-bit PCG64 output
     query_rng.bit_generator.advance(trials * rows * beta)
-    # exact match counts, one bit plane at a time in the smallest dtype that
-    # holds beta, then one conversion
-    counts = np.zeros((trials, rows), dtype=np.min_scalar_type(beta))
-    block = max(1, _MC_BLOCK_DRAWS // max(1, rows * beta))
+    block = min(trials, max(1, _MC_BLOCK_DRAWS // (rows * max(1, beta))))
+    sup_draws, qry_draws = np.empty((block, rows, beta)), np.empty((block, 1, beta))
+    sup_bits, qry_bits = np.empty(sup_draws.shape, bool), np.empty(qry_draws.shape, bool)
+    matches, rest = np.empty((block, rows)), np.empty((block, rows))
+    ones = np.ones(beta)
+    sums = np.empty(trials)
     for start in range(0, trials, block):
-        part = counts[start : start + block]
-        sup_bits = support_rng.random(size=(part.shape[0], rows, beta)) < params.p
-        qry_bits = query_rng.random(size=(part.shape[0], 1, beta)) < params.p
-        for j in range(beta):
-            part += sup_bits[:, :, j] == qry_bits[:, :, j]
-    matches = counts.astype(np.float64)
-
-    m, mm = _bit_exponents(params.kernel)
-    exponents = f[None, :] + matches * m + (beta - matches) * mm
-    scores = np.exp(tau_inv * exponents)
-    return np.sum(signs[None, :] * scores, axis=1)
+        n = min(block, trials - start)
+        sup = np.less(support_rng.random(out=sup_draws[:n]), params.p, out=sup_bits[:n])
+        qry = np.less(query_rng.random(out=qry_draws[:n]), params.p, out=qry_bits[:n])
+        # 1.0 where a support bit equals the query's, in the spent uniforms'
+        # buffer; one product sums each row's integers, exactly
+        same = np.equal(sup, qry, out=sup_draws[:n])
+        k = matches[:n]
+        np.matmul(same.reshape(n * rows, beta), ones, out=k.reshape(n * rows))
+        # f + k*m + (beta - k)*mm, scaled by tau_inv, exp, signed, summed per row
+        other = np.subtract(beta, k, out=rest[:n])
+        other *= mm
+        k *= m
+        x = np.add(f, k, out=k)
+        x += other
+        x *= tau_inv
+        np.exp(x, out=x)
+        x *= signs
+        np.sum(x, axis=1, out=sums[start : start + n])
+    return sums
 
 
 def mc_misclassification(

@@ -222,7 +222,6 @@ class TestSweepAndTheory:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_sweep_failures_reported_on_stderr(self, tmp_path, capsys):
         # attention logits overflow at this tau_inv, so every Attn and AttnSoftFS evaluation fails
         argv = [

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,16 +259,34 @@ class TestMonteCarlo:
             want = _reference_mc_signed_sums(params, trials, seed=11, tau_inv=tau_inv)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("block_draws", [1, 1000, 4097])
+    @pytest.mark.parametrize("block_draws", [1, 100, 1000, 4097])
     @pytest.mark.parametrize(
         "alpha, beta, p, r, trials", [(3, 0, 0.5, 2, 50), (3, 4, 0.4, 2, 500), (1, 300, 0.95, 1, 40)]
     )
     def test_blocked_draws_equal_reference(self, monkeypatch, block_draws, alpha, beta, p, r, trials):
-        # blocks of one trial, of a few trials with a partial last block, and larger
+        # blocks from one trial to the whole run; beta 0 at 100 draws, beta 4 at
+        # 1000 and 4097, and beta 300 at 4097 end in a partial block
         monkeypatch.setattr(theory, "_MC_BLOCK_DRAWS", block_draws)
-        params = TheoryParams(alpha, beta, p, r, Kernel.DOT)
-        got = mc_signed_sums(params, trials=trials, seed=11)
-        assert np.array_equal(got, _reference_mc_signed_sums(params, trials, seed=11))
+        for kernel, tau_inv in itertools.product(
+            [Kernel.DOT, Kernel.COSINE, Kernel.SQ_EUCLIDEAN], [1.0, 0.7]
+        ):
+            params = TheoryParams(alpha, beta, p, r, kernel)
+            got = mc_signed_sums(params, trials=trials, seed=11, tau_inv=tau_inv)
+            want = _reference_mc_signed_sums(params, trials, seed=11, tau_inv=tau_inv)
+            assert np.array_equal(got, want), (kernel, tau_inv)
+
+    @pytest.mark.parametrize("beta", [4, 0])
+    def test_memory_does_not_grow_with_trials(self, beta):
+        # 200,000 trials x 80 rows: one (trials, rows) float64 temporary alone is 128 MB
+        params = TheoryParams(alpha=4, beta_irrelevant=beta, p=0.5, r=5)
+        tracemalloc.start()
+        try:
+            sums = mc_signed_sums(params, trials=200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums.shape == (200_000,)
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("tau_inv", [math.nan, math.inf, 0.0, -1.0])
     def test_signed_sums_reject_bad_tau_inv(self, tau_inv):
