@@ -9,6 +9,14 @@ one per usable CPU, and their results are merged in grid order; a chunk's
 tasks depend only on its grid position, so rerunning a sweep or recipe with
 the same seed produces byte-identical output files on any number of CPUs.
 fig5_sphere sends its tasks through the same pool.
+
+A sweep run on its own forks a pool for its one call.  While reproduce runs
+a recipe, the recipe's chunk maps share one pool instead, forked at the
+first map that needs two workers and reaped before reproduce returns or
+raises.  binary_strings_fs_raw is the recipe with more than one map: its
+six one-cell sweeps start one set of workers, and each worker imports
+numpy.random once rather than once per sweep.  Recipes that map no chunks
+fork nothing and import no process machinery.
 """
 
 from __future__ import annotations
@@ -223,27 +231,46 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The pool of the recipe that reproduce is running: None outside a recipe,
+# else a list holding at most one (workers, pool) pair once a map has forked it.
+_recipe_pool: list | None = None
+
+
+def _fork_pool(workers: int):
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def _map_chunks(fn: Callable, items: list) -> list:
     """fn over items in order, on up to one forked worker per usable CPU.
 
-    The pool lives only for this call: leaving the with block joins and reaps
-    every worker, on error too.  Fork, not spawn or forkserver, because a
-    fresh interpreter per worker would import numpy again.  With one worker
-    or no fork, the items run inline and no process starts.
+    Outside a recipe the pool lives only for this call: leaving the with
+    block joins and reaps every worker, on error too.  Inside a recipe the
+    call uses the recipe's pool, which reproduce reaps.  The first map that
+    needs workers forks it with its own worker count; a later map that needs
+    more shuts it down and forks a larger one, so no map runs on fewer
+    workers than a pool of its own would give it.  Fork, not spawn or
+    forkserver, because a fresh interpreter per worker would import numpy
+    again.  With one worker or no fork, the items run inline and no process
+    starts.
     """
     workers = min(_usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
         return list(map(fn, items))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     # items go to the workers in runs of consecutive chunks, about four runs
     # per worker (multiprocessing.Pool.map's default): one message per chunk
     # costs more CPU than the chunk, and a few runs per worker keep the tail short
     runs = -(-len(items) // (4 * workers))
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, items, chunksize=runs))
+    if _recipe_pool is None:
+        with _fork_pool(workers) as pool:
+            return list(pool.map(fn, items, chunksize=runs))
+    if _recipe_pool and _recipe_pool[0][0] < workers:
+        _recipe_pool.pop()[1].shutdown()
+    if not _recipe_pool:
+        _recipe_pool.append((workers, _fork_pool(workers)))
+    return list(_recipe_pool[0][1].map(fn, items, chunksize=runs))
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
@@ -570,10 +597,19 @@ def reproduce(name: str, out_dir: str | Path, seed: int = 0, scale: float = 1.0)
 
     scale < 1 shrinks task counts and grids proportionally (used by quick
     runs and the determinism checks); outputs remain fully deterministic in
-    (name, seed, scale).
+    (name, seed, scale).  The chunk maps of the recipe share one worker
+    pool, forked by the first map that needs it (see _map_chunks); no worker
+    is left when this returns or raises.
     """
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return RECIPES[name](out, seed, scale)
+    global _recipe_pool
+    _recipe_pool = pools = []
+    try:
+        return RECIPES[name](out, seed, scale)
+    finally:
+        _recipe_pool = None
+        for _, pool in pools:
+            pool.shutdown()  # joins and reaps every worker

@@ -106,13 +106,18 @@ def _exp_rows_in_place(z: np.ndarray, tau_inv: float, symmetric: bool = False) -
     row maxima are then taken as column maxima, a faster reduction on short
     rows.  A maximum does not depend on the order it is taken in, so the bits
     are the same, NaN and inf included, but only for such a z.
+
+    What overflow is left is downward: an entry far below its row's maximum
+    goes to -inf when scaled or shifted, and exp gives it the 0 it should
+    have, so numpy's overflow warning is silenced for those two steps.
     """
     peak = z.max(axis=-2)[..., None] if symmetric else z.max(axis=-1, keepdims=True)
     if not math.isfinite(float(tau_inv) * float(np.abs(peak).max(initial=0.0))):
         raise ValueError("softmax input must be finite")
-    z *= tau_inv
-    peak *= tau_inv
-    z -= peak
+    with np.errstate(over="ignore"):
+        z *= tau_inv
+        peak *= tau_inv
+        z -= peak
     np.exp(z, out=z)
     return z.sum(axis=-1, keepdims=True)
 

@@ -348,6 +348,101 @@ class TestSweepProcesses:
         assert out.stdout.strip() == "[]"
 
 
+class TestRecipePool:
+    """reproduce shares one pool among a recipe's chunk maps and reaps it."""
+
+    @pytest.fixture
+    def map_sizes(self, monkeypatch):
+        """The item count of every chunk map, with CHUNK_BYTES small enough for several chunks."""
+        monkeypatch.setattr(bench, "CHUNK_BYTES", 2048)
+        sizes = []
+        map_chunks = bench._map_chunks
+
+        def counting(fn, items):
+            sizes.append(len(items))
+            return map_chunks(fn, items)
+
+        monkeypatch.setattr(bench, "_map_chunks", counting)
+        return sizes
+
+    def test_binary_strings_starts_one_set_of_workers(
+        self, monkeypatch, process_starts, map_sizes, tmp_path
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(bench, "_usable_cpus", lambda: 1)
+            inline = reproduce("binary_strings_fs_raw", tmp_path / "inline", seed=4, scale=0.01)
+        assert process_starts == []
+        map_sizes.clear()
+        pooled = reproduce("binary_strings_fs_raw", tmp_path / "pool", seed=4, scale=0.01)
+        assert len(map_sizes) == 6 and min(map_sizes) >= 2  # six sweeps, each needing two workers
+        assert len(process_starts) == 2  # not 2 per sweep
+        assert multiprocessing.active_children() == []
+        assert bench._recipe_pool is None
+        assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in inline]
+
+    def test_larger_map_forks_a_larger_pool(self, monkeypatch, process_starts, tmp_path):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
+
+        def maps(out, seed, scale):
+            return [bench._map_chunks(abs, [-n] * n) for n in (2, 3, 2)]
+
+        monkeypatch.setitem(bench.RECIPES, "maps", maps)
+        assert reproduce("maps", tmp_path) == [[2, 2], [3, 3, 3], [2, 2]]
+        assert len(process_starts) == 5  # 2, then 3 kept for the last map
+        assert multiprocessing.active_children() == []
+        assert bench._recipe_pool is None
+
+    @pytest.mark.parametrize("recipe", ["table3_counts", "appD_xor_bound", "appC_boundary"])
+    def test_exact_recipes_start_no_process(self, process_starts, map_sizes, recipe, tmp_path):
+        reproduce(recipe, tmp_path)
+        assert map_sizes == []
+        assert process_starts == []
+
+    def test_exact_recipes_import_no_process_machinery(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from polyselect.bench import reproduce\n"
+            "for recipe in ('table3_counts', 'appD_xor_bound', 'appC_boundary'):\n"
+            "    reproduce(recipe, sys.argv[1])\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+        assert len(list(tmp_path.iterdir())) == 5  # every recipe wrote its files
+
+    def test_crashed_worker_is_broken_pool(self, monkeypatch, process_starts, map_sizes, tmp_path):
+        parent = os.getpid()
+
+        def crash(spec, batch, accs):
+            if os.getpid() == parent:
+                raise AssertionError("chunk ran in the parent process")
+            os._exit(1)
+
+        monkeypatch.setattr(bench, "_evaluate_chunk", crash)
+        with pytest.raises(BrokenProcessPool):
+            reproduce("binary_strings_fs_raw", tmp_path, scale=0.01)
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+        assert bench._recipe_pool is None
+
+    def test_error_after_a_map_reaps_the_pool(self, monkeypatch, process_starts, map_sizes, tmp_path):
+        # the first sweep forks the pool; the parent then raises before the second
+        def fail(*args, **kwargs):
+            raise RuntimeError("rows failed")
+
+        monkeypatch.setattr(bench, "_grid_rows", fail)
+        with pytest.raises(RuntimeError, match="rows failed"):
+            reproduce("binary_strings_fs_raw", tmp_path, scale=0.01)
+        assert len(map_sizes) == 1
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+        assert bench._recipe_pool is None
+
+
 class TestEmitters:
     def test_csv_roundtrip(self, tmp_path):
         spec = small_spec()

@@ -239,6 +239,20 @@ class TestSweepAndTheory:
         assert capsys.readouterr().err == ""
         assert [r["tasks"] for r in parse_csv(tmp_path / "sweep.csv")] == [20, 20]
 
+    def test_sweep_downward_overflow_prints_only_the_sweep_warning(self, tmp_path, capsys):
+        # Attn logits overflow downwards at this tau_inv (their weight is 0, no
+        # failure); Proto's scaled row maxima overflow upwards, so Proto fails.
+        # A numpy RuntimeWarning would be an error here, not a line on stderr.
+        argv = [
+            "sweep", "--alpha", "2", "--r-values", "1", "--beta-values", "16", "--tau-inv", "1e307",
+            "--tasks-per-cell", "20", "--methods", "Attn", "Proto", "--out-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 20 method evaluation(s) failed and are left out of the means and the tasks column"
+        ]
+        assert [r["tasks"] for r in parse_csv(tmp_path / "sweep.csv")] == [20, 0]
+
     def test_theory_table(self, capsys):
         code = main(["theory", "--alpha", "2", "--beta-values", "0,1", "--trials", "500"])
         assert code == 0

@@ -283,3 +283,29 @@ class TestNonFiniteRejected:
         protos = build_prototypes(LabeledSet(np.array([[1e200, 0.0], [0.0, 0.0]]), [0, 1], k=2))
         with pytest.raises(ValueError, match="finite"):
             proto_classify(np.array([[1.0, 0.0]]), protos)
+
+
+class TestDownwardOverflowIsSilent:
+    # pytest turns RuntimeWarning into an error, so each of these fails if numpy
+    # warns; an entry that overflows downwards gets the weight exp(-inf) = 0
+
+    def test_attend_probs_scaled_entry(self):
+        # -1e10 * 1e307 overflows in the scaling while the row maximum 1e307 does not
+        support = LabeledSet(np.array([[1.0], [-1e10]]), [0, 1], k=2)
+        probs = attend_probs(np.array([[1.0]]), support, AttentionConfig(tau_inv=1e307))
+        assert probs.tolist() == [[1.0, 0.0]]
+
+    def test_attend_probs_shifted_entry(self):
+        # -1e308 - 1e308 overflows in the max subtraction
+        support = LabeledSet(np.array([[1.0], [-1.0]]), [0, 1], k=2)
+        probs = attend_probs(np.array([[1.0]]), support, AttentionConfig(tau_inv=1e308))
+        assert probs.tolist() == [[1.0, 0.0]]
+
+    def test_proto_classify_scaled_entry(self):
+        protos = build_prototypes(LabeledSet(np.array([[1.0, 0.0], [1e10, 0.0]]), [0, 1], k=2))
+        assert proto_classify(np.array([[0.0, 0.0]]), protos, 1e300).tolist() == [[1.0, 0.0]]
+
+    def test_self_attention_round_shifted_entry(self):
+        # the scaled Gram [[1e308, -1e308], [-1e308, 1e308]] is finite; its shift is not
+        x = np.array([[1.0], [-1.0]])
+        assert np.array_equal(self_attention_round(x, 1e308), x)

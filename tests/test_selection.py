@@ -141,6 +141,16 @@ _PARITY_SHAPES = [(6, 40, 14), (32, 8, 8), (25, 10, 5)] + [
 ]
 
 
+# (rows, n) with rows * n above 2^17, where each Gram block is a single row
+_ONE_ROW_SHAPES = [(300, 500), (200, 700), (1000, 140), (2000, 70)]
+
+
+def _off_zero_block(shape: tuple[int, int]) -> np.ndarray:
+    """Features near 1: no output coordinate cancels to near 0, so a relative tolerance holds."""
+    rows, n = shape
+    return 1 + 0.5 * np.random.default_rng(rows * 100 + n).normal(size=shape) / np.sqrt(n)
+
+
 class TestSelfAttentionRoundBitIdentity:
     @pytest.mark.parametrize(
         "x, rtol",
@@ -219,6 +229,45 @@ class TestSelfAttentionRoundBitIdentity:
         assert len(one) == len(two) == 2 * len(sizes)
         differ = [a.rsplit(" ", 1)[0] for a, b in zip(one, two) if a != b]
         assert differ == [], f"(n, rows) whose bits depend on the thread count: {differ}"
+
+    @pytest.mark.parametrize("shape", _ONE_ROW_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_one_row_blocks_equal_softmax_rows_formulation(self, monkeypatch, shape):
+        # rows * n > 2^17, so each block is one Gram row and its output product a gemv
+        blocks = []
+        exp_rows = selection._exp_rows_in_place
+
+        def spy(z, tau_inv, symmetric=False):
+            blocks.append(z.shape)
+            return exp_rows(z, tau_inv, symmetric)
+
+        monkeypatch.setattr(selection, "_exp_rows_in_place", spy)
+        x = _off_zero_block(shape)
+        got = self_attention_round(x, 2.0)
+        assert blocks == [(1, shape[0])] * shape[0]
+        expected = softmax_rows(x @ x.T, 2.0) @ x
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_one_row_blocks_bits_equal_under_one_and_two_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from polyselect.selection import self_attention_round\n"
+            f"for rows, n in {_ONE_ROW_SHAPES}:\n"
+            "    x = 1 + 0.5 * np.random.default_rng(rows * 100 + n).normal(size=(rows, n)) / np.sqrt(n)\n"
+            "    digest = hashlib.sha256(self_attention_round(x, 2.0).tobytes()).hexdigest()\n"
+            "    print(rows, n, digest)\n"
+        )
+        src = str(Path(polyselect.__file__).parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            runs.append(out.stdout.splitlines())
+        one, two = runs
+        assert len(one) == len(two) == len(_ONE_ROW_SHAPES)
+        differ = [a.rsplit(" ", 1)[0] for a, b in zip(one, two) if a != b]
+        assert differ == [], f"(rows, n) whose bits depend on the thread count: {differ}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("row", [0, 599], ids=["first_block", "last_block"])
