@@ -21,6 +21,7 @@ fork nothing and import no process machinery.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -231,9 +232,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The pool of the recipe that reproduce is running: None outside a recipe,
-# else a list holding at most one (workers, pool) pair once a map has forked it.
-_recipe_pool: list | None = None
+# The pool slot of the open pool scope: None when no scope is open, else a
+# list holding at most one (workers, pool) pair once a map has forked it.
+_pool_slot: list | None = None
+
+
+@contextlib.contextmanager
+def _pool_scope():
+    """Share one lazily forked pool among the chunk maps inside; reap it on exit.
+
+    Inside an open scope this adds nothing: the outer scope owns the pool.
+    """
+    global _pool_slot
+    if _pool_slot is not None:
+        yield
+        return
+    _pool_slot = slot = []
+    try:
+        yield
+    finally:
+        _pool_slot = None
+        for _, pool in slot:
+            pool.shutdown()  # joins and reaps every worker
 
 
 def _fork_pool(workers: int):
@@ -246,15 +266,15 @@ def _fork_pool(workers: int):
 def _map_chunks(fn: Callable, items: list) -> list:
     """fn over items in order, on up to one forked worker per usable CPU.
 
-    Outside a recipe the pool lives only for this call: leaving the with
-    block joins and reaps every worker, on error too.  Inside a recipe the
-    call uses the recipe's pool, which reproduce reaps.  The first map that
-    needs workers forks it with its own worker count; a later map that needs
-    more shuts it down and forks a larger one, so no map runs on fewer
-    workers than a pool of its own would give it.  Fork, not spawn or
-    forkserver, because a fresh interpreter per worker would import numpy
-    again.  With one worker or no fork, the items run inline and no process
-    starts.
+    The map runs on the pool of the open pool scope, which reproduce holds
+    for a whole recipe; outside one it opens a scope of its own, so its pool
+    lives only for this call.  The first map of a scope that needs workers
+    forks the pool with its own worker count; a later map that needs more
+    shuts it down and forks a larger one, so no map runs on fewer workers
+    than a pool of its own would give it.  Leaving the scope joins and reaps
+    every worker, on error too.  Fork, not spawn or forkserver, because a
+    fresh interpreter per worker would import numpy again.  With one worker
+    or no fork, the items run inline and no process starts.
     """
     workers = min(_usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
@@ -263,14 +283,12 @@ def _map_chunks(fn: Callable, items: list) -> list:
     # per worker (multiprocessing.Pool.map's default): one message per chunk
     # costs more CPU than the chunk, and a few runs per worker keep the tail short
     runs = -(-len(items) // (4 * workers))
-    if _recipe_pool is None:
-        with _fork_pool(workers) as pool:
-            return list(pool.map(fn, items, chunksize=runs))
-    if _recipe_pool and _recipe_pool[0][0] < workers:
-        _recipe_pool.pop()[1].shutdown()
-    if not _recipe_pool:
-        _recipe_pool.append((workers, _fork_pool(workers)))
-    return list(_recipe_pool[0][1].map(fn, items, chunksize=runs))
+    with _pool_scope():
+        if _pool_slot and _pool_slot[0][0] < workers:
+            _pool_slot.pop()[1].shutdown()
+        if not _pool_slot:
+            _pool_slot.append((workers, _fork_pool(workers)))
+        return list(_pool_slot[0][1].map(fn, items, chunksize=runs))
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
@@ -597,19 +615,13 @@ def reproduce(name: str, out_dir: str | Path, seed: int = 0, scale: float = 1.0)
 
     scale < 1 shrinks task counts and grids proportionally (used by quick
     runs and the determinism checks); outputs remain fully deterministic in
-    (name, seed, scale).  The chunk maps of the recipe share one worker
-    pool, forked by the first map that needs it (see _map_chunks); no worker
-    is left when this returns or raises.
+    (name, seed, scale).  The recipe runs in one pool scope, so its chunk
+    maps share one worker pool, forked by the first map that needs it (see
+    _map_chunks); no worker is left when this returns or raises.
     """
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    global _recipe_pool
-    _recipe_pool = pools = []
-    try:
+    with _pool_scope():
         return RECIPES[name](out, seed, scale)
-    finally:
-        _recipe_pool = None
-        for _, pool in pools:
-            pool.shutdown()  # joins and reaps every worker

@@ -3,8 +3,10 @@
 Subcommands: gen-tasks, eval, sweep, theory, thresholds, reproduce.  Exit
 codes: 0 on success, 2 on usage errors (argparse's convention), 1 on runtime
 failures.  A --config file holds flat key=value lines named like the flags
-(underscores for dashes); explicit flags override file values, and a key the
-command does not read is a runtime error.
+(underscores for dashes); explicit flags override file values.  A command
+reads each setting as its flag, else its config key, else its default, and
+rejects what its mode did not read: an unread flag is a usage error, an
+unread config key a runtime error.
 """
 
 from __future__ import annotations
@@ -55,6 +57,50 @@ from .theory import (
 __all__ = ["main"]
 
 
+def _scale(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+# Every flag of every command, once, by its config key: the flag is the key
+# with dashes for underscores, and a config value is cast with the flag's type.
+FLAGS: dict[str, dict] = {
+    "config": dict(help="file of key=value lines named like the flags"),
+    "seed": dict(type=int),
+    "out_dir": dict(),
+    "format": dict(choices=("csv", "json")),
+    "family": dict(choices=("boolean", "sphere")),
+    "count": dict(type=int),
+    "task": dict(help="task JSON file (else generate)"),
+    "methods": dict(nargs="+", choices=METHODS),
+    "dump_scores": dict(help="write the task's feature scores to this CSV"),
+    "n": dict(type=int),
+    "alpha": dict(type=int),
+    "p": dict(type=float),
+    "r": dict(type=int),
+    "query_count": dict(type=int),
+    "encoding": dict(choices=[e.value for e in Encoding]),
+    "sample_count": dict(type=int),
+    "r_values": dict(),
+    "beta_values": dict(),
+    "tasks_per_cell": dict(type=int),
+    "trials": dict(type=int),
+    "kernel": dict(choices=[k.value for k in Kernel]),
+    "tau_inv": dict(type=float),
+    "sel_tau_inv": dict(type=float),
+    "epsilon": dict(type=float),
+    "rounds": dict(type=int),
+    "top_k": dict(type=int),
+    "svg": dict(action="store_true"),
+    "truth_table": dict(help="hex table"),
+    "scale": dict(type=_scale, help="shrink factor for quick runs"),
+}
+# flags that no config key sets
+FLAG_ONLY = frozenset({"methods", "format", "svg", "task", "dump_scores", "truth_table", "scale"})
+
+
 def _read_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
@@ -70,69 +116,80 @@ def _read_config(path: str | None) -> dict[str, str]:
     return out
 
 
-def _merged(args: argparse.Namespace, config: dict[str, str], key: str, cast, default):
-    """Flag value if given, else config value, else default.
+class _Inputs:
+    """One command's settings: read(key, default) is the flag if given, else
+    the config key, else the default, and records the key as read.
 
-    Takes the key out of config, so the keys left afterwards were never read.
+    done(command) rejects what the command did not read, before it reads a
+    task file or writes anything: a flag exits 2, a config key exits 1.
     """
-    raw = config.pop(key, None)
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if raw is not None:
-        return cast(raw)
-    return default
+
+    def __init__(self, parser: argparse.ArgumentParser, given: dict):
+        self.parser = parser
+        self.config = _read_config(given.pop("config", None))
+        self.given = given
+        self.read: set[str] = set()
+
+    def __call__(self, key: str, default=None):
+        self.read.add(key)
+        # a flag given beside its config key overrides the key, which counts as read
+        raw = None if key in FLAG_ONLY else self.config.pop(key, None)
+        if key in self.given:
+            return self.given[key]
+        return default if raw is None else FLAGS[key].get("type", str)(raw)
+
+    def done(self, command: str) -> None:
+        unread = sorted(self.given.keys() - self.read)
+        if unread:
+            flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+            self.parser.error(f"{command} does not read {flags}")
+        if self.config:
+            raise ValueError(f"{command} reads no config key {', '.join(sorted(self.config))}")
 
 
-def _reject_unread(config: dict[str, str], command: str) -> None:
-    if config:
-        raise ValueError(f"{command} reads no config key {', '.join(sorted(config))}")
-
-
-def _attention_from(args, config) -> AttentionConfig:
+def _attention_from(read: _Inputs) -> AttentionConfig:
     default = AttentionConfig()
     return AttentionConfig(
-        kind=Kernel(_merged(args, config, "kernel", str, default.kind)),
-        tau_inv=_merged(args, config, "tau_inv", float, default.tau_inv),
+        kind=Kernel(read("kernel", default.kind)),
+        tau_inv=read("tau_inv", default.tau_inv),
     )
 
 
-def _selection_from(args, config) -> SelectionConfig:
+def _selection_from(read: _Inputs) -> SelectionConfig:
     default = SelectionConfig()
     return SelectionConfig(
-        epsilon=_merged(args, config, "epsilon", float, default.epsilon),
-        tau_inv=_merged(args, config, "sel_tau_inv", float, default.tau_inv),
-        rounds=_merged(args, config, "rounds", int, default.rounds),
-        top_k=_merged(args, config, "top_k", int, default.top_k),
+        epsilon=read("epsilon", default.epsilon),
+        tau_inv=read("sel_tau_inv", default.tau_inv),
+        rounds=read("rounds", default.rounds),
+        top_k=read("top_k", default.top_k),
     )
 
 
-def _boolean_spec(args, config) -> BooleanTaskSpec:
+def _boolean_spec(read: _Inputs) -> BooleanTaskSpec:
     """The parity task spec of gen-tasks and eval; callers set its seed."""
     return BooleanTaskSpec(
-        n=_merged(args, config, "n", int, 10),
-        alpha=_merged(args, config, "alpha", int, 3),
-        p=_merged(args, config, "p", float, 0.5),
-        r=_merged(args, config, "r", int, 5),
-        query_count=_merged(args, config, "query_count", int, 32),
-        encoding=Encoding(_merged(args, config, "encoding", str, "plus_minus")),
+        n=read("n", 10),
+        alpha=read("alpha", 3),
+        p=read("p", 0.5),
+        r=read("r", 5),
+        query_count=read("query_count", 32),
+        encoding=Encoding(read("encoding", "plus_minus")),
     )
 
 
-def _cmd_gen_tasks(args) -> int:
-    config = _read_config(args.config)
-    seed = _merged(args, config, "seed", int, 0)
-    count = _merged(args, config, "count", int, 1)
-    out_dir = _merged(args, config, "out_dir", str, None)
-    family = _merged(args, config, "family", str, "boolean")
+def _cmd_gen_tasks(read: _Inputs) -> int:
+    seed = read("seed", 0)
+    count = read("count", 1)
+    out_dir = read("out_dir")
+    family = read("family", "boolean")
     if family == "boolean":
-        spec, generate = _boolean_spec(args, config), gen_boolean_task
+        spec, generate = _boolean_spec(read), gen_boolean_task
     elif family == "sphere":
-        spec = SphereTaskSpec(sample_count=_merged(args, config, "sample_count", int, 64))
+        spec = SphereTaskSpec(sample_count=read("sample_count", 64))
         generate = gen_sphere_task
     else:
         raise ValueError(f"unknown task family {family!r}")
-    _reject_unread(config, "gen-tasks")
+    read.done("gen-tasks")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
 
@@ -149,26 +206,27 @@ def _cmd_gen_tasks(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _read_config(args.config)
-    attention = _attention_from(args, config)
-    selection = _selection_from(args, config)
-    methods = args.methods or ["Attn", "AttnSoftFS", "Proto"]
-
-    if args.task:
-        _reject_unread(config, "eval --task")
-        task = task_from_json(Path(args.task).read_text())
+def _cmd_eval(read: _Inputs) -> int:
+    attention = _attention_from(read)
+    selection = _selection_from(read)
+    methods = read("methods", ["Attn", "AttnSoftFS", "Proto"])
+    dump_scores = read("dump_scores")
+    output_format = read("format", "csv")
+    task_file = read("task")
+    if task_file:
+        read.done("eval --task")
+        task = task_from_json(Path(task_file).read_text())
     else:
         # the first task gen-tasks writes for the same flags and config
-        seed = _merged(args, config, "seed", int, 0)
-        spec = replace(_boolean_spec(args, config), seed=task_seed(seed, 0))
-        _reject_unread(config, "eval")
+        seed = read("seed", 0)
+        spec = replace(_boolean_spec(read), seed=task_seed(seed, 0))
+        read.done("eval")
         task = gen_boolean_task(spec)
     rows = [{"method": m, "accuracy": evaluate_method(m, task, attention, selection)} for m in methods]
-    if args.dump_scores:
+    if dump_scores:
         scores = feature_scores(task.support, selection).tolist()
-        Path(args.dump_scores).write_text(csv_text(["feature_index", "score"], enumerate(scores)))
-    if args.format == "json":
+        Path(dump_scores).write_text(csv_text(["feature_index", "score"], enumerate(scores)))
+    if output_format == "json":
         print(json_text({"rows": rows}))
     else:
         print(csv_text(["method", "accuracy"], [[r["method"], r["accuracy"]] for r in rows]), end="")
@@ -179,34 +237,32 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v != "")
 
 
-def _cmd_sweep(args) -> int:
-    config = _read_config(args.config)
+def _cmd_sweep(read: _Inputs) -> int:
     spec = SweepSpec(
-        alpha=_merged(args, config, "alpha", int, 4),
-        r_values=_parse_int_list(_merged(args, config, "r_values", str, "1,2,5,10")),
-        beta_values=_parse_int_list(_merged(args, config, "beta_values", str, "0,3,6,10")),
-        p=_merged(args, config, "p", float, 0.5),
-        query_count=_merged(args, config, "query_count", int, 32),
-        methods=tuple(args.methods or ("Attn", "AttnSoftFS")),
-        tasks_per_cell=_merged(args, config, "tasks_per_cell", int, 500),
-        attention=_attention_from(args, config),
-        selection=_selection_from(args, config),
-        global_seed=_merged(args, config, "seed", int, 0),
+        alpha=read("alpha", 4),
+        r_values=_parse_int_list(read("r_values", "1,2,5,10")),
+        beta_values=_parse_int_list(read("beta_values", "0,3,6,10")),
+        p=read("p", 0.5),
+        query_count=read("query_count", 32),
+        methods=tuple(read("methods", ("Attn", "AttnSoftFS"))),
+        tasks_per_cell=read("tasks_per_cell", 500),
+        attention=_attention_from(read),
+        selection=_selection_from(read),
+        global_seed=read("seed", 0),
     )
-    out_dir = Path(_merged(args, config, "out_dir", str, "out"))
-    _reject_unread(config, "sweep")
+    out_dir = Path(read("out_dir", "out"))
+    output_format = read("format", "csv")
+    svg = read("svg", False)
+    read.done("sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = run_sweep(spec)
     failures = sum(cell.failures for cell in grid)
     if failures:
         message = "method evaluation(s) failed and are left out of the means and the tasks column"
         print(f"warning: {failures} {message}", file=sys.stderr)
-    written = []
-    if args.format in ("csv", None):
-        written.append(emit_csv(spec, grid, out_dir / "sweep.csv"))
-    if args.format == "json":
-        written.append(emit_json(spec, grid, out_dir / "sweep.json"))
-    if args.svg:
+    emit = emit_json if output_format == "json" else emit_csv
+    written = [emit(spec, grid, out_dir / f"sweep.{output_format}")]
+    if svg:
         for m in spec.methods:
             written.append(emit_svg_heatmap(spec, grid, m, out_dir / f"sweep_{m}.svg"))
     for path in written:
@@ -214,16 +270,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_theory(args) -> int:
-    config = _read_config(args.config)
-    alpha = _merged(args, config, "alpha", int, 3)
-    p = _merged(args, config, "p", float, 0.5)
-    r = _merged(args, config, "r", int, 2)
-    kernel = Kernel(_merged(args, config, "kernel", str, "dot"))
-    trials = _merged(args, config, "trials", int, 20000)
-    seed = _merged(args, config, "seed", int, 0)
-    betas = _parse_int_list(_merged(args, config, "beta_values", str, "0,1,2,3,4"))
-    _reject_unread(config, "theory")
+def _cmd_theory(read: _Inputs) -> int:
+    alpha = read("alpha", 3)
+    p = read("p", 0.5)
+    r = read("r", 2)
+    kernel = Kernel(read("kernel", "dot"))
+    trials = read("trials", 20000)
+    seed = read("seed", 0)
+    betas = _parse_int_list(read("beta_values", "0,1,2,3,4"))
+    read.done("theory")
+    if not betas:
+        raise ValueError("beta_values must be nonempty")
     growth = snr_growth(TheoryParams(alpha, 0, p, r, kernel), betas) if len(betas) > 1 else None
 
     header = [
@@ -257,52 +314,48 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _cmd_thresholds(args) -> int:
-    if args.action == "count":
-        solved_fraction, mean_best_accuracy = threshold_stats(args.n)
+def _cmd_thresholds(read: _Inputs) -> int:
+    action, n = read("action"), read("n")
+    truth_table = read("truth_table") if action == "approx" else None
+    read.done(f"thresholds {action}")
+    if action == "count":
+        solved_fraction, mean_best_accuracy = threshold_stats(n)
         payload = {
-            **_count_row(args.n),
+            **_count_row(n),
             "solved_fraction": solved_fraction,
             "mean_best_accuracy": mean_best_accuracy,
         }
-    elif args.action == "approx":
-        if not args.truth_table:
+    elif action == "approx":
+        if not truth_table:
             raise ValueError("approx needs --truth-table <hex>")
-        fn = BooleanFunction.from_hex(args.n, args.truth_table)
+        fn = BooleanFunction.from_hex(n, truth_table)
         agreement, witness = best_threshold_agreement(fn)
         payload = {
-            "n": args.n,
+            "n": n,
             "truth_table": fn.to_hex(),
             "max_agreement": agreement,
-            "accuracy": agreement / 2**args.n,
+            "accuracy": agreement / 2**n,
             "witness_weights": list(witness.weights),
             "witness_threshold": witness.threshold,
         }
-    elif args.action == "verify-xor-worst":
-        holds, offenders = verify_xor_worst(args.n)
+    else:  # verify-xor-worst
+        holds, offenders = verify_xor_worst(n)
         payload = {
-            "n": args.n,
+            "n": n,
             "holds": holds,
-            "xor_bound": xor_max_accuracy(args.n),
+            "xor_bound": xor_max_accuracy(n),
             "worst_count": len(offenders),
             "worst_tables_hex": [format(v, "x") for v in offenders[:64]],
         }
-    else:
-        raise ValueError(f"unknown thresholds action {args.action!r}")
     print(json_text(payload))
     return 0
 
 
-def _scale(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
-
-
-def _cmd_reproduce(args) -> int:
-    paths = reproduce(args.recipe, args.out_dir or "out", seed=args.seed or 0, scale=args.scale)
-    for path in paths:
+def _cmd_reproduce(read: _Inputs) -> int:
+    recipe, out_dir = read("recipe"), read("out_dir") or "out"
+    seed, scale = read("seed", 0), read("scale", 1.0)
+    read.done("reproduce")
+    for path in reproduce(recipe, out_dir, seed=seed, scale=scale):
         print(path)
     return 0
 
@@ -311,95 +364,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyselect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {
-        "--seed": dict(type=int, default=None),
-        "--out-dir": dict(dest="out_dir", default=None),
-        "--config": dict(default=None),
-        "--format": dict(choices=("csv", "json"), default=None),
-    }
+    def command(name, run, summary, *keys, **narrowed):
+        """A subcommand with the FLAGS named by keys; narrowed[key] adds keywords for this command."""
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        for key in (*keys, *narrowed):
+            p.add_argument("--" + key.replace("_", "-"), **FLAGS[key], **narrowed.get(key, {}))
+        p.set_defaults(run=run, parser=p)
+        return p
 
-    def add_common(p, *flags):
-        for flag in flags:
-            p.add_argument(flag, **common[flag])
-
-    p = sub.add_parser("gen-tasks", help="emit task JSON for a generator family")
-    add_common(p, "--seed", "--out-dir", "--config")
-    p.add_argument("--family", choices=("boolean", "sphere"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--query-count", dest="query_count", type=int, default=None)
-    p.add_argument("--encoding", choices=("plus_minus", "zero_one"), default=None)
-    p.add_argument("--sample-count", dest="sample_count", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.set_defaults(func=_cmd_gen_tasks)
-
-    p = sub.add_parser("eval", help="evaluate methods on one task")
-    add_common(p, "--seed", "--config", "--format")
-    p.add_argument("--task", default=None, help="task JSON file (else generate)")
-    p.add_argument("--methods", nargs="+", choices=METHODS, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--kernel", choices=[k.value for k in Kernel], default=None)
-    p.add_argument("--tau-inv", dest="tau_inv", type=float, default=None)
-    p.add_argument("--sel-tau-inv", dest="sel_tau_inv", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p.add_argument("--dump-scores", dest="dump_scores", default=None,
-                   help="write the task's feature scores to this CSV")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sweep", help="run a task grid sweep")
-    add_common(p, "--seed", "--out-dir", "--config", "--format")
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--r-values", dest="r_values", default=None)
-    p.add_argument("--beta-values", dest="beta_values", default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--tasks-per-cell", dest="tasks_per_cell", type=int, default=None)
-    p.add_argument("--methods", nargs="+", choices=METHODS, default=None)
-    p.add_argument("--kernel", choices=[k.value for k in Kernel], default=None)
-    p.add_argument("--tau-inv", dest="tau_inv", type=float, default=None)
-    p.add_argument("--sel-tau-inv", dest="sel_tau_inv", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("theory", help="analytic vs exhaustive vs Monte-Carlo table")
-    add_common(p, "--seed", "--config")
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--beta-values", dest="beta_values", default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--kernel", choices=[k.value for k in Kernel], default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=_cmd_theory)
-
-    p = sub.add_parser("thresholds", help="exact threshold-function queries")
+    task = ("n", "alpha", "p", "r", "query_count", "encoding")
+    knobs = ("kernel", "tau_inv", "sel_tau_inv", "epsilon", "rounds", "top_k")
+    command("gen-tasks", _cmd_gen_tasks, "emit task JSON for a generator family",
+            "seed", "out_dir", "config", "family", *task, "sample_count", "count")
+    command("eval", _cmd_eval, "evaluate methods on one task",
+            "seed", "config", "format", "task", "methods", *task, *knobs, "dump_scores")
+    command("sweep", _cmd_sweep, "run a task grid sweep",
+            "seed", "out_dir", "config", "format", "alpha", "r_values", "beta_values", "p",
+            "query_count", "tasks_per_cell", "methods", *knobs, "svg")
+    command("theory", _cmd_theory, "analytic vs exhaustive vs Monte-Carlo table",
+            "seed", "config", "alpha", "beta_values", "p", "r", "kernel", "trials")
+    p = command("thresholds", _cmd_thresholds, "exact threshold-function queries", "truth_table",
+                n=dict(required=True, choices=range(1, MAX_ENUM_N + 1)))
     p.add_argument("action", choices=("count", "approx", "verify-xor-worst"))
-    p.add_argument("--n", type=int, required=True, choices=range(1, MAX_ENUM_N + 1))
-    p.add_argument("--truth-table", dest="truth_table", default=None, help="hex table")
-    p.set_defaults(func=_cmd_thresholds)
-
-    p = sub.add_parser("reproduce", help="run a named experiment recipe")
+    p = command("reproduce", _cmd_reproduce, "run a named experiment recipe", "seed", "out_dir", "scale")
     p.add_argument("recipe", choices=sorted(RECIPES))
-    add_common(p, "--seed", "--out-dir")
-    p.add_argument("--scale", type=_scale, default=1.0, help="shrink factor for quick runs")
-    p.set_defaults(func=_cmd_reproduce)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "thresholds" and args.action != "approx" and args.truth_table is not None:
-        parser.error(f"thresholds {args.action} does not read --truth-table")
+    given = vars(build_parser().parse_args(argv))
+    del given["command"]
+    run, parser = given.pop("run"), given.pop("parser")
     try:
-        return args.func(args)
+        return run(_Inputs(parser, given))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -377,7 +377,7 @@ class TestRecipePool:
         assert len(map_sizes) == 6 and min(map_sizes) >= 2  # six sweeps, each needing two workers
         assert len(process_starts) == 2  # not 2 per sweep
         assert multiprocessing.active_children() == []
-        assert bench._recipe_pool is None
+        assert bench._pool_slot is None
         assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in inline]
 
     def test_larger_map_forks_a_larger_pool(self, monkeypatch, process_starts, tmp_path):
@@ -390,7 +390,7 @@ class TestRecipePool:
         assert reproduce("maps", tmp_path) == [[2, 2], [3, 3, 3], [2, 2]]
         assert len(process_starts) == 5  # 2, then 3 kept for the last map
         assert multiprocessing.active_children() == []
-        assert bench._recipe_pool is None
+        assert bench._pool_slot is None
 
     @pytest.mark.parametrize("recipe", ["table3_counts", "appD_xor_bound", "appC_boundary"])
     def test_exact_recipes_start_no_process(self, process_starts, map_sizes, recipe, tmp_path):
@@ -427,7 +427,7 @@ class TestRecipePool:
             reproduce("binary_strings_fs_raw", tmp_path, scale=0.01)
         assert len(process_starts) == 2
         assert multiprocessing.active_children() == []
-        assert bench._recipe_pool is None
+        assert bench._pool_slot is None
 
     def test_error_after_a_map_reaps_the_pool(self, monkeypatch, process_starts, map_sizes, tmp_path):
         # the first sweep forks the pool; the parent then raises before the second
@@ -440,7 +440,7 @@ class TestRecipePool:
         assert len(map_sizes) == 1
         assert len(process_starts) == 2
         assert multiprocessing.active_children() == []
-        assert bench._recipe_pool is None
+        assert bench._pool_slot is None
 
 
 class TestEmitters:

@@ -1,16 +1,26 @@
 import hashlib
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from polyselect.bench import parse_csv
 from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
-from polyselect.cli import main
+from polyselect.cli import build_parser, main
 from polyselect.core import task_from_json
 from polyselect.kernels import Kernel
 from polyselect.selection import feature_scores
 from polyselect.theory import TheoryParams, snr_growth
+
+
+# the flags of the boolean task spec, which gen-tasks --family sphere and eval --task do not read
+BOOLEAN_FLAGS = [
+    ("--n", "6"), ("--alpha", "2"), ("--p", "0.3"), ("--r", "2"),
+    ("--query-count", "5"), ("--encoding", "zero_one"),
+]
 
 
 class TestGenTasks:
@@ -41,6 +51,22 @@ class TestGenTasks:
         code = main(["gen-tasks", "--config", str(config), "--out-dir", str(out), *flags])
         assert code == 1
         assert "count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            *((["--family", "sphere", flag, value], flag) for flag, value in BOOLEAN_FLAGS),
+            (["--sample-count", "8"], "--sample-count"),
+            (["--family", "boolean", "--sample-count", "8"], "--sample-count"),
+        ],
+    )
+    def test_flag_of_the_other_family_is_usage_error(self, flags, unread, tmp_path, capsys):
+        out = tmp_path / "tasks"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-tasks", "--out-dir", str(out), *flags])
+        assert exc.value.code == 2
+        assert f"does not read {unread}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sphere_family(self, capsys):
@@ -90,6 +116,26 @@ class TestEval:
             ["eval", "--config", str(cfg), "--n", "8", "--methods", "Attn", "--format", "json"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "7"), *BOOLEAN_FLAGS])
+    def test_task_file_with_task_flag_is_usage_error(self, flag, value, tmp_path, capsys):
+        # the flag is read only when eval generates its task, and the file is never opened
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--task", str(tmp_path / "unread.json"), flag, value])
+        assert exc.value.code == 2
+        assert f"eval --task does not read {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("epsilon", "1e-6"), ("query_count", "7"), ("encoding", "zero_one")]
+    )
+    def test_config_only_keys_have_flags(self, flag, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        argv = ["eval", "--n", "6", "--alpha", "2", "--r", "3", "--seed", "4"]
+        assert main([*argv, "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main([*argv, "--" + flag.replace("_", "-"), value]) == 0
+        assert capsys.readouterr().out == from_config
 
     def test_config_task_equals_gen_tasks_task(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -300,6 +346,13 @@ class TestSweepAndTheory:
             ["nan", "nan"],
         ]
 
+    @pytest.mark.parametrize("betas", ["", ","])
+    def test_theory_empty_beta_list_is_runtime_error(self, betas, capsys):
+        assert main(["theory", "--beta-values", betas, "--trials", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "beta_values must be nonempty" in err
+
     def test_theory_snr_empty_for_one_beta(self, capsys):
         assert main(["theory", "--beta-values", "3", "--trials", "20"]) == 0
         header, row = capsys.readouterr().out.splitlines()
@@ -374,6 +427,25 @@ class TestReproduceAndExitCodes:
         code = main(["eval", "--task", "/nonexistent/task.json"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def readme_cli_lines() -> list[list[str]]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```bash\n(.*?)^```", readme, re.S | re.M).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    # every line parses; sweep and reproduce only parse, since full-scale fig7 takes seconds
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) == 9
+    for argv in lines:
+        build_parser().parse_args(argv)
+        if argv[0] not in ("sweep", "reproduce"):
+            assert main(argv) == 0, argv
+    assert (tmp_path / "scores.csv").exists()
+    capsys.readouterr()
 
 
 # sha256 of every byte a command prints (and, for --dump-scores, writes), taken
