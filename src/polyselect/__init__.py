@@ -37,7 +37,7 @@ from .kernels import (
     predict,
     softmax_rows,
 )
-from .prototypes import PrototypeSet, build_prototypes, proto_classify
+from .prototypes import build_prototypes, proto_classify
 from .selection import (
     SelectionConfig,
     feature_scores,

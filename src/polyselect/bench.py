@@ -121,8 +121,10 @@ class SweepSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}; choose from {METHODS}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("duplicate method names would collapse into one result")
+        for name in ("methods", "r_values", "beta_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
 
 @dataclass

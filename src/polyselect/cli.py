@@ -64,18 +64,26 @@ def _scale(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    """A file or directory argument; ValueError, so an empty one is a usage error
+    as a flag and a runtime error as a config value."""
+    if not text:
+        raise ValueError("path must not be empty")
+    return text
+
+
 # Every flag of every command, once, by its config key: the flag is the key
 # with dashes for underscores, and a config value is cast with the flag's type.
 FLAGS: dict[str, dict] = {
-    "config": dict(help="file of key=value lines named like the flags"),
+    "config": dict(type=_path, help="file of key=value lines named like the flags"),
     "seed": dict(type=int),
-    "out_dir": dict(),
+    "out_dir": dict(type=_path),
     "format": dict(choices=("csv", "json")),
     "family": dict(choices=("boolean", "sphere")),
     "count": dict(type=int),
-    "task": dict(help="task JSON file (else generate)"),
+    "task": dict(type=_path, help="task JSON file (else generate)"),
     "methods": dict(nargs="+", choices=METHODS),
-    "dump_scores": dict(help="write the task's feature scores to this CSV"),
+    "dump_scores": dict(type=_path, help="write the task's feature scores to this CSV"),
     "n": dict(type=int),
     "alpha": dict(type=int),
     "p": dict(type=float),
@@ -102,7 +110,7 @@ FLAG_ONLY = frozenset({"methods", "format", "svg", "task", "dump_scores", "truth
 
 
 def _read_config(path: str | None) -> dict[str, str]:
-    if not path:
+    if path is None:
         return {}
     out: dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
@@ -194,7 +202,7 @@ def _cmd_gen_tasks(read: _Inputs) -> int:
         raise ValueError(f"count must be >= 1, got {count}")
 
     tasks = [generate(replace(spec, seed=task_seed(seed, i))) for i in range(count)]
-    if out_dir:
+    if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for i, task in enumerate(tasks):
@@ -213,7 +221,7 @@ def _cmd_eval(read: _Inputs) -> int:
     dump_scores = read("dump_scores")
     output_format = read("format", "csv")
     task_file = read("task")
-    if task_file:
+    if task_file is not None:
         read.done("eval --task")
         task = task_from_json(Path(task_file).read_text())
     else:
@@ -223,7 +231,7 @@ def _cmd_eval(read: _Inputs) -> int:
         read.done("eval")
         task = gen_boolean_task(spec)
     rows = [{"method": m, "accuracy": evaluate_method(m, task, attention, selection)} for m in methods]
-    if dump_scores:
+    if dump_scores is not None:
         scores = feature_scores(task.support, selection).tolist()
         Path(dump_scores).write_text(csv_text(["feature_index", "score"], enumerate(scores)))
     if output_format == "json":
@@ -352,7 +360,7 @@ def _cmd_thresholds(read: _Inputs) -> int:
 
 
 def _cmd_reproduce(read: _Inputs) -> int:
-    recipe, out_dir = read("recipe"), read("out_dir") or "out"
+    recipe, out_dir = read("recipe"), read("out_dir", "out")
     seed, scale = read("seed", 0), read("scale", 1.0)
     read.done("reproduce")
     for path in reproduce(recipe, out_dir, seed=seed, scale=scale):

@@ -287,11 +287,24 @@ def _labeled_to_obj(ls: LabeledSet) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer; int() would truncate 1.6 to 1 without a word."""
+    if type(value) is not int:  # not isinstance, which accepts JSON true as an int
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, what: str) -> list[int]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a JSON list, got {values!r}")
+    return [_json_int(v, f"{what} entry") for v in values]
+
+
 def _labeled_from_obj(obj: dict) -> LabeledSet:
     return LabeledSet(
         features=np.array(obj["features"], dtype=np.float64),
-        labels=np.array(obj["labels"], dtype=np.int64),
-        k=int(obj["k"]),
+        labels=np.array(_json_ints(obj["labels"], "labels"), dtype=np.int64),
+        k=_json_int(obj["k"], "k"),
     )
 
 
@@ -321,13 +334,13 @@ def task_from_json(text: str) -> Task:
     if obj.get("meta") is not None:
         m = obj["meta"]
         meta = TaskMeta(
-            active_indices=tuple(m["active_indices"]),
-            alpha=int(m["alpha"]),
-            beta_irrelevant=int(m["beta_irrelevant"]),
+            active_indices=tuple(_json_ints(m["active_indices"], "meta active_indices")),
+            alpha=_json_int(m["alpha"], "meta alpha"),
+            beta_irrelevant=_json_int(m["beta_irrelevant"], "meta beta_irrelevant"),
             p=float(m["p"]),
-            r=int(m["r"]),
+            r=_json_int(m["r"], "meta r"),
             encoding=Encoding(m["encoding"]),
-            seed=int(m["seed"]),
+            seed=_json_int(m["seed"], "meta seed"),
         )
     return Task(
         support=_labeled_from_obj(obj["support"]),

@@ -1,53 +1,35 @@
-"""Class-mean prototype baseline: softmax over negative squared distances.
+"""Class-mean prototype baseline: attention over the class means.
 
-This is the threshold-classifier reference point, deliberately run on raw
-features (no learned embedding) to expose where nearest-mean classification
-breaks: a complete balanced parity task collapses every class mean onto the
-same point, leaving no decision boundary.
+The prototype classifier is a softmax over negative squared distances to the
+class means, which is attention whose keys are the means and whose values
+are their class ids under the squared-Euclidean kernel, so it runs through
+kernels.attend_probs.  It is the threshold-classifier reference point,
+deliberately run on raw features (no learned embedding) to expose where
+nearest-mean classification breaks: a complete balanced parity task collapses
+every class mean onto the same point, leaving no decision boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import LabeledSet
-from .kernels import AttentionConfig, Kernel, _require_finite, _softmax_in_place, similarity_matrix
+from .kernels import AttentionConfig, Kernel, attend_probs
 
-__all__ = ["PrototypeSet", "build_prototypes", "proto_classify"]
-
-
-@dataclass(frozen=True)
-class PrototypeSet:
-    """One mean feature vector per class, row c for class c (per task of a stack)."""
-
-    means: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        if means.ndim < 2 or means.shape[-2] != self.k:
-            raise ValueError("means must have one row per class")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("prototype means must be finite")
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
+__all__ = ["build_prototypes", "proto_classify"]
 
 
-def build_prototypes(support: LabeledSet) -> PrototypeSet:
-    """Arithmetic mean of each class's support rows; every class must appear."""
+def build_prototypes(support: LabeledSet) -> LabeledSet:
+    """Row c is the mean of class c's support rows, labelled c; every class must appear."""
     means = []
     for c in range(support.k):
         rows = support.class_rows(c)
         if rows.shape[-2] == 0:
             raise ValueError(f"class {c} has no support examples")
         means.append(rows.mean(axis=-2))
-    return PrototypeSet(means=np.stack(means, axis=-2), k=support.k)
+    return LabeledSet(np.stack(means, axis=-2), np.arange(support.k), k=support.k)
 
 
-def proto_classify(query_features: np.ndarray, protos: PrototypeSet, tau_inv: float = 1.0) -> np.ndarray:
+def proto_classify(query_features: np.ndarray, protos: LabeledSet, tau_inv: float = 1.0) -> np.ndarray:
     """Class probabilities: softmax of -tau_inv * squared distance to each mean."""
-    neg_sq = similarity_matrix(AttentionConfig(Kernel.SQ_EUCLIDEAN), query_features, protos.means)
-    _require_finite(neg_sq)
-    return _softmax_in_place(neg_sq, tau_inv)
+    return attend_probs(query_features, protos, AttentionConfig(Kernel.SQ_EUCLIDEAN, tau_inv))

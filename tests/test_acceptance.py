@@ -157,7 +157,7 @@ def test_a07_prototype_degeneracy():
     details = []
     for alpha in (2, 3, 4):
         protos = build_prototypes(xor_support(alpha))
-        gap = float(np.abs(protos.means[0] - protos.means[1]).max())
+        gap = float(np.abs(protos.features[0] - protos.features[1]).max())
         gap_ok = gap_ok and gap < 1e-12
         task = gen_boolean_task(
             BooleanTaskSpec(n=alpha, alpha=alpha, p=0.5, r=1, query_count=1000, seed=alpha)

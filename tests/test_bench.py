@@ -193,6 +193,11 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_spec(methods=("Attn", "Attn"))
 
+    @pytest.mark.parametrize("field", ["r_values", "beta_values"])
+    def test_duplicate_grid_values_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must not repeat a value"):
+            small_spec(**{field: (2, 1, 2)})
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             small_spec(methods=("Nope",))

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 import os
@@ -297,13 +296,6 @@ class TestCounts:
         for _ in range(2):
             with pytest.raises(ValueError, match="enumeration supports"):
                 boolefn._weight_box(n)
-
-    def test_public_functions_stay_plain_functions(self):
-        # layer tracing wraps only objects that inspect.isfunction accepts
-        for name in boolefn.__all__:
-            obj = getattr(boolefn, name)
-            if callable(obj) and not inspect.isclass(obj):
-                assert inspect.isfunction(obj), name
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dedup_equals_np_unique(self, n, monkeypatch):

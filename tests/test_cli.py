@@ -137,6 +137,30 @@ class TestEval:
         assert main([*argv, "--" + flag.replace("_", "-"), value]) == 0
         assert capsys.readouterr().out == from_config
 
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [
+            ("support", "labels", [0.6, 1.6]),
+            ("query", "labels", [True, 0]),
+            ("support", "k", 2.9),
+            ("meta", "alpha", 2.0),
+            ("meta", "r", 3.5),
+            ("meta", "seed", 7.2),
+            ("meta", "active_indices", [0.4, 1]),
+        ],
+    )
+    def test_non_integer_task_field_is_runtime_error(self, part, key, value, tmp_path, capsys):
+        assert main(["gen-tasks", "--n", "5", "--alpha", "2", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        task_file = tmp_path / "task_00000.json"
+        obj = json.loads(task_file.read_text())
+        if key == "labels":
+            value = value + obj[part]["labels"][len(value):]
+        obj[part][key] = value
+        task_file.write_text(json.dumps(obj))
+        assert main(["eval", "--task", str(task_file)]) == 1
+        assert "must be a JSON integer" in capsys.readouterr().err
+
     def test_config_task_equals_gen_tasks_task(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=6\nalpha=2\nr=3\nseed=7\nencoding=zero_one\n")
@@ -259,6 +283,8 @@ class TestSweepAndTheory:
             (["--r-values", "0", "--beta-values", "1"], "r_values must all be >= 1"),
             (["--r-values", "2,-3", "--beta-values", "1"], "r_values must all be >= 1"),
             (["--alpha", "0", "--r-values", "1", "--beta-values", "1"], "alpha must lie in"),
+            (["--alpha", "2", "--r-values", "1,1", "--beta-values", "0,2", "--svg"], "r_values must not repeat"),
+            (["--r-values", "1,2", "--beta-values", "3,0,3"], "beta_values must not repeat"),
         ],
     )
     def test_bad_grid_is_runtime_error_with_no_directory(self, flags, message, tmp_path, capsys):
@@ -422,6 +448,34 @@ class TestReproduceAndExitCodes:
     def test_scale_above_one_is_valid(self, tmp_path, capsys):
         assert main(["reproduce", "table3_counts", "--out-dir", str(tmp_path), "--scale", "2.5"]) == 0
         assert (tmp_path / "table3_counts.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "table3_counts", "--out-dir", ""],
+            ["sweep", "--out-dir", ""],
+            ["gen-tasks", "--out-dir", ""],
+            ["eval", "--task", ""],
+            ["eval", "--dump-scores", ""],
+            ["eval", "--config", ""],
+        ],
+    )
+    def test_empty_path_flag_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["sweep", "--tasks-per-cell", "1"], ["gen-tasks"]])
+    def test_empty_out_dir_key_is_runtime_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out_dir=\n")
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert "path must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_runtime_error_exits_1(self, capsys):
         code = main(["eval", "--task", "/nonexistent/task.json"])

@@ -11,17 +11,17 @@ from test_kernels import and_support, xor_support
 class TestBuildPrototypes:
     def test_complete_xor_prototypes_coincide(self):
         protos = build_prototypes(xor_support(2))
-        np.testing.assert_allclose(protos.means, np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(protos.features, np.zeros((2, 2)), atol=1e-15)
 
     def test_and_corner_means(self):
         protos = build_prototypes(and_support())
-        np.testing.assert_allclose(protos.means[1], [1.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(protos.means[0], [-1.0 / 3.0, -1.0 / 3.0], atol=1e-15)
+        np.testing.assert_allclose(protos.features[1], [1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(protos.features[0], [-1.0 / 3.0, -1.0 / 3.0], atol=1e-15)
 
     def test_singleton_classes(self):
         feats = np.array([[2.0, 1.0], [-3.0, 0.5]])
         protos = build_prototypes(LabeledSet(feats, [0, 1], k=2))
-        np.testing.assert_array_equal(protos.means, feats)
+        np.testing.assert_array_equal(protos.features, feats)
 
     def test_empty_class_rejected(self):
         support = LabeledSet(np.ones((2, 2)), [0, 0], k=2)
@@ -30,6 +30,19 @@ class TestBuildPrototypes:
 
 
 class TestStackedPrototypes:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stack_is_a_labeled_set_of_class_means(self, k):
+        rng = rng_for(5)
+        feats = rng.normal(size=(4, 3 * k, 2))
+        labels = np.arange(3 * k) % k
+        protos = build_prototypes(LabeledSet(feats, labels, k=k))
+        assert isinstance(protos, LabeledSet)
+        assert protos.k == k
+        assert protos.labels.tolist() == list(range(k))
+        assert protos.features.shape == (4, k, 2)
+        for c in range(k):
+            assert protos.features[:, c].tobytes() == feats[:, labels == c].mean(axis=-2).tobytes()
+
     def test_stack_equals_each_task(self):
         rng = rng_for(4)
         feats = rng.normal(size=(3, 6, 2))
@@ -48,6 +61,11 @@ class TestProtoClassify:
         queries = rng.normal(size=(16, 3))
         probs = proto_classify(queries, protos)
         np.testing.assert_allclose(probs, 0.5, atol=1e-12)
+
+    @pytest.mark.parametrize("tau_inv", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_tau_inv_rejected(self, tau_inv):
+        with pytest.raises(ValueError, match="tau_inv"):
+            proto_classify(np.zeros((1, 2)), build_prototypes(and_support()), tau_inv)
 
     def test_query_at_prototype_sharp(self):
         protos = build_prototypes(and_support())
@@ -83,7 +101,7 @@ class TestProtoClassify:
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_parity_degeneracy(self, alpha):
         protos = build_prototypes(xor_support(alpha))
-        gap = np.abs(protos.means[0] - protos.means[1]).max()
+        gap = np.abs(protos.features[0] - protos.features[1]).max()
         assert gap < 1e-12
 
 
@@ -95,5 +113,5 @@ class TestProtoClassifyBitIdentity:
         feats = rng.choice([-1.0, 1.0], size=shape) + rng.normal(scale=0.1, size=shape)
         queries = rng.choice([-1.0, 1.0], size=(shape[0], 7, shape[2]))
         protos = build_prototypes(LabeledSet(feats, np.arange(shape[1]) % 2, k=2))
-        neg_sq = similarity_matrix(AttentionConfig(Kernel.SQ_EUCLIDEAN), queries, protos.means)
+        neg_sq = similarity_matrix(AttentionConfig(Kernel.SQ_EUCLIDEAN), queries, protos.features)
         assert np.array_equal(proto_classify(queries, protos, tau_inv), softmax_rows(neg_sq, tau_inv))

