@@ -22,7 +22,6 @@ from .core import (
     LabeledSet,
     Task,
     TaskMeta,
-    decode_bits,
     encode_bits,
     one_hot,
     rng_for,
@@ -58,13 +57,11 @@ from .theory import (
     TheoryParams,
     and_boundary,
     exhaustive_stats,
-    expected_score,
     mc_misclassification,
     pbar,
     qbar,
     snr_growth,
     support_sum_stats,
-    var_score,
 )
 
 __version__ = "0.1.0"

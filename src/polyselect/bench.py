@@ -134,9 +134,20 @@ class CellResult:
     r: int
     beta: int
     tasks: int
-    accuracy_mean: dict[str, float]
-    accuracy_se: dict[str, float]
-    per_task: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    per_task: dict[str, np.ndarray] = field(repr=False)
+
+    @property
+    def accuracy_mean(self) -> dict[str, float]:
+        """Each method's mean accuracy; nan for a method with none."""
+        return {m: float(a.mean()) if a.size else float("nan") for m, a in self.per_task.items()}
+
+    @property
+    def accuracy_se(self) -> dict[str, float]:
+        """Each method's standard error of the mean; 0.0 below two accuracies."""
+        return {
+            m: float(a.std(ddof=1) / np.sqrt(a.size)) if a.size > 1 else 0.0
+            for m, a in self.per_task.items()
+        }
 
     @property
     def failures(self) -> int:
@@ -310,24 +321,8 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     results = []
     for (r, beta), items in zip(cells, plan):
         parts = list(itertools.islice(chunks, len(items)))
-        mean = {}
-        se = {}
-        per_task = {}
-        for m in spec.methods:
-            arr = np.concatenate([accs[m] for accs in parts])
-            per_task[m] = arr
-            mean[m] = float(arr.mean()) if arr.size else float("nan")
-            se[m] = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-        results.append(
-            CellResult(
-                r=r,
-                beta=beta,
-                tasks=spec.tasks_per_cell,
-                accuracy_mean=mean,
-                accuracy_se=se,
-                per_task=per_task,
-            )
-        )
+        per_task = {m: np.concatenate([accs[m] for accs in parts]) for m in spec.methods}
+        results.append(CellResult(r=r, beta=beta, tasks=spec.tasks_per_cell, per_task=per_task))
     return results
 
 

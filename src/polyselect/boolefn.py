@@ -81,9 +81,6 @@ class BooleanFunction:
     def to_hex(self) -> str:
         return format(self.to_int(), "x")
 
-    def complement(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, tuple(1 - v for v in self.truth_table))
-
 
 def xor_function(n: int) -> BooleanFunction:
     """Parity of all n inputs: true exactly when the corner's product is -1."""

@@ -144,7 +144,12 @@ class _Inputs:
         raw = None if key in FLAG_ONLY else self.config.pop(key, None)
         if key in self.given:
             return self.given[key]
-        return default if raw is None else FLAGS[key].get("type", str)(raw)
+        if raw is None:
+            return default
+        try:
+            return FLAGS[key].get("type", str)(raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
 
     def done(self, command: str) -> None:
         unread = sorted(self.given.keys() - self.read)

@@ -27,7 +27,6 @@ __all__ = [
     "TaskBatch",
     "TaskMeta",
     "csv_text",
-    "decode_bits",
     "encode_bits",
     "json_text",
     "one_hot",
@@ -146,10 +145,6 @@ class Task:
             if any(not 0 <= i < n for i in self.meta.active_indices):
                 raise ValueError("active indices out of range")
 
-    @property
-    def n_features(self) -> int:
-        return self.support.cols
-
 
 @dataclass(frozen=True)
 class TaskBatch:
@@ -224,18 +219,6 @@ def encode_bits(bits: Sequence[int], encoding: Encoding) -> np.ndarray:
     if encoding is Encoding.PLUS_MINUS:
         return 2.0 * arr - 1.0
     return arr
-
-
-def decode_bits(values: Sequence[float], encoding: Encoding) -> np.ndarray:
-    """Inverse of encode_bits; rejects values outside the encoding's image."""
-    arr = np.asarray(values, dtype=np.float64)
-    if encoding is Encoding.PLUS_MINUS:
-        if not ((arr == -1.0) | (arr == 1.0)).all():
-            raise ValueError("values must be -1 or +1 for plus_minus encoding")
-        return ((arr + 1.0) / 2.0).astype(np.int64)
-    if not ((arr == 0.0) | (arr == 1.0)).all():
-        raise ValueError("values must be 0 or 1 for zero_one encoding")
-    return arr.astype(np.int64)
 
 
 _MASK64 = (1 << 64) - 1

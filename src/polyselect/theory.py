@@ -43,14 +43,12 @@ __all__ = [
     "TheoryParams",
     "and_boundary",
     "exhaustive_stats",
-    "expected_score",
     "mc_misclassification",
     "mc_signed_sums",
     "pbar",
     "qbar",
     "snr_growth",
     "support_sum_stats",
-    "var_score",
 ]
 
 # Enumeration bounds for the exhaustive oracle.
@@ -155,26 +153,6 @@ def _bit_moments(params: TheoryParams) -> tuple[float, float]:
 def _log_gap(beta: int, c1: float, c2: float) -> float:
     """log(c2^beta - c1^(2 beta)); c2 > c1^2 by Jensen whenever qbar > 0."""
     return beta * math.log(c2) + math.log1p(-math.exp(beta * (2 * math.log(c1) - math.log(c2))))
-
-
-def expected_score(delta: int, params: TheoryParams) -> float:
-    """Mean of a single support row's score at active distance delta."""
-    if not 0 <= delta <= params.alpha:
-        raise ValueError("delta must lie in [0, alpha]")
-    c1, _ = _bit_moments(params)
-    f = float(_active_exponent(params.kernel, params.alpha, delta))
-    return math.exp(f + params.beta_irrelevant * math.log(c1))
-
-
-def var_score(delta: int, params: TheoryParams) -> float:
-    """Variance of a single support row's score at active distance delta."""
-    if not 0 <= delta <= params.alpha:
-        raise ValueError("delta must lie in [0, alpha]")
-    beta = params.beta_irrelevant
-    if beta == 0 or qbar(params.p) == 0.0:  # no irrelevant bits, or they always match
-        return 0.0
-    f = float(_active_exponent(params.kernel, params.alpha, delta))
-    return math.exp(2 * f + _log_gap(beta, *_bit_moments(params)))
 
 
 def _sum_bases(kernel: Kernel, alpha: int) -> tuple[float, float]:
@@ -363,6 +341,8 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
     betas = tuple(int(b) for b in betas)
     if len(betas) < 2:
         raise ValueError("need at least two beta values")
+    if len(set(betas)) != len(betas):
+        raise ValueError(f"betas must not repeat a value, got {list(betas)}")
     ratios = []
     for beta in betas:
         stats = support_sum_stats(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -439,7 +440,7 @@ class TestWorstCase:
         holds, offenders = verify_xor_worst(n)
         assert holds
         assert xor_function(n).to_int() in offenders
-        assert xor_function(n).complement().to_int() in offenders
+        assert xor_function(n).to_int() ^ (2 ** (2**n) - 1) in offenders
 
 
 class TestStats:
@@ -450,3 +451,23 @@ class TestStats:
         solved, mean_acc = threshold_stats(2)
         assert solved == 0.875
         assert mean_acc == 0.96875
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: BooleanFunction(0, (0,)), "n must be >= 1"),
+        (lambda: BooleanFunction.from_int(2, 16), "table integer out of range"),
+        (lambda: BooleanFunction.from_int(2, -1), "table integer out of range"),
+        (lambda: xor_max_accuracy(0), "n must be >= 1"),
+    ],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_witness_of_the_wrong_length_verifies_nothing():
+    # (1, 1) > 0 decides AND on two inputs, but not on three
+    assert ThresholdWitness((1, 1), 0).verify(BooleanFunction.from_int(2, 0b1000))
+    assert not ThresholdWitness((1, 1), 0).verify(BooleanFunction.from_int(3, 0b10000000))

@@ -285,11 +285,13 @@ class TestSweepAndTheory:
             (["--alpha", "0", "--r-values", "1", "--beta-values", "1"], "alpha must lie in"),
             (["--alpha", "2", "--r-values", "1,1", "--beta-values", "0,2", "--svg"], "r_values must not repeat"),
             (["--r-values", "1,2", "--beta-values", "3,0,3"], "beta_values must not repeat"),
+            (["--r-values", "", "--beta-values", "1"], "r_values and beta_values must be nonempty"),
+            (["--r-values", "1", "--beta-values", "1", "--tasks-per-cell", "0"], "tasks_per_cell must be >= 1"),
         ],
     )
     def test_bad_grid_is_runtime_error_with_no_directory(self, flags, message, tmp_path, capsys):
         out = tmp_path / "D"
-        code = main(["sweep", *flags, "--tasks-per-cell", "2", "--out-dir", str(out)])
+        code = main(["sweep", "--tasks-per-cell", "2", *flags, "--out-dir", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -378,6 +380,13 @@ class TestSweepAndTheory:
         out, err = capsys.readouterr()
         assert out == ""
         assert "beta_values must be nonempty" in err
+
+    def test_theory_repeated_beta_is_runtime_error(self, capsys):
+        # a slope fitted through repeated betas is a degenerate least-squares fit
+        assert main(["theory", "--beta-values", "1,1", "--trials", "100"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: betas must not repeat a value, got [1, 1]\n"
 
     def test_theory_snr_empty_for_one_beta(self, capsys):
         assert main(["theory", "--beta-values", "3", "--trials", "20"]) == 0
@@ -475,6 +484,46 @@ class TestReproduceAndExitCodes:
         cfg.write_text("out_dir=\n")
         assert main(argv + ["--config", str(cfg)]) == 1
         assert "path must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("alpha=x", "config key alpha: invalid literal for int() with base 10: 'x'"),
+            ("p=abc", "config key p: could not convert string to float: 'abc'"),
+            ("out_dir=", "config key out_dir: path must not be empty"),
+        ],
+    )
+    def test_bad_config_value_names_its_key(self, line, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["sweep", "--tasks-per-cell", "1", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_skips_comments_and_blank_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\n   \n  n = 6  \n")
+        assert main(["gen-tasks", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["gen-tasks", "--n", "6"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n=6\nalpha\n", "config line must be key=value: 'alpha'"),
+            ("family=x\n", "unknown task family 'x'"),
+        ],
+    )
+    def test_bad_config_file_is_runtime_error(self, text, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["gen-tasks", "--config", str(cfg), "--out-dir", "tasks"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_runtime_error_exits_1(self, capsys):

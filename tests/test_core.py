@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,7 @@ from polyselect.core import (
     LabeledSet,
     Task,
     TaskBatch,
-    decode_bits,
+    TaskMeta,
     encode_bits,
     one_hot,
     task_from_json,
@@ -48,29 +50,11 @@ class TestEncodeBits:
         with pytest.raises(ValueError):
             encode_bits([2], Encoding.PLUS_MINUS)
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64),
-           st.sampled_from(list(Encoding)))
-    def test_roundtrip(self, bits, scheme):
-        np.testing.assert_array_equal(decode_bits(encode_bits(bits, scheme), scheme), bits)
-
-    def test_decode_rejects_off_image(self):
-        with pytest.raises(ValueError):
-            decode_bits([0.5], Encoding.PLUS_MINUS)
-
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     @pytest.mark.parametrize("scheme", list(Encoding))
     def test_encode_rejects_non_bits(self, bad, scheme):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             encode_bits([1, bad, 0], scheme)
-
-    @pytest.mark.parametrize(
-        "scheme,bad",
-        [(Encoding.PLUS_MINUS, v) for v in (2, 0, 0.5, np.nan)]
-        + [(Encoding.ZERO_ONE, v) for v in (2, -1, 0.5, np.nan)],
-    )
-    def test_decode_rejects_every_off_image_value(self, scheme, bad):
-        with pytest.raises(ValueError, match="values must be"):
-            decode_bits([1.0, bad], scheme)
 
 
 class TestTaskSeed:
@@ -148,3 +132,37 @@ class TestTaskBatch:
         sup = LabeledSet(np.ones((1, 2, 2)), [0, 1], k=2)
         with pytest.raises(ValueError):
             TaskBatch(sup, np.full((1, 1, 2), np.inf), np.zeros((1, 1)), (None,))
+
+
+def _meta(**changes) -> TaskMeta:
+    fields = dict(active_indices=(0,), alpha=1, beta_irrelevant=2, p=0.5, r=1,
+                  encoding=Encoding.PLUS_MINUS, seed=0)
+    return TaskMeta(**{**fields, **changes})
+
+
+def _labeled(k: int = 2) -> LabeledSet:
+    return LabeledSet(np.zeros((2, 3)), [0, 1], k)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: LabeledSet(np.zeros(3), [0], 2), "feature matrix must be at least 2-d, got shape (3,)"),
+        (lambda: LabeledSet(np.zeros((0, 3)), [], 2), "feature matrix must be non-empty, got shape (0, 3)"),
+        (lambda: LabeledSet(np.zeros((2, 3)), [[0, 1]], 2), "labels must be 1-d with one entry per feature row"),
+        (lambda: LabeledSet(np.zeros((2, 3)), [0, 1, 1], 2), "labels must be 1-d with one entry per feature row"),
+        (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 1), "class count must be >= 2, got 1"),
+        (lambda: LabeledSet(np.zeros((2, 3)), [0, 2], 2), "labels must lie in [0, 2)"),
+        (lambda: _meta(alpha=2), "alpha must equal the number of active indices"),
+        (lambda: _meta(beta_irrelevant=-1), "irrelevant feature count must be >= 0"),
+        (lambda: _meta(p=1.5), "p must lie in [0, 1], got 1.5"),
+        (lambda: _meta(r=0), "variant repetition count must be >= 1, got 0"),
+        (lambda: Task(_labeled(2), _labeled(3)), "support and query must have the same class count"),
+        (lambda: Task(_labeled(), _labeled(), _meta(beta_irrelevant=1)),
+         "alpha + beta_irrelevant must equal feature count"),
+        (lambda: Task(_labeled(), _labeled(), _meta(active_indices=(3,))), "active indices out of range"),
+    ],
+)
+def test_constructors_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()

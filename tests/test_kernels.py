@@ -309,3 +309,9 @@ class TestDownwardOverflowIsSilent:
         # the scaled Gram [[1e308, -1e308], [-1e308, 1e308]] is finite; its shift is not
         x = np.array([[1.0], [-1.0]])
         assert np.array_equal(self_attention_round(x, 1e308), x)
+
+
+@pytest.mark.parametrize("kind", list(Kernel))
+def test_similarity_rejects_width_mismatch(kind):
+    with pytest.raises(ValueError, match="query and key vectors must have equal length"):
+        similarity_matrix(AttentionConfig(kind), np.ones((2, 3)), np.ones((2, 4)))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -434,7 +435,7 @@ class TestNormIsATemperature:
         for t in range(50):
             task = gen_boolean_task(BooleanTaskSpec(n=9, alpha=3, p=0.5, r=3, seed=task_seed(11, t)))
             scored = score_chunk(task.support, task.query.features, SelectionConfig())
-            yield task, scored, task.n_features / scored.scores.sum()
+            yield task, scored, task.support.cols / scored.scores.sum()
 
     def test_dot_norm_is_soft_at_rescaled_temperature(self):
         # dot products of features scaled by c gain c^2, which the softmax
@@ -456,3 +457,20 @@ class TestNormIsATemperature:
             soft = select_probs(scored, "AttnSoftFS", attn, sel, (task.meta,))
             worst = max(worst, float(np.abs(norm - soft).max()))
         assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: SelectionConfig(epsilon=0.0), "epsilon must be positive"),
+        (lambda: SelectionConfig(tau_inv=math.inf), "tau_inv must be positive and finite"),
+        (lambda: SelectionConfig(rounds=-1), "rounds must be >= 0"),
+        (lambda: SelectionConfig(top_k=0), "top_k must be >= 1"),
+        (lambda: self_attention_round(np.zeros((0, 3)), 1.0),
+         "class features must be a non-empty (..., rows, n) array"),
+        (lambda: feature_scores(LabeledSet(np.eye(4), [0, 1, 0, 1], k=3)), "class 2 has no support examples"),
+    ],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

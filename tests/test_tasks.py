@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -167,3 +168,16 @@ class TestSphereTasks:
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):
             SphereTaskSpec(sample_count=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        (dict(p=1.5), "p must lie in [0, 1]"),
+        (dict(r=0), "r must be >= 1"),
+        (dict(query_count=0), "query_count must be >= 1"),
+    ],
+)
+def test_boolean_spec_rejects_bad_fields(changes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BooleanTaskSpec(**{**dict(n=4, alpha=2), **changes})

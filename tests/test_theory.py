@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,14 +14,12 @@ from polyselect.theory import (
     TheoryParams,
     and_boundary,
     exhaustive_stats,
-    expected_score,
     mc_misclassification,
     mc_signed_sums,
     pbar,
     qbar,
     snr_growth,
     support_sum_stats,
-    var_score,
 )
 
 E = math.e
@@ -87,28 +86,6 @@ class TestPbar:
     def test_hand_value(self):
         assert pbar(0.3) == pytest.approx(0.58)
         assert qbar(0.3) == pytest.approx(0.42)
-
-
-class TestSingleScoreMoments:
-    def test_no_noise_reduces_to_active_term(self):
-        params = TheoryParams(alpha=3, beta_irrelevant=0, p=0.5, r=1)
-        assert expected_score(1, params) == pytest.approx(math.exp(1.0))
-        assert var_score(1, params) == 0.0
-
-    def test_two_case_enumeration_single_noise_bit(self):
-        # one irrelevant bit: matching (prob pbar) contributes e, differing 1/e
-        params = TheoryParams(alpha=1, beta_irrelevant=1, p=0.5, r=1)
-        manual = 0.5 * math.exp(1 + 1) + 0.5 * math.exp(1 - 1)
-        assert expected_score(0, params) == pytest.approx(manual, rel=1e-12)
-        assert manual == pytest.approx(4.194528049465325)
-
-    def test_midpoint_delta_is_unit(self):
-        params = TheoryParams(alpha=4, beta_irrelevant=0, p=0.5, r=1)
-        assert expected_score(2, params) == pytest.approx(1.0)
-
-    def test_delta_out_of_range(self):
-        with pytest.raises(ValueError):
-            expected_score(5, TheoryParams(alpha=4, beta_irrelevant=0, p=0.5, r=1))
 
 
 class TestSupportSumStats:
@@ -401,3 +378,24 @@ class TestAndBoundary:
     def test_rejects_bad_tau_inv(self, tau_inv):
         with pytest.raises(ValueError, match="tau_inv"):
             and_boundary(tau_inv, np.array([0.5, 1.0]))
+
+
+_PARAMS = TheoryParams(alpha=3, beta_irrelevant=0, p=0.5, r=2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: TheoryParams(alpha=0, beta_irrelevant=0, p=0.5, r=1), "alpha must be >= 1"),
+        (lambda: TheoryParams(alpha=1, beta_irrelevant=-1, p=0.5, r=1), "beta_irrelevant must be >= 0"),
+        (lambda: TheoryParams(alpha=1, beta_irrelevant=0, p=1.5, r=1), "p must lie in [0, 1]"),
+        (lambda: TheoryParams(alpha=1, beta_irrelevant=0, p=0.5, r=0), "r must be >= 1"),
+        (lambda: mc_signed_sums(_PARAMS, trials=0, seed=0), "trials must be >= 1"),
+        (lambda: snr_growth(_PARAMS, [3]), "need at least two beta values"),
+        (lambda: snr_growth(_PARAMS, [1, 1]), "betas must not repeat a value, got [1, 1]"),
+        (lambda: snr_growth(_PARAMS, [0, 2, 0, 4]), "betas must not repeat a value, got [0, 2, 0, 4]"),
+    ],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
