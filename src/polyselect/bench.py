@@ -3,11 +3,12 @@
 Every method in a cell is evaluated on the same tasks (seeds derive from the
 global seed and the task's grid position), so per-cell method differences are
 paired comparisons.  Each cell is evaluated in chunks of consecutive tasks,
-stacked on a leading task axis (a TaskBatch) and sized by a fixed memory
-budget.  The chunks of the whole grid run in forked worker processes, up to
-one per usable CPU, and their results are merged in grid order; a chunk's
-tasks depend only on its grid position, so rerunning a sweep or recipe with
-the same seed produces byte-identical output files on any number of CPUs.
+each chunk one Task whose arrays stack its tasks on a leading axis, sized by
+a fixed memory budget.  The chunks of the whole grid run in forked worker
+processes, up to one per usable CPU, and their results are merged in grid
+order; a chunk's tasks depend only on its grid position, so rerunning a
+sweep or recipe with the same seed produces byte-identical output files on
+any number of CPUs.
 fig5_sphere sends its tasks through the same pool.
 
 A sweep run on its own forks a pool for its one call.  While reproduce runs
@@ -38,7 +39,7 @@ from .boolefn import (
     verify_xor_worst,
     xor_max_accuracy,
 )
-from .core import Encoding, LabeledSet, Task, TaskBatch, csv_text, json_text, task_seed
+from .core import Encoding, LabeledSet, Task, csv_text, json_text, task_seed
 from .kernels import AttentionConfig, Kernel, attend_probs, predict
 from .prototypes import build_prototypes, proto_classify
 from .selection import FACTORS, SelectionConfig, feature_scores, score_chunk, select_probs
@@ -60,21 +61,22 @@ __all__ = [
 
 
 def _selection_method(name: str):
-    def probs(batch, attention, selection, scored):
-        return select_probs(scored(), name, attention, selection, batch.metas)
+    def probs(task, attention, selection, scored):
+        return select_probs(scored(), name, attention, selection)
 
     return probs
 
 
-# name -> probs(batch, attention, selection, scored): query class probabilities
-# (tasks, queries, k) of a chunk; scored() returns the chunk's shared Scored.
+# name -> probs(task, attention, selection, scored): query class probabilities
+# (..., queries, k) of a task or a stack of them; scored() returns its shared
+# Scored.  selection.top_k is filled in by the caller for AttnTopK.
 _METHODS = {
-    "Attn": lambda batch, attention, selection, scored: attend_probs(
-        batch.query_features, batch.support, attention
+    "Attn": lambda task, attention, selection, scored: attend_probs(
+        task.query.features, task.support, attention
     ),
     **{name: _selection_method(name) for name in FACTORS},
-    "Proto": lambda batch, attention, selection, scored: proto_classify(
-        batch.query_features, build_prototypes(batch.support), attention.tau_inv
+    "Proto": lambda task, attention, selection, scored: proto_classify(
+        task.query.features, build_prototypes(task.support), attention.tau_inv
     ),
 }
 METHODS = tuple(_METHODS)
@@ -155,14 +157,14 @@ class CellResult:
         return sum(self.tasks - accs.size for accs in self.per_task.values())
 
 
-def _scorer(batch: TaskBatch, selection: SelectionConfig):
-    """The chunk's scores, computed on first use and shared by every method."""
-    return functools.cache(lambda: score_chunk(batch.support, batch.query_features, selection))
+def _scorer(task: Task, selection: SelectionConfig):
+    """The task's scores, computed on first use and shared by every method."""
+    return functools.cache(lambda: score_chunk(task.support, task.query.features, selection))
 
 
-def _accuracies(name, batch, attention, selection, scored) -> np.ndarray:
-    probs = _METHODS[name](batch, attention, selection, scored)
-    return np.mean(predict(probs) == batch.query_labels, axis=-1)
+def _accuracies(name, task, attention, selection, scored) -> np.ndarray:
+    probs = _METHODS[name](task, attention, selection, scored)
+    return np.mean(predict(probs) == task.query.labels, axis=-1)
 
 
 def evaluate_method(
@@ -171,11 +173,18 @@ def evaluate_method(
     attention: AttentionConfig,
     selection: SelectionConfig,
 ) -> float:
-    """Query accuracy of one method on one task."""
+    """Query accuracy of one method on one task.
+
+    AttnTopK without top_k keeps as many features as the task's metadata
+    has active ones.
+    """
     if name not in _METHODS:
         raise ValueError(f"unknown method {name}")
-    batch = TaskBatch.of(task)
-    return float(_accuracies(name, batch, attention, selection, _scorer(batch, selection))[0])
+    if task.support.features.ndim != 2:
+        raise ValueError(f"evaluate_method takes one task, not a stack of {task.support.features.shape[0]}")
+    if selection.top_k is None and task.meta is not None:
+        selection = replace(selection, top_k=task.meta.alpha)
+    return float(_accuracies(name, task, attention, selection, _scorer(task, selection)))
 
 
 def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
@@ -192,22 +201,24 @@ def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
     return max(1, CHUNK_BYTES // (8 * floats))
 
 
-def _evaluate_chunk(spec: SweepSpec, batch: TaskBatch, accs: dict[str, list]) -> None:
-    """Append each method's per-task accuracies on the chunk.
+def _evaluate_chunk(spec: SweepSpec, chunk: Task, accs: dict[str, list]) -> None:
+    """Append each method's per-task accuracies on the chunk, a stack of tasks.
 
-    A method that raises ValueError on the chunk is evaluated again task by
-    task, so only the tasks it fails on are dropped.
+    AttnTopK without top_k keeps spec.alpha features.  A method that raises
+    ValueError on the chunk is evaluated again task by task, so only the
+    tasks it fails on are dropped.
     """
-    scored = _scorer(batch, spec.selection)
+    selection = spec.selection
+    if selection.top_k is None:
+        selection = replace(selection, top_k=spec.alpha)
+    scored = _scorer(chunk, selection)
     for m in spec.methods:
         try:
-            accs[m].extend(_accuracies(m, batch, spec.attention, spec.selection, scored))
+            accs[m].extend(_accuracies(m, chunk, spec.attention, selection, scored))
         except ValueError:
-            for t in range(len(batch)):
-                one = TaskBatch.of(batch.task(t))
-                scored_one = _scorer(one, spec.selection)
+            for t in range(chunk.support.features.shape[0]):
                 try:
-                    accs[m].extend(_accuracies(m, one, spec.attention, spec.selection, scored_one))
+                    accs[m].append(evaluate_method(m, chunk[t], spec.attention, selection))
                 except ValueError:
                     pass
 
@@ -232,9 +243,9 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     """
     spec, r, beta, first, start, stop = item
     seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
-    batch = gen_boolean_batch(_cell_shape(spec, r, beta), seeds)
+    chunk, _ = gen_boolean_batch(_cell_shape(spec, r, beta), seeds)
     accs: dict[str, list] = {m: [] for m in spec.methods}
-    _evaluate_chunk(spec, batch, accs)
+    _evaluate_chunk(spec, chunk, accs)
     return {m: np.array(v, dtype=np.float64) for m, v in accs.items()}
 
 

@@ -147,9 +147,13 @@ class _Inputs:
         if raw is None:
             return default
         try:
-            return FLAGS[key].get("type", str)(raw)
+            value = FLAGS[key].get("type", str)(raw)
+            choices = FLAGS[key].get("choices", (value,))
+            if value not in choices:
+                raise ValueError(f"invalid choice {raw!r} (choose from {', '.join(choices)})")
         except ValueError as exc:
             raise ValueError(f"config key {key}: {exc}") from None
+        return value
 
     def done(self, command: str) -> None:
         unread = sorted(self.given.keys() - self.read)
@@ -197,11 +201,8 @@ def _cmd_gen_tasks(read: _Inputs) -> int:
     family = read("family", "boolean")
     if family == "boolean":
         spec, generate = _boolean_spec(read), gen_boolean_task
-    elif family == "sphere":
-        spec = SphereTaskSpec(sample_count=read("sample_count", 64))
-        generate = gen_sphere_task
     else:
-        raise ValueError(f"unknown task family {family!r}")
+        spec, generate = SphereTaskSpec(sample_count=read("sample_count", 64)), gen_sphere_task
     read.done("gen-tasks")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -4,9 +4,10 @@ All numeric data is float64. Arrays are validated once and then locked
 (read-only), so tasks and labelled sets can be shared across threads; every
 operation in this package is a pure function of its inputs.
 
-Feature arrays are (..., rows, n): leading axes stack same-shape tasks that
-share one label layout (a TaskBatch), and every pipeline function works on
-the last two axes, so a single task is the case with no leading axis.
+Feature arrays are (..., rows, n): leading axes stack same-shape tasks into
+one Task, and every pipeline function works on the last two axes, so a single
+task is the case with no leading axis.  A stack's labels are either one row
+shared by every task or one row per task; the support's are always shared.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "Encoding",
     "LabeledSet",
     "Task",
-    "TaskBatch",
     "TaskMeta",
     "csv_text",
     "encode_bits",
@@ -67,8 +67,8 @@ class LabeledSet:
 
     External label spaces are arbitrary; callers map them to 0..k-1 on
     ingestion.  k >= 2 is required because every consumer here classifies.
-    Features may be a (tasks, rows, n) stack; the labels, one per row, are
-    then shared by every task in it.
+    Features may be a (tasks, rows, n) stack; the labels are then either
+    shared, one per row, or one row per task (features.shape[:-1]).
     """
 
     features: np.ndarray
@@ -78,8 +78,8 @@ class LabeledSet:
     def __post_init__(self):
         feats = _as_feature_matrix(self.features)
         labels = np.array(self.labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[-2]:
-            raise ValueError("labels must be 1-d with one entry per feature row")
+        if labels.shape not in ((feats.shape[-2],), feats.shape[:-1]):
+            raise ValueError("labels must be one per feature row, shared (rows,) or per task")
         if self.k < 2:
             raise ValueError(f"class count must be >= 2, got {self.k}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
@@ -97,8 +97,8 @@ class LabeledSet:
         return self.features.shape[-1]
 
     def class_rows(self, c: int) -> np.ndarray:
-        """Feature rows of class c (possibly empty), per task of a stack."""
-        return self.features[..., self.labels == c, :]
+        """Feature rows of class c (possibly empty), per task of a stack with shared labels."""
+        return self.features[..., _shared_labels(self.labels) == c, :]
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,12 @@ class TaskMeta:
 
 @dataclass(frozen=True)
 class Task:
-    """A few-shot episode: labelled support set plus labelled query set."""
+    """A few-shot episode: labelled support set plus labelled query set.
+
+    Support and query may be (tasks, rows, n) stacks of same-shape tasks;
+    the support labels are shared by every task, the query labels may be
+    per task, and generation metadata belongs to a single task only.
+    """
 
     support: LabeledSet
     query: LabeledSet
@@ -138,71 +143,38 @@ class Task:
             raise ValueError("support and query must have the same feature count")
         if self.support.k != self.query.k:
             raise ValueError("support and query must have the same class count")
+        if self.support.features.shape[:-2] != self.query.features.shape[:-2]:
+            raise ValueError("support and query must stack the same tasks")
+        if self.support.labels.ndim != 1:
+            raise ValueError("support labels must be shared by every task")
         if self.meta is not None:
+            if self.support.features.ndim != 2:
+                raise ValueError("meta describes a single task, not a stack")
             n = self.support.cols
             if self.meta.alpha + self.meta.beta_irrelevant != n:
                 raise ValueError("alpha + beta_irrelevant must equal feature count")
             if any(not 0 <= i < n for i in self.meta.active_indices):
                 raise ValueError("active indices out of range")
 
+    def __getitem__(self, t: int) -> Task:
+        """Task t of a stack, without metadata."""
+        s, q = self.support, self.query
+        if s.features.ndim < 3:
+            raise ValueError("a single task has no task axis to index")
+        labels = q.labels if q.labels.ndim == 1 else q.labels[t]
+        return Task(LabeledSet(s.features[t], s.labels, s.k), LabeledSet(q.features[t], labels, q.k))
 
-@dataclass(frozen=True)
-class TaskBatch:
-    """Same-shape tasks stacked on a leading task axis.
 
-    support is one LabeledSet with (tasks, rows, n) features and a label
-    layout shared by every task; queries are (tasks, queries, n) features with
-    per-task labels.  metas holds each task's generation metadata (or None).
-    """
-
-    support: LabeledSet
-    query_features: np.ndarray
-    query_labels: np.ndarray
-    metas: tuple[TaskMeta | None, ...]
-
-    def __post_init__(self):
-        feats = _as_feature_matrix(self.query_features)
-        labels = np.array(self.query_labels, dtype=np.int64)
-        tasks = len(self.metas)
-        if self.support.features.ndim != 3 or self.support.features.shape[0] != tasks:
-            raise ValueError("support features must be (tasks, rows, n), one task per meta")
-        if feats.ndim != 3 or feats.shape[0] != tasks or feats.shape[2] != self.support.cols:
-            raise ValueError("query features must be (tasks, queries, n) matching the support")
-        if labels.shape != feats.shape[:2]:
-            raise ValueError("query labels must be (tasks, queries)")
-        if labels.min() < 0 or labels.max() >= self.support.k:
-            raise ValueError(f"labels must lie in [0, {self.support.k})")
-        labels.setflags(write=False)
-        object.__setattr__(self, "query_features", feats)
-        object.__setattr__(self, "query_labels", labels)
-        object.__setattr__(self, "metas", tuple(self.metas))
-
-    @classmethod
-    def of(cls, task: Task) -> TaskBatch:
-        """A chunk of one."""
-        s = task.support
-        return cls(
-            support=LabeledSet(s.features[None], s.labels, s.k),
-            query_features=task.query.features[None],
-            query_labels=task.query.labels[None],
-            metas=(task.meta,),
-        )
-
-    def __len__(self) -> int:
-        return len(self.metas)
-
-    def task(self, i: int) -> Task:
-        s = self.support
-        return Task(
-            support=LabeledSet(s.features[i], s.labels, s.k),
-            query=LabeledSet(self.query_features[i], self.query_labels[i], s.k),
-            meta=self.metas[i],
-        )
+def _shared_labels(labels: np.ndarray) -> np.ndarray:
+    """labels if they are one row shared by every task, else ValueError."""
+    if np.ndim(labels) != 1:
+        raise ValueError(f"labels must be one row shared by every task, got shape {np.shape(labels)}")
+    return labels
 
 
 def one_hot(labels: Sequence[int], k: int) -> np.ndarray:
     """One-hot value matrix for dense class ids: one row per label, k columns."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _shared_labels(np.asarray(labels, dtype=np.int64))
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels must lie in [0, {k})")
     out = np.zeros((labels.shape[0], k), dtype=np.float64)
@@ -283,11 +255,14 @@ def _json_ints(values, what: str) -> list[int]:
     return [_json_int(v, f"{what} entry") for v in values]
 
 
-def _labeled_from_obj(obj: dict) -> LabeledSet:
+def _labeled_from_obj(obj: dict, what: str) -> LabeledSet:
+    features = np.array(obj["features"], dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"{what} features must be a list of rows, got shape {features.shape}")
     return LabeledSet(
-        features=np.array(obj["features"], dtype=np.float64),
-        labels=np.array(_json_ints(obj["labels"], "labels"), dtype=np.int64),
-        k=_json_int(obj["k"], "k"),
+        features=features,
+        labels=np.array(_json_ints(obj["labels"], f"{what} labels"), dtype=np.int64),
+        k=_json_int(obj["k"], f"{what} k"),
     )
 
 
@@ -326,7 +301,7 @@ def task_from_json(text: str) -> Task:
             seed=_json_int(m["seed"], "meta seed"),
         )
     return Task(
-        support=_labeled_from_obj(obj["support"]),
-        query=_labeled_from_obj(obj["query"]),
+        support=_labeled_from_obj(obj["support"], "support"),
+        query=_labeled_from_obj(obj["query"], "query"),
         meta=meta,
     )

@@ -14,9 +14,9 @@ scores scaled to mean one, AttnTopK keeps only the k best-scoring features.
 The factor multiplies standardised features, with query rows standardised
 using support statistics.
 
-Every step works on (..., rows, n) arrays, so a chunk of same-shape tasks
-that share one support label layout is standardised, scored and classified
-at once; score_chunk standardises a chunk once and its Scored result serves
+Every step works on (..., rows, n) arrays, so a stack of same-shape tasks
+that share one support label row is standardised, scored and classified at
+once; score_chunk standardises a chunk once and its Scored result serves
 every selection method.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledSet
+from .core import LabeledSet, _shared_labels
 from .kernels import AttentionConfig, _exp_rows_in_place, attend_probs
 
 __all__ = [
@@ -53,8 +53,8 @@ class SelectionConfig:
     produce; 2.0 keeps groups segregated well past rounds=10 on every task
     family in the test suite.
 
-    top_k is required by AttnTopK unless the task carries generation
-    metadata, in which case it defaults to the task's active-feature count.
+    top_k is required by AttnTopK.  bench fills it in when it is None: with
+    the sweep's alpha, or the active-feature count of a task's metadata.
     """
 
     epsilon: float = 1e-8
@@ -150,8 +150,9 @@ def dispersion(features: np.ndarray) -> np.ndarray:
 
 def _scores(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
     out = std_support.features.copy()
+    labels = _shared_labels(std_support.labels)
     for c in range(std_support.k):
-        rows = std_support.labels == c
+        rows = labels == c
         block = out[..., rows, :]
         if block.shape[-2] == 0:
             raise ValueError(f"class {c} has no support examples")
@@ -194,8 +195,10 @@ def score_chunk(support: LabeledSet, query_features: np.ndarray, config: Selecti
     return Scored(std_support, query, scores)
 
 
-def _top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
+def _top_k_mask(scores: np.ndarray, k: int | None) -> np.ndarray:
     """Binary mask keeping the k highest scores; ties keep the lowest index."""
+    if k is None:
+        raise ValueError("AttnTopK needs top_k (or task metadata with an active count)")
     n = scores.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"top_k must lie in [1, {n}], got {k}")
@@ -205,40 +208,28 @@ def _top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _resolve_top_k(metas, config: SelectionConfig) -> int:
-    if config.top_k is not None:
-        return config.top_k
-    alphas = {None if m is None else m.alpha for m in metas}
-    if len(alphas) == 1 and None not in alphas:
-        return alphas.pop()
-    raise ValueError("AttnTopK needs top_k (or task metadata with an active count)")
-
-
-def _mean_one(scores: np.ndarray, config: SelectionConfig, metas) -> np.ndarray:
+def _mean_one(scores: np.ndarray, config: SelectionConfig) -> np.ndarray:
     total = np.abs(scores).sum(axis=-1, keepdims=True)
     if np.any(total == 0):
         raise ValueError("cannot normalise all-zero scores")
     return scores / total * scores.shape[-1]
 
 
-# method name -> factor(scores, config, metas): the per-task (..., n)
-# multipliers the method applies to the standardised features; metas are the
-# chunk's task metadata, read only by AttnTopK when config.top_k is None
+# method name -> factor(scores, config): the per-task (..., n) multipliers
+# the method applies to the standardised features
 FACTORS = {
-    "AttnSoftFS": lambda scores, config, metas: scores,
+    "AttnSoftFS": lambda scores, config: scores,
     "AttnSoftFSNorm": _mean_one,
-    "AttnTopK": lambda scores, config, metas: _top_k_mask(scores, _resolve_top_k(metas, config)),
+    "AttnTopK": lambda scores, config: _top_k_mask(scores, config.top_k),
 }
 
 
-def select_probs(
-    scored: Scored, method: str, attn: AttentionConfig, sel: SelectionConfig, metas
-) -> np.ndarray:
+def select_probs(scored: Scored, method: str, attn: AttentionConfig, sel: SelectionConfig) -> np.ndarray:
     """Apply the method's factor to a scored chunk, then attend-classify its queries."""
     scores = scored.scores
     if np.any(scores < 0) or not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite and nonnegative")
-    factor = FACTORS[method](scores, sel, metas)[..., None, :]
+    factor = FACTORS[method](scores, sel)[..., None, :]
     sup = scored.support
     support = LabeledSet(sup.features * factor, sup.labels, sup.k)
     return attend_probs(scored.query_features * factor, support, attn)

@@ -9,12 +9,12 @@ distribution as the support.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import Encoding, LabeledSet, Task, TaskBatch, TaskMeta, encode_bits, rng_for
+from .core import Encoding, LabeledSet, Task, TaskMeta, encode_bits, rng_for
 
 __all__ = [
     "BooleanTaskSpec",
@@ -81,11 +81,12 @@ def _pattern_labels(patterns: np.ndarray) -> np.ndarray:
     return (zeros % 2).astype(np.int64)
 
 
-def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> TaskBatch:
+def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task, np.ndarray]:
     """One task of spec's shape per seed, stacked; spec's own seed is not read.
 
     Each task draws from its own seed's stream exactly as a lone task would:
     the active set, the support noise, the query noise, the query patterns.
+    Returns the stack and the (tasks, alpha) sorted active indices.
     """
     n, alpha, q = spec.n, spec.alpha, spec.query_count
     patterns = _variant_patterns(alpha)
@@ -111,28 +112,25 @@ def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> TaskBatch:
         return encode_bits(bits, spec.encoding)
 
     sup_variant = np.repeat(np.arange(patterns.shape[0]), spec.r)
-    metas = tuple(
-        TaskMeta(
-            active_indices=tuple(int(i) for i in act),
-            alpha=alpha,
-            beta_irrelevant=n - alpha,
-            p=spec.p,
-            r=spec.r,
-            encoding=spec.encoding,
-            seed=seed,
-        )
-        for act, seed in zip(active, seeds)
-    )
-    return TaskBatch(
+    stack = Task(
         support=LabeledSet(place(sup_u, patterns[sup_variant]), pattern_labels[sup_variant], k=2),
-        query_features=place(qry_u, patterns[qry_variant]),
-        query_labels=pattern_labels[qry_variant],
-        metas=metas,
+        query=LabeledSet(place(qry_u, patterns[qry_variant]), pattern_labels[qry_variant], k=2),
     )
+    return stack, active
 
 
 def gen_boolean_task(spec: BooleanTaskSpec) -> Task:
-    return gen_boolean_batch(spec, [spec.seed]).task(0)
+    stack, active = gen_boolean_batch(spec, [spec.seed])
+    meta = TaskMeta(
+        active_indices=active[0],
+        alpha=spec.alpha,
+        beta_irrelevant=spec.n - spec.alpha,
+        p=spec.p,
+        r=spec.r,
+        encoding=spec.encoding,
+        seed=spec.seed,
+    )
+    return replace(stack[0], meta=meta)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -27,7 +28,7 @@ from polyselect.bench import (
     reproduce,
     run_sweep,
 )
-from polyselect.core import Encoding, TaskBatch, csv_text, task_seed
+from polyselect.core import Encoding, LabeledSet, Task, csv_text, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import SelectionConfig
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
@@ -233,6 +234,22 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             evaluate_method("Nope", task, AttentionConfig(), SelectionConfig())
 
+    def test_stack_evaluation_rejected(self):
+        task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=1))
+        s, q = task.support, task.query
+        stack = Task(LabeledSet(s.features[None], s.labels, 2), LabeledSet(q.features[None], q.labels, 2))
+        with pytest.raises(ValueError, match="evaluate_method takes one task, not a stack of 1"):
+            evaluate_method("Attn", stack, AttentionConfig(), SelectionConfig())
+
+    def test_top_k_defaults_to_active_count(self):
+        attn = AttentionConfig()
+        tasks = [gen_boolean_task(BooleanTaskSpec(n=9, alpha=3, r=2, seed=s)) for s in range(8)]
+        default = [evaluate_method("AttnTopK", t, attn, SelectionConfig()) for t in tasks]
+        assert default == [evaluate_method("AttnTopK", t, attn, SelectionConfig(top_k=3)) for t in tasks]
+        assert default != [evaluate_method("AttnTopK", t, attn, SelectionConfig(top_k=1)) for t in tasks]
+        with pytest.raises(ValueError, match="needs top_k"):
+            evaluate_method("AttnTopK", replace(tasks[0], meta=None), attn, SelectionConfig())
+
 
 # a non-default value for every field of the configs the methods read
 KNOBS = {
@@ -243,9 +260,10 @@ KNOBS = {
 
 class TestConfigKnobs:
     def _probs(self, task, attention, selection) -> list[np.ndarray]:
-        batch = TaskBatch.of(task)
-        scored = bench._scorer(batch, selection)
-        return [bench._METHODS[m](batch, attention, selection, scored) for m in METHODS]
+        if selection.top_k is None:  # as evaluate_method fills it in
+            selection = replace(selection, top_k=task.meta.alpha)
+        scored = bench._scorer(task, selection)
+        return [bench._METHODS[m](task, attention, selection, scored) for m in METHODS]
 
     @pytest.mark.parametrize("config, name", [(c, f.name) for c in KNOBS for f in fields(c)])
     def test_every_field_changes_some_method(self, config, name):
@@ -569,3 +587,42 @@ class TestReproduce:
         assert "fig7_soft_fs.json" in names
         rows = parse_csv(tmp_path / "fig7_soft_fs.csv")
         assert {r["method"] for r in rows} == {"Attn", "AttnSoftFS"}
+
+
+def _golden_means() -> dict[tuple, float]:
+    """(family, alpha, r, beta, method) -> accuracy_mean over the golden sweep CSVs."""
+    means = {}
+    for stem in ("binary_strings/binary_strings_fs_raw", "fig7/fig7_soft_fs", "fig11/fig11_topk"):
+        for row in parse_csv(GOLDEN / f"{stem}.csv"):
+            means[row["family"], row["alpha"], row["r"], row["beta"], row["method"]] = row["accuracy_mean"]
+    return means
+
+
+def test_readme_measured_results_match_goldens():
+    # each README number must be its golden value rounded to the README's digits
+    section = (GOLDEN.parent / "README.md").read_text().split("## Measured results", 1)[1].split("\n## ")[0]
+    prose = " ".join(section.split())
+    golden = _golden_means()
+    claims = []  # (README text, golden value)
+    table = re.findall(r"^\| (\d+) \| (\d) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", section, re.M)
+    for n, alpha, *texts in table:
+        n, alpha = int(n), int(alpha)
+        for method, text in zip(("Attn", "AttnSoftFS", "Proto"), texts):
+            claims.append((text, golden[f"xor_n{n}", alpha, 5, n - alpha, method]))
+    uplifts = re.findall(r"\+([\d.]+)pp at r=(\d+), beta=(\d+)", prose)
+    for text, r, beta in uplifts:
+        cell = ("xor", 4, int(r), int(beta))
+        claims.append((text, 100 * (golden[(*cell, "AttnSoftFS")] - golden[(*cell, "Attn")])))
+    pairs = re.findall(r"([\d.]+) vs ([\d.]+) at (?:r=(\d+), )?beta=(\d+)", prose)
+    r = None
+    for top_k, soft, r_text, beta in pairs:
+        r = int(r_text or r)  # "at beta=10" keeps the r of the pair before it
+        claims.append((top_k, golden["xor", 4, r, int(beta), "AttnTopK"]))
+        claims.append((soft, golden["xor", 4, r, int(beta), "AttnSoftFS"]))
+    assert (len(table), len(uplifts), len(pairs)) == (6, 2, 2)
+    wrong = [
+        (text, value)
+        for text, value in claims
+        if abs(float(text) - value) > 0.5 * 10.0 ** -len(text.partition(".")[2]) + 1e-12
+    ]
+    assert wrong == []

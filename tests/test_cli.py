@@ -161,6 +161,19 @@ class TestEval:
         assert main(["eval", "--task", str(task_file)]) == 1
         assert "must be a JSON integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part", ["support", "query"])
+    def test_stacked_task_file_is_runtime_error(self, part, tmp_path, capsys):
+        assert main(["gen-tasks", "--n", "5", "--alpha", "2", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        task_file = tmp_path / "task_00000.json"
+        obj = json.loads(task_file.read_text())
+        rows = len(obj[part]["features"])
+        obj[part]["features"] = [obj[part]["features"]] * 2
+        task_file.write_text(json.dumps(obj))
+        assert main(["eval", "--task", str(task_file)]) == 1
+        message = f"{part} features must be a list of rows, got shape (2, {rows}, 5)"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_config_task_equals_gen_tasks_task(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=6\nalpha=2\nr=3\nseed=7\nencoding=zero_one\n")
@@ -514,7 +527,6 @@ class TestReproduceAndExitCodes:
         "text,message",
         [
             ("n=6\nalpha\n", "config line must be key=value: 'alpha'"),
-            ("family=x\n", "unknown task family 'x'"),
         ],
     )
     def test_bad_config_file_is_runtime_error(self, text, message, tmp_path, monkeypatch, capsys):
@@ -524,6 +536,23 @@ class TestReproduceAndExitCodes:
         assert main(["gen-tasks", "--config", str(cfg), "--out-dir", "tasks"]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "command, key, choices",
+        [
+            ("gen-tasks", "family", "boolean, sphere"),
+            ("eval", "encoding", "plus_minus, zero_one"),
+            ("eval", "kernel", "dot, cosine, sq_euclidean, laplace"),
+        ],
+    )
+    def test_config_value_outside_choices_names_its_key(self, command, key, choices, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=x\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        message = f"config key {key}: invalid choice 'x' (choose from {choices})"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_runtime_error_exits_1(self, capsys):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from polyselect.core import (
     Encoding,
     LabeledSet,
     Task,
-    TaskBatch,
     TaskMeta,
     encode_bits,
     one_hot,
@@ -17,6 +17,9 @@ from polyselect.core import (
     task_seed,
     task_to_json,
 )
+from polyselect.kernels import AttentionConfig, attend_probs
+from polyselect.prototypes import build_prototypes
+from polyselect.selection import feature_scores
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
 
 
@@ -103,13 +106,20 @@ class TestTaskModel:
         assert task_to_json(gen_boolean_task(spec)) == task_to_json(gen_boolean_task(spec))
 
 
-class TestTaskBatch:
-    def test_chunk_of_one_roundtrip(self):
+def _stack(tasks=2, rows=3, queries=5, n=4, query_labels=None) -> Task:
+    support = LabeledSet(np.ones((tasks, rows, n)), [0, 1, 0][:rows], k=2)
+    labels = np.zeros((tasks, queries), dtype=int) if query_labels is None else query_labels
+    return Task(support, LabeledSet(np.ones((tasks, queries, n)), labels, k=2))
+
+
+class TestTaskStack:
+    def test_stack_of_one_roundtrip(self):
         task = gen_boolean_task(BooleanTaskSpec(n=6, alpha=2, p=0.3, r=2, seed=11))
-        batch = TaskBatch.of(task)
-        assert len(batch) == 1
-        assert batch.support.features.shape == (1, 8, 6)
-        assert task_to_json(batch.task(0)) == task_to_json(task)
+        s, q = task.support, task.query
+        stack = Task(LabeledSet(s.features[None], s.labels, s.k), LabeledSet(q.features[None], q.labels[None], q.k))
+        assert stack.support.features.shape == (1, 8, 6)
+        assert stack[0].meta is None
+        assert task_to_json(stack[0]) == task_to_json(replace(task, meta=None))
 
     def test_stacked_labeled_set_shares_labels(self):
         feats = np.arange(12.0).reshape(2, 3, 2)
@@ -117,21 +127,57 @@ class TestTaskBatch:
         assert (ls.rows, ls.cols) == (3, 2)
         np.testing.assert_array_equal(ls.class_rows(0), feats[:, [0, 2], :])
 
-    def test_rejects_bad_query_shapes(self):
-        sup = LabeledSet(np.ones((2, 3, 4)), [0, 1, 0], k=2)
-        with pytest.raises(ValueError):
-            TaskBatch(sup, np.ones((2, 5, 3)), np.zeros((2, 5)), (None, None))
-        with pytest.raises(ValueError):
-            TaskBatch(sup, np.ones((2, 5, 4)), np.zeros((2, 4)), (None, None))
-        with pytest.raises(ValueError):
-            TaskBatch(sup, np.ones((2, 5, 4)), np.full((2, 5), 2), (None, None))
-        with pytest.raises(ValueError):
-            TaskBatch(sup, np.ones((3, 5, 4)), np.zeros((3, 5)), (None, None, None))
+    def test_indexing_picks_per_task_or_shared_query_labels(self):
+        per_task = _stack(query_labels=[[0, 1, 0, 1, 0], [1, 1, 1, 0, 0]])
+        np.testing.assert_array_equal(per_task[1].query.labels, [1, 1, 1, 0, 0])
+        shared = _stack(query_labels=[0, 1, 1, 0, 1])
+        np.testing.assert_array_equal(shared[1].query.labels, [0, 1, 1, 0, 1])
+        np.testing.assert_array_equal(shared[1].support.labels, [0, 1, 0])
+
+    def test_single_task_has_no_task_axis(self):
+        with pytest.raises(ValueError, match="a single task has no task axis"):
+            Task(_labeled(), _labeled())[0]
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Task(LabeledSet(np.ones((2, 3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((2, 5, 3)), [0] * 5, 2)),
+             "support and query must have the same feature count"),
+            (lambda: _stack(query_labels=np.zeros((2, 4))), "labels must be one per feature row"),
+            (lambda: _stack(query_labels=np.full((2, 5), 2)), "labels must lie in [0, 2)"),
+            (lambda: _stack(query_labels=[[0] * 5, [0, 0, 0, 0, -1]]), "labels must lie in [0, 2)"),
+            (lambda: Task(LabeledSet(np.ones((2, 3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((3, 5, 4)), [0] * 5, 2)),
+             "support and query must stack the same tasks"),
+            (lambda: Task(LabeledSet(np.ones((3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((1, 5, 4)), [0] * 5, 2)),
+             "support and query must stack the same tasks"),
+            (lambda: Task(LabeledSet(np.ones((2, 3, 4)), [[0, 1, 0], [1, 0, 1]], 2), _stack().query),
+             "support labels must be shared by every task"),
+            (lambda: Task(LabeledSet(np.ones((1, 2, 3)), [0, 1], 2), LabeledSet(np.ones((1, 2, 3)), [0, 1], 2), _meta()),
+             "meta describes a single task, not a stack"),
+        ],
+    )
+    def test_rejects_bad_stacks(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ls: attend_probs(np.ones((2, 1, 4)), ls, AttentionConfig()),
+            build_prototypes,
+            feature_scores,
+        ],
+        ids=["attend_probs", "build_prototypes", "feature_scores"],
+    )
+    def test_per_task_labels_rejected_where_shared_are_needed(self, call):
+        per_task = LabeledSet(np.arange(24.0).reshape(2, 3, 4), [[0, 1, 0], [1, 0, 1]], k=2)
+        with pytest.raises(ValueError, match=re.escape("labels must be one row shared by every task")):
+            call(per_task)
 
     def test_rejects_nonfinite_queries(self):
         sup = LabeledSet(np.ones((1, 2, 2)), [0, 1], k=2)
-        with pytest.raises(ValueError):
-            TaskBatch(sup, np.full((1, 1, 2), np.inf), np.zeros((1, 1)), (None,))
+        with pytest.raises(ValueError, match="non-finite"):
+            Task(sup, LabeledSet(np.full((1, 1, 2), np.inf), [[0]], k=2))
 
 
 def _meta(**changes) -> TaskMeta:
@@ -149,8 +195,12 @@ def _labeled(k: int = 2) -> LabeledSet:
     [
         (lambda: LabeledSet(np.zeros(3), [0], 2), "feature matrix must be at least 2-d, got shape (3,)"),
         (lambda: LabeledSet(np.zeros((0, 3)), [], 2), "feature matrix must be non-empty, got shape (0, 3)"),
-        (lambda: LabeledSet(np.zeros((2, 3)), [[0, 1]], 2), "labels must be 1-d with one entry per feature row"),
-        (lambda: LabeledSet(np.zeros((2, 3)), [0, 1, 1], 2), "labels must be 1-d with one entry per feature row"),
+        (lambda: LabeledSet(np.zeros((2, 3)), [[0, 1]], 2), "labels must be one per feature row, shared (rows,) or per task"),
+        (lambda: LabeledSet(np.zeros((2, 3)), [0, 1, 1], 2), "labels must be one per feature row, shared (rows,) or per task"),
+        (lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1]], 2), "labels must be one per feature row, shared (rows,) or per task"),
+        (lambda: one_hot([[0, 1]], 2), "labels must be one row shared by every task, got shape (1, 2)"),
+        (lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1], [1, 0]], 2).class_rows(0),
+         "labels must be one row shared by every task, got shape (2, 2)"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 1), "class count must be >= 2, got 1"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 2], 2), "labels must lie in [0, 2)"),
         (lambda: _meta(alpha=2), "alpha must equal the number of active indices"),

@@ -357,48 +357,41 @@ class TestApplySelection:
     def test_uniform_scores_keep_dot_predictions(self):
         task = self._task()
         attn, config = AttentionConfig(), SelectionConfig()
-        selected = select_probs(scored_with(task, np.full(6, 0.7)), "AttnSoftFS", attn, config, (task.meta,))
-        base = select_probs(scored_with(task, np.ones(6)), "AttnSoftFS", attn, config, (task.meta,))
+        selected = select_probs(scored_with(task, np.full(6, 0.7)), "AttnSoftFS", attn, config)
+        base = select_probs(scored_with(task, np.ones(6)), "AttnSoftFS", attn, config)
         np.testing.assert_array_equal(predict(selected), predict(base))
 
     def test_top_k_full_width_is_identity_mask(self):
         task = self._task()
-        factor = FACTORS["AttnTopK"](np.arange(1.0, 7.0), SelectionConfig(top_k=6), (task.meta,))
+        factor = FACTORS["AttnTopK"](np.arange(1.0, 7.0), SelectionConfig(top_k=6))
         np.testing.assert_array_equal(factor, np.ones(6))
         scored = scored_with(task, np.arange(1.0, 7.0))
-        probs = select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=6), (task.meta,))
+        probs = select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=6))
         plain = attend_probs(scored.query_features, scored.support, AttentionConfig())
         assert probs.tobytes() == plain.tobytes()
 
     def test_top_k_rank_selection(self):
-        factor = FACTORS["AttnTopK"](np.array([3.0, 1.0, 2.0]), SelectionConfig(top_k=2), (None,))
+        factor = FACTORS["AttnTopK"](np.array([3.0, 1.0, 2.0]), SelectionConfig(top_k=2))
         np.testing.assert_array_equal(factor, [1.0, 0.0, 1.0])
 
     def test_top_k_tie_break_keeps_lowest_index(self):
-        factor = FACTORS["AttnTopK"](np.ones((2, 4)), SelectionConfig(top_k=2), (None, None))
+        factor = FACTORS["AttnTopK"](np.ones((2, 4)), SelectionConfig(top_k=2))
         np.testing.assert_array_equal(factor, [[1.0, 1.0, 0.0, 0.0]] * 2)
 
     def test_top_k_exceeding_width_rejected(self):
         task = self._task()
         scored = scored_with(task, np.ones(6))
         with pytest.raises(ValueError, match="top_k must lie"):
-            select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=7), (task.meta,))
-
-    def test_top_k_defaults_to_active_count(self):
-        task = self._task()
-        factor = FACTORS["AttnTopK"](np.arange(6.0), SelectionConfig(), (task.meta, task.meta))
-        assert factor.sum() == task.meta.alpha
-        with pytest.raises(ValueError, match="needs top_k"):
-            FACTORS["AttnTopK"](np.arange(6.0), SelectionConfig(), (task.meta, None))
+            select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=7))
 
     def test_normalised_scores_mean_one(self):
         task = self._task()
         scores = np.array([4.0, 0.0, 0.0, 0.0, 0.0, 2.0])
-        factor = FACTORS["AttnSoftFSNorm"](scores, SelectionConfig(), (task.meta,))
+        factor = FACTORS["AttnSoftFSNorm"](scores, SelectionConfig())
         np.testing.assert_allclose(factor, scores / scores.sum() * 6, rtol=1e-15)
         assert factor.mean() == pytest.approx(1.0, rel=1e-15)
         with pytest.raises(ValueError, match="all-zero"):
-            FACTORS["AttnSoftFSNorm"](np.zeros(6), SelectionConfig(), (task.meta,))
+            FACTORS["AttnSoftFSNorm"](np.zeros(6), SelectionConfig())
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("method", sorted(FACTORS))
@@ -406,7 +399,7 @@ class TestApplySelection:
         task = self._task()
         scored = scored_with(task, [1.0, 2.0, bad, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            select_probs(scored, method, AttentionConfig(), SelectionConfig(top_k=2), (task.meta,))
+            select_probs(scored, method, AttentionConfig(), SelectionConfig(top_k=2))
 
 
 class TestFsClassify:
@@ -424,7 +417,7 @@ class TestFsClassify:
         task = gen_boolean_task(BooleanTaskSpec(n=6, alpha=3, p=0.5, r=2, seed=9))
         config = SelectionConfig(rounds=0)
         scored = score_chunk(task.support, task.query.features, config)
-        probs = select_probs(scored, "AttnSoftFS", AttentionConfig(), config, (task.meta,))
+        probs = select_probs(scored, "AttnSoftFS", AttentionConfig(), config)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -443,8 +436,8 @@ class TestNormIsATemperature:
         sel = SelectionConfig()
         worst = 0.0
         for task, scored, c in self._pairs():
-            norm = select_probs(scored, "AttnSoftFSNorm", AttentionConfig(tau_inv=1.5), sel, (task.meta,))
-            soft = select_probs(scored, "AttnSoftFS", AttentionConfig(tau_inv=1.5 * c**2), sel, (task.meta,))
+            norm = select_probs(scored, "AttnSoftFSNorm", AttentionConfig(tau_inv=1.5), sel)
+            soft = select_probs(scored, "AttnSoftFS", AttentionConfig(tau_inv=1.5 * c**2), sel)
             worst = max(worst, float(np.abs(norm - soft).max()))
         assert worst <= 1e-12
 
@@ -453,8 +446,8 @@ class TestNormIsATemperature:
         attn, sel = AttentionConfig(Kernel.COSINE, 1.5), SelectionConfig()
         worst = 0.0
         for task, scored, _ in self._pairs():
-            norm = select_probs(scored, "AttnSoftFSNorm", attn, sel, (task.meta,))
-            soft = select_probs(scored, "AttnSoftFS", attn, sel, (task.meta,))
+            norm = select_probs(scored, "AttnSoftFSNorm", attn, sel)
+            soft = select_probs(scored, "AttnSoftFS", attn, sel)
             worst = max(worst, float(np.abs(norm - soft).max()))
         assert worst <= 1e-12
 
@@ -466,6 +459,8 @@ class TestNormIsATemperature:
         (lambda: SelectionConfig(tau_inv=math.inf), "tau_inv must be positive and finite"),
         (lambda: SelectionConfig(rounds=-1), "rounds must be >= 0"),
         (lambda: SelectionConfig(top_k=0), "top_k must be >= 1"),
+        (lambda: FACTORS["AttnTopK"](np.arange(6.0), SelectionConfig()),
+         "AttnTopK needs top_k (or task metadata with an active count)"),
         (lambda: self_attention_round(np.zeros((0, 3)), 1.0),
          "class features must be a non-empty (..., rows, n) array"),
         (lambda: feature_scores(LabeledSet(np.eye(4), [0, 1, 0, 1], k=3)), "class 2 has no support examples"),

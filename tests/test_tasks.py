@@ -132,11 +132,14 @@ class TestBooleanBatch:
     def test_batch_rows_equal_lone_tasks(self, encoding):
         base = BooleanTaskSpec(n=7, alpha=3, p=0.4, r=2, query_count=9, encoding=encoding)
         seeds = [task_seed(3, t) for t in range(6)]
-        batch = gen_boolean_batch(base, seeds)
-        assert len(batch) == 6
-        assert batch.support.features.shape == (6, 16, 7)
+        stack, active = gen_boolean_batch(base, seeds)
+        assert stack.support.features.shape == (6, 16, 7)
+        assert stack.query.labels.shape == (6, 9)
+        assert stack.meta is None and active.shape == (6, 3)
         for t, seed in enumerate(seeds):
-            assert task_to_json(batch.task(t)) == task_to_json(gen_boolean_task(replace(base, seed=seed)))
+            lone = gen_boolean_task(replace(base, seed=seed))
+            assert task_to_json(stack[t]) == task_to_json(replace(lone, meta=None))
+            assert tuple(active[t]) == lone.meta.active_indices
 
 
 class TestSphereTasks:
