@@ -268,6 +268,11 @@ def _labeled_from_obj(obj: dict, what: str) -> LabeledSet:
 
 def task_to_json(task: Task) -> str:
     """Canonical JSON for a task; identical tasks serialize byte-identically."""
+    shape = task.support.features.shape
+    if len(shape) != 2:
+        raise ValueError(
+            f"a task file holds one task: support features must be a list of rows, got shape {shape}"
+        )
     obj = {
         "support": _labeled_to_obj(task.support),
         "query": _labeled_to_obj(task.query),

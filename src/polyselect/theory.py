@@ -11,7 +11,8 @@ A pair of irrelevant bits agrees with probability pbar = p^2 + (1-p)^2, so
 each support row's irrelevant contribution is a binomial over beta trials.
 The closed forms below treat those contributions as independent across
 support rows; exhaustive_stats evaluates exactly that model by enumerating
-the (query-bit, support-bit) configurations, and mc_misclassification
+the (query-bit, support-bit) configurations, once per (beta, p, per-bit
+exponents m, mm) per process, and mc_misclassification
 samples full tasks instead (where one query shares its irrelevant bits
 across all support rows, which leaves the mean unchanged but perturbs the
 variance when p != 0.5).
@@ -28,6 +29,7 @@ is treated as an alias.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +57,10 @@ __all__ = [
 _MAX_ALPHA = 4
 _MAX_BETA = 6
 _MAX_R = 3
+
+# (beta, p, m, mm) keys whose pair moments a process keeps: the beta bound
+# gives 7 betas per (p, kernel exponents), and an entry is two floats.
+_PAIR_CACHE_SIZE = 256
 
 # exp overflows float64 near 709, so closed forms switch to log space; values
 # whose log exceeds this still overflow to inf on conversion.
@@ -193,30 +199,18 @@ def support_sum_stats(params: TheoryParams) -> ScoreStats:
     return ScoreStats(mean=mean, variance=variance)
 
 
-def exhaustive_stats(params: TheoryParams) -> ScoreStats:
-    """Exact moments of the signed score sum by enumerating bit configurations.
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
+def _pair_moments(beta: int, p: float, m: float, mm: float) -> tuple[float, float]:
+    """(E e^g, E e^(2g)) of one support row's irrelevant exponent g, exactly.
 
-    For each active distance delta, every (query bits, support bits) pair of
-    irrelevant configurations is enumerated with its exact probability to get
-    the per-row score moments; rows combine under the independence the closed
-    forms assume.  This is the oracle that adjudicates the closed forms: any
-    disagreement beyond float error means the closed form is wrong.
+    All 2^beta x 2^beta (query, support) configurations are enumerated in
+    row-major order, each configuration's probability the left-to-right
+    product of its bit factors, and each moment is summed in that order.
     """
-    alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
-    if alpha > _MAX_ALPHA or beta > _MAX_BETA or r > _MAX_R:
-        raise ValueError(
-            f"enumeration bounds exceeded: need alpha <= {_MAX_ALPHA}, "
-            f"beta <= {_MAX_BETA}, r <= {_MAX_R}"
-        )
-    m, mm = _bit_exponents(params.kernel)
-
-    # Enumerate irrelevant-bit pairs once: all 2^beta x 2^beta (query,
-    # support) configurations in row-major order, each configuration's
-    # probability the left-to-right product of its bit factors.
     configs = np.arange(2**beta)
     bits = (configs[:, None] >> np.arange(beta)) & 1
     factors = np.ones((configs.shape[0], beta + 1))
-    factors[:, 1:] = np.where(bits, params.p, 1.0 - params.p)
+    factors[:, 1:] = np.where(bits, p, 1.0 - p)
     prob = np.multiply.accumulate(factors, axis=1)[:, -1]
     weight = (prob[:, None] * prob).ravel()
     matches = beta - np.bitwise_count(configs[:, None] ^ configs).ravel()
@@ -227,8 +221,31 @@ def exhaustive_stats(params: TheoryParams) -> ScoreStats:
         # accumulate adds in order, as the pairs were enumerated; np.sum would not
         return float(np.add.accumulate(weight * np.array(exp_by_matches)[matches])[-1])
 
-    e1_bits = pair_sum([math.exp(v) for v in g])
-    e2_bits = pair_sum([math.exp(2 * v) for v in g])
+    return pair_sum([math.exp(v) for v in g]), pair_sum([math.exp(2 * v) for v in g])
+
+
+def exhaustive_stats(params: TheoryParams) -> ScoreStats:
+    """Exact moments of the signed score sum by enumerating bit configurations.
+
+    For each active distance delta, every (query bits, support bits) pair of
+    irrelevant configurations is enumerated with its exact probability to get
+    the per-row score moments; rows combine under the independence the closed
+    forms assume.  This is the oracle that adjudicates the closed forms: any
+    disagreement beyond float error means the closed form is wrong.
+
+    The enumeration depends only on (beta, p, the kernel's per-bit
+    exponents), so it runs once per such key per process (_pair_moments);
+    each call then combines the cached pair moments over alpha, r and the
+    active exponents.
+    """
+    alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
+    if alpha > _MAX_ALPHA or beta > _MAX_BETA or r > _MAX_R:
+        raise ValueError(
+            f"enumeration bounds exceeded: need alpha <= {_MAX_ALPHA}, "
+            f"beta <= {_MAX_BETA}, r <= {_MAX_R}"
+        )
+    # float(p): keys that compare equal (0, 0.0, np.float64(0)) must give equal bits
+    e1_bits, e2_bits = _pair_moments(beta, float(params.p), *_bit_exponents(params.kernel))
 
     mean = 0.0
     variance = 0.0

@@ -358,10 +358,11 @@ class TestSweepProcesses:
         assert min(planned) >= 8, planned
 
     def test_import_loads_no_process_machinery(self):
-        # the pool's modules are imported only when a sweep starts one
+        # the pool's modules are imported only when a sweep starts one, and
+        # numpy.random only when something draws (it costs a forked pool's RSS)
         code = (
             "import sys, polyselect; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'numpy.random') "
             "if m in sys.modules))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]))
@@ -425,9 +426,11 @@ class TestRecipePool:
         code = (
             "import sys\n"
             "from polyselect.bench import reproduce\n"
+            "from polyselect.theory import TheoryParams, exhaustive_stats\n"
             "for recipe in ('table3_counts', 'appD_xor_bound', 'appC_boundary'):\n"
             "    reproduce(recipe, sys.argv[1])\n"
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "exhaustive_stats(TheoryParams(alpha=2, beta_irrelevant=3, p=0.3, r=1))\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'numpy.random') "
             "if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]))

@@ -20,7 +20,7 @@ from polyselect.core import (
 from polyselect.kernels import AttentionConfig, attend_probs
 from polyselect.prototypes import build_prototypes
 from polyselect.selection import feature_scores
-from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
+from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_task
 
 
 class TestOneHot:
@@ -120,6 +120,14 @@ class TestTaskStack:
         assert stack.support.features.shape == (1, 8, 6)
         assert stack[0].meta is None
         assert task_to_json(stack[0]) == task_to_json(replace(task, meta=None))
+
+    def test_stack_is_not_a_task_file(self):
+        stack = gen_boolean_batch(BooleanTaskSpec(n=4, alpha=2), [1, 2])[0]
+        message = "a task file holds one task: support features must be a list of rows, got shape (2, 4, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            task_to_json(stack)
+        text = task_to_json(stack[0])
+        assert task_to_json(task_from_json(text)) == text
 
     def test_stacked_labeled_set_shares_labels(self):
         feats = np.arange(12.0).reshape(2, 3, 2)

@@ -57,6 +57,40 @@ def _loop_exhaustive_stats(params: TheoryParams) -> ScoreStats:
     return ScoreStats(mean=mean, variance=variance)
 
 
+def _shared_query_var(params: TheoryParams) -> float:
+    """Exact variance of the sampled signed sum, whose query shares its
+    irrelevant bits with every support row.  Given the query's irrelevant
+    weight w ~ Bin(beta, p) the rows are independent, so Var S is
+    E_w[Var(S|w)] + Var_w(E[S|w])."""
+    alpha, beta, p, r = params.alpha, params.beta_irrelevant, params.p, params.r
+    m, mm = theory._bit_exponents(params.kernel)
+    # per irrelevant bit, E e^g (a) and E e^2g (b) given a query bit of 1 or 0
+    a1, a0 = p * math.exp(m) + (1 - p) * math.exp(mm), (1 - p) * math.exp(m) + p * math.exp(mm)
+    b1, b0 = p * math.exp(2 * m) + (1 - p) * math.exp(2 * mm), (1 - p) * math.exp(2 * m) + p * math.exp(2 * mm)
+    signed = squared = 0.0
+    for delta in range(alpha + 1):
+        count = r * math.comb(alpha, delta)
+        f = theory._active_exponent(params.kernel, alpha, delta)
+        signed += (-1) ** delta * count * math.exp(f)
+        squared += count * math.exp(2 * f)
+    mean = second = within = 0.0
+    for w in range(beta + 1):
+        pw = math.comb(beta, w) * p**w * (1 - p) ** (beta - w)
+        a, b = a1**w * a0 ** (beta - w), b1**w * b0 ** (beta - w)
+        mean += pw * signed * a
+        second += pw * (signed * a) ** 2
+        within += pw * squared * (b - a * a)
+    return within + second - mean * mean
+
+
+def _variance_z(sums: np.ndarray, variance: float) -> float:
+    """z of the sample variance against variance, its SE from the fourth moment."""
+    n = sums.size
+    s2 = float(np.var(sums, ddof=1))
+    m4 = float(np.mean((sums - sums.mean()) ** 4))
+    return (s2 - variance) / math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n)
+
+
 def _reference_mc_signed_sums(params, trials, seed, tau_inv=1.0):
     """Reference sampler: the same draws, matches summed in one float64 reduction."""
     alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
@@ -154,13 +188,26 @@ class TestExhaustiveOracle:
         assert a == b
 
     def test_equals_loop_oracle_bit_for_bit(self):
-        # r = 2 is left out to keep the loops under 2 s; r only scales counts
-        grid = itertools.product(
-            range(1, 5), range(7), (0.0, 0.3, 0.5, 0.8, 1.0), (1, 3), list(Kernel)
-        )
-        for alpha, beta, p, r, kernel in grid:
-            params = TheoryParams(alpha, beta, p, r, kernel)
-            assert exhaustive_stats(params) == _loop_exhaustive_stats(params), params
+        # r = 2 is left out to keep the loops short; r only scales counts.  p
+        # also comes as other spellings of 0, 0.3 and 1, which must share the
+        # pair cache's entries without changing a bit.
+        ps = (0, 0.3, np.float64(0.3), 0.5, 0.8, 1.0, 1, -0.0, 0.0)
+        grid = [
+            TheoryParams(*point)
+            for point in itertools.product(range(1, 5), range(7), ps, (1, 3), list(Kernel))
+        ]
+        want = [_loop_exhaustive_stats(params) for params in grid]
+        assert theory._pair_moments.cache_info().maxsize is not None
+        # each direction starts from a cleared cache, so another spelling of 0,
+        # 0.3 and 1 fills their keys, and later calls read them under other
+        # (alpha, r, kernel)
+        for order in (slice(None), slice(None, None, -1)):
+            theory._pair_moments.cache_clear()
+            for params, expected in zip(grid[order], want[order]):
+                assert exhaustive_stats(params) == expected, params
+            # one enumeration per beta, distinct p and per-bit exponent pair
+            # (dot and cosine share theirs, as laplace and sq_euclidean do)
+            assert theory._pair_moments.cache_info().misses == 7 * 5 * 2
 
     def test_enumeration_bounds(self):
         with pytest.raises(ValueError):
@@ -192,6 +239,22 @@ class TestMonteCarlo:
             result = mc_misclassification(params, trials=20_000, seed=3)
             analytic = support_sum_stats(params)
             assert abs(result.variance - analytic.variance) / analytic.variance < 0.10
+
+    @pytest.mark.parametrize("alpha, beta, p, r", [(2, 6, 0.1, 1), (3, 4, 0.3, 2)])
+    def test_variance_matches_shared_query_oracle(self, alpha, beta, p, r):
+        # mc_var describes the sampled model; the printed analytic_var the
+        # independent-row one, which the same gate rejects at p != 0.5
+        params = TheoryParams(alpha, beta, p, r)
+        sums = mc_signed_sums(params, trials=400_000, seed=17)
+        assert abs(_variance_z(sums, _shared_query_var(params))) <= 4
+        assert abs(_variance_z(sums, support_sum_stats(params).variance)) > 4
+
+    @pytest.mark.parametrize("kernel", [Kernel.DOT, Kernel.COSINE, Kernel.SQ_EUCLIDEAN])
+    def test_shared_query_oracle_is_analytic_at_symmetric_p(self, kernel):
+        for alpha, beta, r in [(1, 3, 1), (2, 4, 2), (3, 6, 3)]:
+            params = TheoryParams(alpha, beta, 0.5, r, kernel)
+            analytic = support_sum_stats(params).variance
+            assert _shared_query_var(params) == pytest.approx(analytic, rel=1e-12)
 
     def test_rate_grows_with_noise(self):
         rates = []
