@@ -2,13 +2,14 @@
 
 Every method in a cell is evaluated on the same tasks (seeds derive from the
 global seed and the task's grid position), so per-cell method differences are
-paired comparisons.  Each cell is evaluated in chunks of consecutive tasks,
-each chunk one Task whose arrays stack its tasks on a leading axis, sized by
-a fixed memory budget.  The chunks of the whole grid run in forked worker
-processes, up to one per usable CPU, and their results are merged in grid
-order; a chunk's tasks depend only on its grid position, so rerunning a
-sweep or recipe with the same seed produces byte-identical output files on
-any number of CPUs.
+paired comparisons.  METHODS names the classifiers a sweep can compare, and
+_probs dispatches each name to its query class probabilities.  Each cell is
+evaluated in chunks of consecutive tasks, each chunk one Task whose arrays
+stack its tasks on a leading axis, sized by a fixed memory budget.  The
+chunks of the whole grid run in forked worker processes, up to one per usable
+CPU, and their results are merged in grid order; a chunk's tasks depend only
+on its grid position, so rerunning a sweep or recipe with the same seed
+produces byte-identical output files on any number of CPUs.
 fig5_sphere sends its tasks through the same pool.
 
 A sweep run on its own forks a pool for its one call.  While reproduce runs
@@ -60,26 +61,7 @@ __all__ = [
 ]
 
 
-def _selection_method(name: str):
-    def probs(task, attention, selection, scored):
-        return select_probs(scored(), name, attention, selection)
-
-    return probs
-
-
-# name -> probs(task, attention, selection, scored): query class probabilities
-# (..., queries, k) of a task or a stack of them; scored() returns its shared
-# Scored.  selection.top_k is filled in by the caller for AttnTopK.
-_METHODS = {
-    "Attn": lambda task, attention, selection, scored: attend_probs(
-        task.query.features, task.support, attention
-    ),
-    **{name: _selection_method(name) for name in FACTORS},
-    "Proto": lambda task, attention, selection, scored: proto_classify(
-        task.query.features, build_prototypes(task.support), attention.tau_inv
-    ),
-}
-METHODS = tuple(_METHODS)
+METHODS = ("Attn", *FACTORS, "Proto")
 
 # Chunk size budget: bytes of the largest per-task float64 temporary in a chunk.
 # A chunk has a fixed cost (validating its task specs, a few hundred numpy
@@ -162,8 +144,21 @@ def _scorer(task: Task, selection: SelectionConfig):
     return functools.cache(lambda: score_chunk(task.support, task.query.features, selection))
 
 
+def _probs(name: str, task: Task, attention, selection, scored) -> np.ndarray:
+    """Query class probabilities (..., queries, k) of a task or a stack of them.
+
+    scored() returns the task's shared Scored; the caller fills in
+    selection.top_k for AttnTopK.
+    """
+    if name == "Attn":
+        return attend_probs(task.query.features, task.support, attention)
+    if name == "Proto":
+        return proto_classify(task.query.features, build_prototypes(task.support), attention.tau_inv)
+    return select_probs(scored(), name, attention, selection)
+
+
 def _accuracies(name, task, attention, selection, scored) -> np.ndarray:
-    probs = _METHODS[name](task, attention, selection, scored)
+    probs = _probs(name, task, attention, selection, scored)
     return np.mean(predict(probs) == task.query.labels, axis=-1)
 
 
@@ -178,7 +173,7 @@ def evaluate_method(
     AttnTopK without top_k keeps as many features as the task's metadata
     has active ones.
     """
-    if name not in _METHODS:
+    if name not in METHODS:
         raise ValueError(f"unknown method {name}")
     if task.support.features.ndim != 2:
         raise ValueError(f"evaluate_method takes one task, not a stack of {task.support.features.shape[0]}")
@@ -201,28 +196,6 @@ def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
     return max(1, CHUNK_BYTES // (8 * floats))
 
 
-def _evaluate_chunk(spec: SweepSpec, chunk: Task, accs: dict[str, list]) -> None:
-    """Append each method's per-task accuracies on the chunk, a stack of tasks.
-
-    AttnTopK without top_k keeps spec.alpha features.  A method that raises
-    ValueError on the chunk is evaluated again task by task, so only the
-    tasks it fails on are dropped.
-    """
-    selection = spec.selection
-    if selection.top_k is None:
-        selection = replace(selection, top_k=spec.alpha)
-    scored = _scorer(chunk, selection)
-    for m in spec.methods:
-        try:
-            accs[m].extend(_accuracies(m, chunk, spec.attention, selection, scored))
-        except ValueError:
-            for t in range(chunk.support.features.shape[0]):
-                try:
-                    accs[m].append(evaluate_method(m, chunk[t], spec.attention, selection))
-                except ValueError:
-                    pass
-
-
 def _cell_shape(spec: SweepSpec, r: int, beta: int) -> BooleanTaskSpec:
     return BooleanTaskSpec(
         n=spec.alpha + beta,
@@ -235,18 +208,32 @@ def _cell_shape(spec: SweepSpec, r: int, beta: int) -> BooleanTaskSpec:
 
 
 def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
-    """Each method's per-task accuracies on one chunk.
+    """Each method's per-task accuracies on one chunk, a stack of tasks.
 
     An item is (spec, r, beta, first, start, stop): tasks start..stop of the
     cell whose first task has grid index first.  It is small and picklable, so
-    a worker process builds the chunk's tasks itself.
+    a worker process builds the chunk's tasks itself.  AttnTopK without top_k
+    keeps spec.alpha features.  A method that raises ValueError on the stack
+    is evaluated again task by task, so only the tasks it fails on are dropped.
     """
     spec, r, beta, first, start, stop = item
     seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
     chunk, _ = gen_boolean_batch(_cell_shape(spec, r, beta), seeds)
-    accs: dict[str, list] = {m: [] for m in spec.methods}
-    _evaluate_chunk(spec, chunk, accs)
-    return {m: np.array(v, dtype=np.float64) for m, v in accs.items()}
+    selection = spec.selection
+    if selection.top_k is None:
+        selection = replace(selection, top_k=spec.alpha)
+    scored = _scorer(chunk, selection)
+    accs = {}
+    for m in spec.methods:
+        try:
+            accs[m] = _accuracies(m, chunk, spec.attention, selection, scored)
+        except ValueError:
+            kept = []
+            for t in range(stop - start):
+                with contextlib.suppress(ValueError):
+                    kept.append(evaluate_method(m, chunk[t], spec.attention, selection))
+            accs[m] = np.array(kept, dtype=np.float64)
+    return accs
 
 
 def _usable_cpus() -> int:
@@ -353,25 +340,25 @@ _CSV_TYPES = {
 
 
 def _grid_rows(spec: SweepSpec, grid: list[CellResult], family: str = "xor") -> list[dict]:
-    """One row per (cell, method) under _CSV_TYPES; tasks counts the method's accuracies."""
+    """One row per (cell, method), each value cast to its _CSV_TYPES column; CSV and JSON write these."""
     return [
-        dict(
-            zip(
-                _CSV_TYPES,
+        {
+            column: cast(value)
+            for (column, cast), value in zip(
+                _CSV_TYPES.items(),
                 (family, spec.alpha, cell.beta, spec.p, cell.r, m, cell.per_task[m].size,
                  cell.accuracy_mean[m], cell.accuracy_se[m], spec.global_seed),
                 strict=True,
             )
-        )
+        }
         for cell in grid
         for m in spec.methods
     ]
 
 
 def _write_rows_csv(rows: list[dict], path: Path) -> Path:
-    """Write grid rows under _CSV_TYPES, each value cast to its column's type."""
-    typed = [[cast(row[c]) for c, cast in _CSV_TYPES.items()] for row in rows]
-    path.write_text(csv_text(list(_CSV_TYPES), typed))
+    """Write grid rows under the _CSV_TYPES columns, as given."""
+    path.write_text(csv_text(list(_CSV_TYPES), [[row[c] for c in _CSV_TYPES] for row in rows]))
     return path
 
 
@@ -535,18 +522,14 @@ def _recipe_fig5_sphere(out_dir: Path, seed: int, scale: float) -> list[Path]:
     return [csv_path, _write_json(out_dir / "fig5_sphere_summary.json", summary)]
 
 
-def _sweep_recipe(
-    out_dir: Path,
-    stem: str,
-    spec: SweepSpec,
-    heat_methods: tuple[str, ...],
-) -> list[Path]:
+def _sweep_recipe(out_dir: Path, stem: str, spec: SweepSpec) -> list[Path]:
+    """The sweep's CSV and JSON, and one heat map per method."""
     grid = run_sweep(spec)
     paths = [
         emit_csv(spec, grid, out_dir / f"{stem}.csv"),
         emit_json(spec, grid, out_dir / f"{stem}.json"),
     ]
-    for m in heat_methods:
+    for m in spec.methods:
         paths.append(emit_svg_heatmap(spec, grid, m, out_dir / f"{stem}_{m}.svg"))
     return paths
 
@@ -564,7 +547,7 @@ def _recipe_fig7_soft_fs(out_dir: Path, seed: int, scale: float) -> list[Path]:
         selection=SelectionConfig(),
         global_seed=seed,
     )
-    return _sweep_recipe(out_dir, "fig7_soft_fs", spec, ("Attn", "AttnSoftFS"))
+    return _sweep_recipe(out_dir, "fig7_soft_fs", spec)
 
 
 def _recipe_fig11_topk(out_dir: Path, seed: int, scale: float) -> list[Path]:
@@ -580,7 +563,7 @@ def _recipe_fig11_topk(out_dir: Path, seed: int, scale: float) -> list[Path]:
         selection=SelectionConfig(top_k=4),
         global_seed=seed,
     )
-    return _sweep_recipe(out_dir, "fig11_topk", spec, ("AttnSoftFS", "AttnTopK"))
+    return _sweep_recipe(out_dir, "fig11_topk", spec)
 
 
 def _recipe_binary_strings_fs_raw(out_dir: Path, seed: int, scale: float) -> list[Path]:

@@ -255,12 +255,28 @@ def _json_ints(values, what: str) -> list[int]:
     return [_json_int(v, f"{what} entry") for v in values]
 
 
-def _labeled_from_obj(obj: dict, what: str) -> LabeledSet:
-    features = np.array(obj["features"], dtype=np.float64)
+def _json_number(value, what: str):
+    """value if it is a JSON number; float() would take "0.5" and true too."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _labeled_from_obj(obj, what: str) -> LabeledSet:
+    obj = _json_object(obj, what)
+    features = np.array(obj["features"], dtype=object)
     if features.ndim != 2:
         raise ValueError(f"{what} features must be a list of rows, got shape {features.shape}")
+    for v in features.flat:
+        _json_number(v, f"{what} feature")
     return LabeledSet(
-        features=features,
+        features=features.astype(np.float64),
         labels=np.array(_json_ints(obj["labels"], f"{what} labels"), dtype=np.int64),
         k=_json_int(obj["k"], f"{what} k"),
     )
@@ -292,15 +308,16 @@ def task_to_json(task: Task) -> str:
 
 
 def task_from_json(text: str) -> Task:
-    obj = json.loads(text)
+    """The task of a task file; ValueError names the first field that is not what task_to_json writes."""
+    obj = _json_object(json.loads(text), "a task file")
     meta = None
     if obj.get("meta") is not None:
-        m = obj["meta"]
+        m = _json_object(obj["meta"], "meta")
         meta = TaskMeta(
             active_indices=tuple(_json_ints(m["active_indices"], "meta active_indices")),
             alpha=_json_int(m["alpha"], "meta alpha"),
             beta_irrelevant=_json_int(m["beta_irrelevant"], "meta beta_irrelevant"),
-            p=float(m["p"]),
+            p=float(_json_number(m["p"], "meta p")),
             r=_json_int(m["r"], "meta r"),
             encoding=Encoding(m["encoding"]),
             seed=_json_int(m["seed"], "meta seed"),

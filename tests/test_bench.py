@@ -30,7 +30,7 @@ from polyselect.bench import (
 )
 from polyselect.core import Encoding, LabeledSet, Task, csv_text, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
-from polyselect.selection import SelectionConfig
+from polyselect.selection import FACTORS, SelectionConfig
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
 
 GOLDEN = Path(__file__).resolve().parents[1] / "out"
@@ -203,6 +203,10 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_spec(methods=("Nope",))
 
+    def test_methods_are_attn_the_selection_factors_and_proto(self):
+        # the order of the CLI's --methods choices and of the test ids
+        assert METHODS == ("Attn", *FACTORS, "Proto")
+
     def test_failure_counting(self):
         # top_k=3 fits every cell's width (n >= alpha = 3), so no task fails
         spec = small_spec(methods=("AttnTopK",), selection=SelectionConfig(rounds=0, top_k=3))
@@ -263,7 +267,7 @@ class TestConfigKnobs:
         if selection.top_k is None:  # as evaluate_method fills it in
             selection = replace(selection, top_k=task.meta.alpha)
         scored = bench._scorer(task, selection)
-        return [bench._METHODS[m](task, attention, selection, scored) for m in METHODS]
+        return [bench._probs(m, task, attention, selection, scored) for m in METHODS]
 
     @pytest.mark.parametrize("config, name", [(c, f.name) for c in KNOBS for f in fields(c)])
     def test_every_field_changes_some_method(self, config, name):
@@ -308,10 +312,10 @@ class TestSweepProcesses:
         assert len(process_starts) == 3  # one worker per usable CPU
 
     def test_worker_error_reaches_caller(self, monkeypatch, process_starts):
-        def fail(spec, batch, accs):
+        def fail(*args):
             raise RuntimeError("worker failed")
 
-        monkeypatch.setattr(bench, "_evaluate_chunk", fail)
+        monkeypatch.setattr(bench, "_accuracies", fail)
         with pytest.raises(RuntimeError, match="worker failed"):
             run_sweep(small_spec())
         assert len(process_starts) == 2
@@ -320,12 +324,12 @@ class TestSweepProcesses:
     def test_crashed_worker_is_broken_pool(self, monkeypatch, process_starts):
         parent = os.getpid()
 
-        def crash(spec, batch, accs):
+        def crash(*args):
             if os.getpid() == parent:
                 raise AssertionError("chunk ran in the parent process")
             os._exit(1)
 
-        monkeypatch.setattr(bench, "_evaluate_chunk", crash)
+        monkeypatch.setattr(bench, "_accuracies", crash)
         with pytest.raises(BrokenProcessPool):
             run_sweep(small_spec())
         assert multiprocessing.active_children() == []
@@ -443,12 +447,12 @@ class TestRecipePool:
     def test_crashed_worker_is_broken_pool(self, monkeypatch, process_starts, map_sizes, tmp_path):
         parent = os.getpid()
 
-        def crash(spec, batch, accs):
+        def crash(*args):
             if os.getpid() == parent:
                 raise AssertionError("chunk ran in the parent process")
             os._exit(1)
 
-        monkeypatch.setattr(bench, "_evaluate_chunk", crash)
+        monkeypatch.setattr(bench, "_accuracies", crash)
         with pytest.raises(BrokenProcessPool):
             reproduce("binary_strings_fs_raw", tmp_path, scale=0.01)
         assert len(process_starts) == 2
@@ -525,6 +529,15 @@ class TestEmitters:
         csv_rows = parse_csv(emit_csv(spec, grid, tmp_path / "s.csv"))
         json_rows = json.loads((emit_json(spec, grid, tmp_path / "s.json")).read_text())["rows"]
         assert csv_rows == sorted(json_rows, key=lambda r: (r["r"], r["beta"], r["method"]))
+
+    def test_json_rows_are_the_csv_rows(self, tmp_path):
+        # p=1 is an int and alpha a numpy int: both files carry the cast values
+        spec = small_spec(alpha=np.int64(2), r_values=(1,), beta_values=(2,), p=1, tasks_per_cell=3)
+        grid = run_sweep(spec)
+        csv_rows = parse_csv(emit_csv(spec, grid, tmp_path / "s.csv"))
+        json_rows = json.loads((emit_json(spec, grid, tmp_path / "s.json")).read_text())["rows"]
+        assert csv_rows == json_rows
+        assert [(type(r["alpha"]), type(r["p"])) for r in json_rows] == [(int, float)] * len(spec.methods)
 
     def test_heat_scale_endpoints(self):
         cold = _heat_color(0.5)

@@ -174,6 +174,12 @@ class TestEval:
         message = f"{part} features must be a list of rows, got shape (2, {rows}, 5)"
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_task_file_that_is_not_an_object_is_runtime_error(self, tmp_path, capsys):
+        task_file = tmp_path / "task.json"
+        task_file.write_text("[1, 2]")
+        assert main(["eval", "--task", str(task_file)]) == 1
+        assert capsys.readouterr() == ("", "error: a task file must be a JSON object, got [1, 2]\n")
+
     def test_config_task_equals_gen_tasks_task(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=6\nalpha=2\nr=3\nseed=7\nencoding=zero_one\n")

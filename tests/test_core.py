@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -104,6 +105,39 @@ class TestTaskModel:
     def test_same_seed_serializes_identically(self):
         spec = BooleanTaskSpec(n=8, alpha=3, p=0.5, r=1, seed=5)
         assert task_to_json(gen_boolean_task(spec)) == task_to_json(gen_boolean_task(spec))
+
+
+def _set(path: tuple, value):
+    """An edit of a task file's object that sets the entry at path (keys and list indices) to value."""
+
+    def edit(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: [1, 2], "a task file must be a JSON object, got [1, 2]"),
+        (_set(("meta",), 5), "meta must be a JSON object, got 5"),
+        (_set(("meta", "p"), None), "meta p must be a JSON number, got None"),
+        (_set(("meta", "p"), "0.5"), "meta p must be a JSON number, got '0.5'"),
+        (_set(("meta", "p"), True), "meta p must be a JSON number, got True"),
+        (_set(("support", "features", 0, 1), "1"), "support feature must be a JSON number, got '1'"),
+        (_set(("query", "features", 2, 0), True), "query feature must be a JSON number, got True"),
+    ],
+    ids=["top_level_list", "meta_int", "meta_p_null", "meta_p_string", "meta_p_bool",
+         "feature_string", "feature_bool"],
+)
+def test_task_from_json_rejects_bad_fields(edit, message):
+    obj = json.loads(task_to_json(gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=3))))
+    obj = edit(obj) or obj
+    with pytest.raises(ValueError, match=re.escape(message)):
+        task_from_json(json.dumps(obj))
 
 
 def _stack(tasks=2, rows=3, queries=5, n=4, query_labels=None) -> Task:
