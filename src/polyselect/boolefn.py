@@ -71,10 +71,6 @@ class BooleanFunction:
             raise ValueError("table integer out of range")
         return cls(n, tuple((value >> i) & 1 for i in range(2**n)))
 
-    @classmethod
-    def from_hex(cls, n: int, text: str) -> "BooleanFunction":
-        return cls.from_int(n, int(text, 16))
-
     def to_int(self) -> int:
         return sum(bit << i for i, bit in enumerate(self.truth_table))
 

@@ -72,6 +72,15 @@ def _path(text: str) -> str:
     return text
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; empty items are skipped, so "" and "," are the empty list."""
+    return tuple(int(v) for v in text.split(",") if v != "")
+
+
+def _hex(text: str) -> int:
+    return int(text, 16)
+
+
 # Every flag of every command, once, by its config key: the flag is the key
 # with dashes for underscores, and a config value is cast with the flag's type.
 FLAGS: dict[str, dict] = {
@@ -91,8 +100,8 @@ FLAGS: dict[str, dict] = {
     "query_count": dict(type=int),
     "encoding": dict(choices=[e.value for e in Encoding]),
     "sample_count": dict(type=int),
-    "r_values": dict(),
-    "beta_values": dict(),
+    "r_values": dict(type=_int_list),
+    "beta_values": dict(type=_int_list),
     "tasks_per_cell": dict(type=int),
     "trials": dict(type=int),
     "kernel": dict(choices=[k.value for k in Kernel]),
@@ -102,7 +111,7 @@ FLAGS: dict[str, dict] = {
     "rounds": dict(type=int),
     "top_k": dict(type=int),
     "svg": dict(action="store_true"),
-    "truth_table": dict(help="hex table"),
+    "truth_table": dict(type=_hex, help="hex table"),
     "scale": dict(type=_scale, help="shrink factor for quick runs"),
 }
 # flags that no config key sets
@@ -247,15 +256,11 @@ def _cmd_eval(read: _Inputs) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v != "")
-
-
 def _cmd_sweep(read: _Inputs) -> int:
     spec = SweepSpec(
         alpha=read("alpha", 4),
-        r_values=_parse_int_list(read("r_values", "1,2,5,10")),
-        beta_values=_parse_int_list(read("beta_values", "0,3,6,10")),
+        r_values=read("r_values", (1, 2, 5, 10)),
+        beta_values=read("beta_values", (0, 3, 6, 10)),
         p=read("p", 0.5),
         query_count=read("query_count", 32),
         methods=tuple(read("methods", ("Attn", "AttnSoftFS"))),
@@ -291,7 +296,7 @@ def _cmd_theory(read: _Inputs) -> int:
     kernel = Kernel(read("kernel", "dot"))
     trials = read("trials", 20000)
     seed = read("seed", 0)
-    betas = _parse_int_list(read("beta_values", "0,1,2,3,4"))
+    betas = read("beta_values", (0, 1, 2, 3, 4))
     read.done("theory")
     if not betas:
         raise ValueError("beta_values must be nonempty")
@@ -340,9 +345,9 @@ def _cmd_thresholds(read: _Inputs) -> int:
             "mean_best_accuracy": mean_best_accuracy,
         }
     elif action == "approx":
-        if not truth_table:
+        if truth_table is None:
             raise ValueError("approx needs --truth-table <hex>")
-        fn = BooleanFunction.from_hex(n, truth_table)
+        fn = BooleanFunction.from_int(n, truth_table)
         agreement, witness = best_threshold_agreement(fn)
         payload = {
             "n": n,

@@ -97,8 +97,11 @@ class LabeledSet:
         return self.features.shape[-1]
 
     def class_rows(self, c: int) -> np.ndarray:
-        """Feature rows of class c (possibly empty), per task of a stack with shared labels."""
-        return self.features[..., _shared_labels(self.labels) == c, :]
+        """Feature rows of class c, per task of a stack with shared labels; ValueError if c has none."""
+        rows = _shared_labels(self.labels) == c
+        if not rows.any():
+            raise ValueError(f"class {c} has no support examples")
+        return self.features[..., rows, :]
 
 
 @dataclass(frozen=True)
@@ -242,43 +245,41 @@ def _labeled_to_obj(ls: LabeledSet) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    """value if it is a JSON integer; int() would truncate 1.6 to 1 without a word."""
-    if type(value) is not int:  # not isinstance, which accepts JSON true as an int
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+# The Python types json.loads gives each JSON kind, compared exactly: bool is
+# an int subclass, and int() or float() would take 1.6, "0.5" and true too.
+_JSON_KINDS = {
+    "integer": (int,), "number": (int, float), "string": (str,), "list": (list,), "object": (dict,)
+}
+
+
+def _json_kind(value, kind: str, what: str):
+    """value if it is of the JSON kind, else ValueError naming it what."""
+    if type(value) not in _JSON_KINDS[kind]:
+        raise ValueError(f"{what} must be a JSON {kind}, got {value!r}")
     return value
 
 
-def _json_ints(values, what: str) -> list[int]:
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a JSON list, got {values!r}")
-    return [_json_int(v, f"{what} entry") for v in values]
+def _json_field(obj: dict, where: str, key: str, kind: str):
+    """obj[key], present and of the JSON kind; messages name it "<where> <key>"."""
+    what = f"{where} {key}".lstrip()
+    if key not in obj:
+        raise ValueError(f"{what} is missing")
+    return _json_kind(obj[key], kind, what)
 
 
-def _json_number(value, what: str):
-    """value if it is a JSON number; float() would take "0.5" and true too."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a JSON number, got {value!r}")
-    return value
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _labeled_from_obj(obj, what: str) -> LabeledSet:
-    obj = _json_object(obj, what)
-    features = np.array(obj["features"], dtype=object)
+def _labeled_from_obj(task: dict, what: str) -> LabeledSet:
+    """The task file's support or query, as what names it."""
+    obj = _json_field(task, "", what, "object")
+    features = np.array(_json_field(obj, what, "features", "list"), dtype=object)
     if features.ndim != 2:
         raise ValueError(f"{what} features must be a list of rows, got shape {features.shape}")
     for v in features.flat:
-        _json_number(v, f"{what} feature")
+        _json_kind(v, "number", f"{what} feature")
+    labels = _json_field(obj, what, "labels", "list")
     return LabeledSet(
         features=features.astype(np.float64),
-        labels=np.array(_json_ints(obj["labels"], f"{what} labels"), dtype=np.int64),
-        k=_json_int(obj["k"], f"{what} k"),
+        labels=np.array([_json_kind(v, "integer", f"{what} labels entry") for v in labels], dtype=np.int64),
+        k=_json_field(obj, what, "k", "integer"),
     )
 
 
@@ -309,21 +310,26 @@ def task_to_json(task: Task) -> str:
 
 def task_from_json(text: str) -> Task:
     """The task of a task file; ValueError names the first field that is not what task_to_json writes."""
-    obj = _json_object(json.loads(text), "a task file")
+    obj = _json_kind(json.loads(text), "object", "a task file")
     meta = None
     if obj.get("meta") is not None:
-        m = _json_object(obj["meta"], "meta")
+        m = _json_kind(obj["meta"], "object", "meta")
+        active = _json_field(m, "meta", "active_indices", "list")
+        encoding = _json_field(m, "meta", "encoding", "string")
+        choices = [e.value for e in Encoding]
+        if encoding not in choices:
+            raise ValueError(f"meta encoding must be one of {', '.join(choices)}, got {encoding!r}")
         meta = TaskMeta(
-            active_indices=tuple(_json_ints(m["active_indices"], "meta active_indices")),
-            alpha=_json_int(m["alpha"], "meta alpha"),
-            beta_irrelevant=_json_int(m["beta_irrelevant"], "meta beta_irrelevant"),
-            p=float(_json_number(m["p"], "meta p")),
-            r=_json_int(m["r"], "meta r"),
-            encoding=Encoding(m["encoding"]),
-            seed=_json_int(m["seed"], "meta seed"),
+            active_indices=tuple(_json_kind(v, "integer", "meta active_indices entry") for v in active),
+            alpha=_json_field(m, "meta", "alpha", "integer"),
+            beta_irrelevant=_json_field(m, "meta", "beta_irrelevant", "integer"),
+            p=float(_json_field(m, "meta", "p", "number")),
+            r=_json_field(m, "meta", "r", "integer"),
+            encoding=Encoding(encoding),
+            seed=_json_field(m, "meta", "seed", "integer"),
         )
     return Task(
-        support=_labeled_from_obj(obj["support"], "support"),
-        query=_labeled_from_obj(obj["query"], "query"),
+        support=_labeled_from_obj(obj, "support"),
+        query=_labeled_from_obj(obj, "query"),
         meta=meta,
     )

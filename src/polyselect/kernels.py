@@ -83,11 +83,6 @@ def similarity_matrix(config: AttentionConfig, queries: np.ndarray, keys: np.nda
     return -np.abs(queries[..., :, None, :] - keys[..., None, :, :]).sum(axis=-1)
 
 
-def _require_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError("softmax input must be finite")
-
-
 def _exp_rows_in_place(z: np.ndarray, tau_inv: float, symmetric: bool = False) -> np.ndarray:
     """Overwrite z with exp(tau_inv * z - row max) and return the (..., rows, 1) row sums.
 
@@ -97,8 +92,8 @@ def _exp_rows_in_place(z: np.ndarray, tau_inv: float, symmetric: bool = False) -
     row's scaled entries overflow upwards exactly when its scaled maximum
     does.  That product is formed on the largest |maximum| as a Python float,
     so an overflow raises ValueError without a numpy warning.  A -inf below
-    a finite maximum would pass, so a caller whose buffer can hold one
-    checks it whole first.  Rows of a Gram X X^T need no such scan: since
+    a finite maximum would pass, so _softmax_in_place checks its buffer
+    whole first.  Rows of a Gram X X^T need no such scan: since
     |G_ij| <= max(G_ii, G_jj), any infinite or NaN entry comes with a +inf or
     NaN on the diagonal, where it is the maximum of its row.
 
@@ -125,8 +120,11 @@ def _exp_rows_in_place(z: np.ndarray, tau_inv: float, symmetric: bool = False) -
 def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
     """Row-wise softmax of tau_inv * z, computed in z's own buffer and returned.
 
-    The checks are _exp_rows_in_place's.
+    ValueError unless every entry of z is finite, then _exp_rows_in_place's
+    overflow check: the row maxima alone would pass a -inf below a finite one.
     """
+    if not np.all(np.isfinite(z)):
+        raise ValueError("softmax input must be finite")
     z /= _exp_rows_in_place(z, tau_inv)
     return z
 
@@ -134,14 +132,12 @@ def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
 def softmax_rows(scores: np.ndarray, tau_inv: float = 1.0) -> np.ndarray:
     """Row-wise softmax of tau_inv * scores, stabilised by row-max subtraction."""
     scores = np.array(scores, dtype=np.float64)  # a copy: the softmax overwrites it
-    _require_finite(scores)
     return _softmax_in_place(scores, tau_inv)
 
 
 def attend_probs(query_features: np.ndarray, support: LabeledSet, config: AttentionConfig) -> np.ndarray:
     """Class probabilities for arbitrary query rows against a support set."""
     scores = similarity_matrix(config, query_features, support.features)
-    _require_finite(scores)
     return _softmax_in_place(scores, config.tau_inv) @ one_hot(support.labels, support.k)
 
 

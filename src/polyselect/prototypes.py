@@ -21,12 +21,7 @@ __all__ = ["build_prototypes", "proto_classify"]
 
 def build_prototypes(support: LabeledSet) -> LabeledSet:
     """Row c is the mean of class c's support rows, labelled c; every class must appear."""
-    means = []
-    for c in range(support.k):
-        rows = support.class_rows(c)
-        if rows.shape[-2] == 0:
-            raise ValueError(f"class {c} has no support examples")
-        means.append(rows.mean(axis=-2))
+    means = [support.class_rows(c).mean(axis=-2) for c in range(support.k)]
     return LabeledSet(np.stack(means, axis=-2), np.arange(support.k), k=support.k)
 
 

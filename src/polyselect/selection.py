@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledSet, _shared_labels
+from .core import LabeledSet
 from .kernels import AttentionConfig, _exp_rows_in_place, attend_probs
 
 __all__ = [
@@ -150,15 +150,11 @@ def dispersion(features: np.ndarray) -> np.ndarray:
 
 def _scores(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
     out = std_support.features.copy()
-    labels = _shared_labels(std_support.labels)
     for c in range(std_support.k):
-        rows = labels == c
-        block = out[..., rows, :]
-        if block.shape[-2] == 0:
-            raise ValueError(f"class {c} has no support examples")
+        block = std_support.class_rows(c)
         for _ in range(config.rounds):
             block = self_attention_round(block, config.tau_inv)
-        out[..., rows, :] = block
+        out[..., std_support.labels == c, :] = block
     return dispersion(out)
 
 

@@ -204,7 +204,7 @@ class TestBooleanFunction:
         fn = BooleanFunction.from_int(2, 0b0110)
         assert fn.truth_table == (0, 1, 1, 0)
         assert fn.to_int() == 6
-        assert BooleanFunction.from_hex(2, fn.to_hex()) == fn
+        assert BooleanFunction.from_int(2, int(fn.to_hex(), 16)) == fn
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

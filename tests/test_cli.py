@@ -180,6 +180,12 @@ class TestEval:
         assert main(["eval", "--task", str(task_file)]) == 1
         assert capsys.readouterr() == ("", "error: a task file must be a JSON object, got [1, 2]\n")
 
+    def test_task_file_missing_a_field_names_it(self, tmp_path, capsys):
+        task_file = tmp_path / "task.json"
+        task_file.write_text('{"query": {}}')
+        assert main(["eval", "--task", str(task_file)]) == 1
+        assert capsys.readouterr() == ("", "error: support is missing\n")
+
     def test_config_task_equals_gen_tasks_task(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=6\nalpha=2\nr=3\nseed=7\nencoding=zero_one\n")
@@ -227,6 +233,11 @@ class TestThresholds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_agreement"] == 3
         assert payload["accuracy"] == 0.75
+
+    def test_zero_table_is_a_table(self, capsys):
+        assert main(["thresholds", "approx", "--n", "2", "--truth-table", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["truth_table"], payload["max_agreement"]) == ("0", 4)
 
     def test_verify_xor_worst(self, capsys):
         code = main(["thresholds", "verify-xor-worst", "--n", "2"])
@@ -464,6 +475,22 @@ class TestReproduceAndExitCodes:
         assert key.split("=")[0] in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["theory", "--beta-values", "1,x"], "--beta-values"),
+            (["sweep", "--r-values", "1,a"], "--r-values"),
+            (["thresholds", "approx", "--n", "2", "--truth-table", "zz"], "--truth-table"),
+        ],
+    )
+    def test_unparsable_list_or_hex_flag_is_usage_error(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: invalid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "-inf"])
     def test_bad_scale_is_usage_error(self, scale, tmp_path, capsys):
         out = tmp_path / "out"
@@ -511,6 +538,7 @@ class TestReproduceAndExitCodes:
             ("alpha=x", "config key alpha: invalid literal for int() with base 10: 'x'"),
             ("p=abc", "config key p: could not convert string to float: 'abc'"),
             ("out_dir=", "config key out_dir: path must not be empty"),
+            ("r_values=1,a", "config key r_values: invalid literal for int() with base 10: 'a'"),
         ],
     )
     def test_bad_config_value_names_its_key(self, line, message, tmp_path, monkeypatch, capsys):

@@ -107,14 +107,21 @@ class TestTaskModel:
         assert task_to_json(gen_boolean_task(spec)) == task_to_json(gen_boolean_task(spec))
 
 
+_DELETE = object()
+
+
 def _set(path: tuple, value):
-    """An edit of a task file's object that sets the entry at path (keys and list indices) to value."""
+    """An edit of a task file's object that sets the entry at path (keys and list indices) to value,
+    or deletes it if value is _DELETE."""
 
     def edit(obj):
         *parents, last = path
         for key in parents:
             obj = obj[key]
-        obj[last] = value
+        if value is _DELETE:
+            del obj[last]
+        else:
+            obj[last] = value
 
     return edit
 
@@ -129,9 +136,20 @@ def _set(path: tuple, value):
         (_set(("meta", "p"), True), "meta p must be a JSON number, got True"),
         (_set(("support", "features", 0, 1), "1"), "support feature must be a JSON number, got '1'"),
         (_set(("query", "features", 2, 0), True), "query feature must be a JSON number, got True"),
+        (_set(("support",), _DELETE), "support is missing"),
+        (_set(("query",), _DELETE), "query is missing"),
+        (_set(("meta", "alpha"), _DELETE), "meta alpha is missing"),
+        (_set(("meta", "encoding"), _DELETE), "meta encoding is missing"),
+        (_set(("support", "k"), _DELETE), "support k is missing"),
+        (_set(("query", "labels"), _DELETE), "query labels is missing"),
+        (_set(("support", "features"), _DELETE), "support features is missing"),
+        (_set(("meta", "encoding"), "x"), "meta encoding must be one of plus_minus, zero_one, got 'x'"),
+        (_set(("meta", "encoding"), 1), "meta encoding must be a JSON string, got 1"),
     ],
     ids=["top_level_list", "meta_int", "meta_p_null", "meta_p_string", "meta_p_bool",
-         "feature_string", "feature_bool"],
+         "feature_string", "feature_bool", "missing_support", "missing_query", "missing_meta_alpha",
+         "missing_meta_encoding", "missing_support_k", "missing_query_labels", "missing_support_features",
+         "bad_meta_encoding", "meta_encoding_int"],
 )
 def test_task_from_json_rejects_bad_fields(edit, message):
     obj = json.loads(task_to_json(gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=3))))
@@ -243,6 +261,7 @@ def _labeled(k: int = 2) -> LabeledSet:
         (lambda: one_hot([[0, 1]], 2), "labels must be one row shared by every task, got shape (1, 2)"),
         (lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1], [1, 0]], 2).class_rows(0),
          "labels must be one row shared by every task, got shape (2, 2)"),
+        (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 2).class_rows(1), "class 1 has no support examples"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 1), "class count must be >= 2, got 1"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 2], 2), "labels must lie in [0, 2)"),
         (lambda: _meta(alpha=2), "alpha must equal the number of active indices"),
