@@ -8,13 +8,10 @@ threshold-function lab, plus a seeded benchmark harness and CLI.
 
 from .bench import METHODS, RECIPES, SweepSpec, reproduce, run_sweep
 from .boolefn import (
-    BooleanFunction,
     ThresholdWitness,
     best_threshold_agreement,
-    count_threshold,
     threshold_stats,
     verify_xor_worst,
-    xor_function,
     xor_max_accuracy,
 )
 from .core import (

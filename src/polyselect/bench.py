@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .boolefn import (
-    count_threshold,
     threshold_stats,
+    threshold_tables,
     verify_xor_worst,
     xor_max_accuracy,
 )
@@ -449,7 +449,7 @@ def _count_row(n: int) -> dict:
 
     The bound is None where 2^(n^2) is below the count, which is n=1 only.
     """
-    count = count_threshold(n)
+    count = len(threshold_tables(n))
     bound = 2 ** (n * n)
     return {"n": n, "count": count, "bound_2_pow_n2": bound if bound >= count else None}
 

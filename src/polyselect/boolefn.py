@@ -14,8 +14,8 @@ from one exact Hamming distance transform over the cube of all 2^(2^n)
 tables, seeded with the enumerated set.
 
 Corner order: corner i takes coordinate k from bit k of i (little-endian),
-bit 1 -> +1 and bit 0 -> -1.  Truth tables are bit vectors in that order and
-pack into integers with table[i] at bit i.
+bit 1 -> +1 and bit 0 -> -1.  Every truth table here is an integer in
+[0, 2^(2^n)) whose bit i is f(corner i).
 """
 
 from __future__ import annotations
@@ -28,65 +28,21 @@ import numpy as np
 
 __all__ = [
     "MAX_ENUM_N",
-    "BooleanFunction",
     "ThresholdWitness",
     "best_threshold_agreement",
     "corners",
-    "count_threshold",
     "threshold_stats",
     "threshold_tables",
     "verify_xor_worst",
-    "xor_function",
     "xor_max_accuracy",
 ]
 
 MAX_ENUM_N = 4  # 2^(2^n) truth tables per whole-cube scan
 
 
-def corners(n: int) -> list[tuple[int, ...]]:
-    """All +-1 cube corners in the package's pinned index order."""
-    return [tuple(1 if (i >> k) & 1 else -1 for k in range(n)) for i in range(2**n)]
-
-
-@dataclass(frozen=True)
-class BooleanFunction:
-    """Truth table over the +-1 cube corners of n variables."""
-
-    n: int
-    truth_table: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        table = tuple(int(v) for v in self.truth_table)
-        if len(table) != 2**self.n:
-            raise ValueError(f"truth table must have length {2 ** self.n}")
-        if any(v not in (0, 1) for v in table):
-            raise ValueError("truth table entries must be 0 or 1")
-        object.__setattr__(self, "truth_table", table)
-
-    @classmethod
-    def from_int(cls, n: int, value: int) -> "BooleanFunction":
-        if not 0 <= value < 2 ** (2**n):
-            raise ValueError("table integer out of range")
-        return cls(n, tuple((value >> i) & 1 for i in range(2**n)))
-
-    def to_int(self) -> int:
-        return sum(bit << i for i, bit in enumerate(self.truth_table))
-
-    def to_hex(self) -> str:
-        return format(self.to_int(), "x")
-
-
-def xor_function(n: int) -> BooleanFunction:
-    """Parity of all n inputs: true exactly when the corner's product is -1."""
-    table = []
-    for x in corners(n):
-        prod = 1
-        for v in x:
-            prod *= v
-        table.append(1 if prod == -1 else 0)
-    return BooleanFunction(n, tuple(table))
+def corners(n: int) -> np.ndarray:
+    """The (2^n, n) integer array of +-1 cube corners in the pinned index order."""
+    return 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) - 1
 
 
 @dataclass(frozen=True)
@@ -96,14 +52,14 @@ class ThresholdWitness:
     weights: tuple[int, ...]
     threshold: int
 
-    def verify(self, fn: BooleanFunction) -> bool:
-        if len(self.weights) != fn.n:
-            return False
-        for i, x in enumerate(corners(fn.n)):
-            value = sum(w * xi for w, xi in zip(self.weights, x))
-            if (value > self.threshold) != bool(fn.truth_table[i]):
-                return False
-        return True
+    def verify(self, table: int) -> bool:
+        """Whether w.x > t cuts exactly this table from corners(len(weights)), in exact ints."""
+        cut = sum(
+            1 << i
+            for i, x in enumerate(corners(len(self.weights)).tolist())
+            if sum(w * c for w, c in zip(self.weights, x)) > self.threshold
+        )
+        return cut == table
 
 
 @functools.cache
@@ -126,7 +82,7 @@ def _weight_box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values = np.array([0] + [s * k for k in range(1, bound + 1) for s in (1, -1)])
     # every n-tuple of values, the last coordinate running fastest
     weights = values[np.indices((values.shape[0],) * n).reshape(n, -1).T]
-    sums = weights @ np.array(corners(n)).T
+    sums = weights @ corners(n).T
     cuts = np.arange(-n * bound - 1, n * bound + 1)
     # one cut at a time keeps the (weights, cuts, corners) bits out of memory;
     # float64 is exact here: every table is below 2^(2^n), and 2^n <= 16 < 53
@@ -145,11 +101,6 @@ def threshold_tables(n: int) -> np.ndarray:
     first = np.ones(packed.shape, dtype=bool)
     first[1:] = packed[1:] != packed[:-1]
     return packed[first]
-
-
-def count_threshold(n: int) -> int:
-    """Number of threshold functions of n inputs (exact enumeration)."""
-    return int(threshold_tables(n).shape[0])
 
 
 def _agreements(n: int) -> np.ndarray:
@@ -173,17 +124,20 @@ def _agreements(n: int) -> np.ndarray:
     return size - distance
 
 
-def best_threshold_agreement(fn: BooleanFunction) -> tuple[int, ThresholdWitness]:
-    """Best corner agreement achievable by any threshold function, plus the
-    integer (w, t) of the first cut of the weight box that attains it."""
-    weights, cuts, packed = _weight_box(fn.n)
-    distance = np.bitwise_count(packed ^ np.uint64(fn.to_int()))
+def best_threshold_agreement(n: int, table: int) -> tuple[int, ThresholdWitness]:
+    """Best corner agreement of the n-input truth table with any threshold
+    function, plus the integer (w, t) of the first cut of the weight box that
+    attains it."""
+    weights, cuts, packed = _weight_box(n)  # bounds n before 2^(2^n) is formed
+    if not 0 <= table < 2 ** (2**n):
+        raise ValueError("table integer out of range")
+    distance = np.bitwise_count(packed ^ np.uint64(table))
     row, col = divmod(int(distance.argmin()), cuts.shape[0])
     witness = ThresholdWitness(tuple(int(w) for w in weights[row]), int(cuts[col]))
     # soundness guard: the packed table must be the one the witness cuts
-    if not witness.verify(BooleanFunction.from_int(fn.n, int(packed[row, col]))):
+    if not witness.verify(int(packed[row, col])):
         raise AssertionError("weight box witness does not cut its table")
-    return 2**fn.n - int(distance[row, col]), witness
+    return 2**n - int(distance[row, col]), witness
 
 
 def xor_max_accuracy(n: int) -> int:

@@ -31,7 +31,6 @@ from .bench import (
 )
 from .boolefn import (
     MAX_ENUM_N,
-    BooleanFunction,
     best_threshold_agreement,
     threshold_stats,
     verify_xor_worst,
@@ -65,20 +64,25 @@ def _scale(text: str) -> float:
 
 
 def _path(text: str) -> str:
-    """A file or directory argument; ValueError, so an empty one is a usage error
-    as a flag and a runtime error as a config value."""
+    """A file or directory argument, which must not be empty."""
     if not text:
-        raise ValueError("path must not be empty")
+        raise argparse.ArgumentTypeError("path must not be empty")
     return text
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers; empty items are skipped, so "" and "," are the empty list."""
-    return tuple(int(v) for v in text.split(",") if v != "")
+    try:
+        return tuple(int(v) for v in text.split(",") if v != "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _hex(text: str) -> int:
-    return int(text, 16)
+    try:
+        return int(text, 16)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # Every flag of every command, once, by its config key: the flag is the key
@@ -160,7 +164,7 @@ class _Inputs:
             choices = FLAGS[key].get("choices", (value,))
             if value not in choices:
                 raise ValueError(f"invalid choice {raw!r} (choose from {', '.join(choices)})")
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key}: {exc}") from None
         return value
 
@@ -347,11 +351,10 @@ def _cmd_thresholds(read: _Inputs) -> int:
     elif action == "approx":
         if truth_table is None:
             raise ValueError("approx needs --truth-table <hex>")
-        fn = BooleanFunction.from_int(n, truth_table)
-        agreement, witness = best_threshold_agreement(fn)
+        agreement, witness = best_threshold_agreement(n, truth_table)
         payload = {
             "n": n,
-            "truth_table": fn.to_hex(),
+            "truth_table": format(truth_table, "x"),
             "max_agreement": agreement,
             "accuracy": agreement / 2**n,
             "witness_weights": list(witness.weights),

@@ -13,17 +13,19 @@ import pytest
 import polyselect
 from polyselect import boolefn
 from polyselect.boolefn import (
-    BooleanFunction,
     ThresholdWitness,
     best_threshold_agreement,
     corners,
-    count_threshold,
     threshold_stats,
     threshold_tables,
     verify_xor_worst,
-    xor_function,
     xor_max_accuracy,
 )
+
+
+def _parity(n: int) -> int:
+    """Parity's truth table: bit i is set when corner i has an odd number of -1s."""
+    return sum(1 << i for i, x in enumerate(corners(n).tolist()) if math.prod(x) == -1)
 
 
 def _corner_permutations(n: int) -> list[np.ndarray]:
@@ -130,22 +132,22 @@ def _margin_feasible(rows: list[tuple[int, ...]]) -> list[Fraction] | None:
     return [parts[j] - parts[d + j] for j in range(d)]
 
 
-def _lp_is_threshold(fn: BooleanFunction) -> ThresholdWitness | None:
+def _lp_is_threshold(n: int, table: int) -> ThresholdWitness | None:
     """Exact LP threshold decision, independent of the weight box: an integer
     witness (the rational solution with its denominators cleared, which keeps
     every strict inequality) when one exists, else None."""
     rows = []
-    for i, x in enumerate(corners(fn.n)):
-        s = 1 if fn.truth_table[i] else -1
+    for i, x in enumerate(corners(n).tolist()):
+        s = 1 if (table >> i) & 1 else -1
         rows.append(tuple(s * c for c in x) + (-s,))
     u = _margin_feasible(rows)
     if u is None:
         return None
     scale = math.lcm(*(v.denominator for v in u))
     witness = ThresholdWitness(
-        weights=tuple(int(v * scale) for v in u[: fn.n]), threshold=int(u[fn.n] * scale)
+        weights=tuple(int(v * scale) for v in u[:n]), threshold=int(u[n] * scale)
     )
-    if not witness.verify(fn):  # soundness guard; a correct solve always passes
+    if not witness.verify(table):  # soundness guard; a correct solve always passes
         raise AssertionError("simplex produced an invalid witness")
     return witness
 
@@ -173,9 +175,7 @@ def _lp_threshold_tables(n: int) -> np.ndarray:
         np.minimum(canon, permuted, out=canon)
         np.minimum(canon, full - permuted, out=canon)
     reps = np.unique(canon)
-    decided = np.array(
-        [_lp_is_threshold(BooleanFunction.from_int(n, int(r))) is not None for r in reps]
-    )
+    decided = np.array([_lp_is_threshold(n, int(r)) is not None for r in reps])
     return values[decided[np.searchsorted(reps, canon)]]
 
 
@@ -193,58 +193,50 @@ def _scan_agreements(n: int) -> np.ndarray:
 
 class TestCornerOrder:
     def test_pinned_order_n2(self):
-        assert corners(2) == [(-1, -1), (1, -1), (-1, 1), (1, 1)]
+        assert corners(2).tolist() == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
+        assert corners(4).shape == (16, 4)
+        assert np.issubdtype(corners(4).dtype, np.integer)
 
     def test_bit_one_maps_to_plus(self):
-        assert corners(3)[0b101] == (1, -1, 1)
+        assert corners(3)[0b101].tolist() == [1, -1, 1]
 
-
-class TestBooleanFunction:
-    def test_int_roundtrip(self):
-        fn = BooleanFunction.from_int(2, 0b0110)
-        assert fn.truth_table == (0, 1, 1, 0)
-        assert fn.to_int() == 6
-        assert BooleanFunction.from_int(2, int(fn.to_hex(), 16)) == fn
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            BooleanFunction(2, (0, 1, 0))
-
-    def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            BooleanFunction(1, (0, 2))
-
-    def test_xor_table(self):
-        assert xor_function(2).truth_table == (0, 1, 1, 0)
+    def test_parity_table(self):
+        # bit i of a table is f(corner i): corners 1 and 2 have one -1 each
+        assert _parity(2) == 0b0110
+        assert _parity(4) == 0x6996
 
 
 class TestIsThreshold:
     def test_and_has_witness(self):
-        and2 = BooleanFunction(2, (0, 0, 0, 1))
-        witness = _lp_is_threshold(and2)
+        witness = _lp_is_threshold(2, 0b1000)
         assert witness is not None
-        assert witness.verify(and2)
+        assert witness.verify(0b1000)
 
     def test_xor_has_none(self):
-        assert _lp_is_threshold(xor_function(2)) is None
+        assert _lp_is_threshold(2, _parity(2)) is None
 
     def test_constant_true(self):
-        fn = BooleanFunction(2, (1, 1, 1, 1))
-        witness = _lp_is_threshold(fn)
-        assert witness is not None and witness.verify(fn)
+        witness = _lp_is_threshold(2, 0b1111)
+        assert witness is not None and witness.verify(0b1111)
 
     def test_hand_witness_verifies(self):
-        and2 = BooleanFunction(2, (0, 0, 0, 1))
         manual = ThresholdWitness(weights=(1, 1), threshold=1)
-        assert manual.verify(and2)
-        assert not manual.verify(xor_function(2))
+        assert manual.verify(0b1000)
+        assert not manual.verify(_parity(2))
 
     def test_majority_n3(self):
-        table = []
-        for x in corners(3):
-            table.append(1 if sum(x) > 0 else 0)
-        witness = _lp_is_threshold(BooleanFunction(3, tuple(table)))
+        table = sum(1 << i for i, x in enumerate(corners(3).tolist()) if sum(x) > 0)
+        witness = _lp_is_threshold(3, table)
         assert witness is not None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_witness_verify_agrees_with_lp(self, n):
+        # the nearest cut of the box reproduces a table iff the LP finds it threshold
+        for v in range(2 ** (2**n)):
+            lp = _lp_is_threshold(n, v)
+            _, nearest = best_threshold_agreement(n, v)
+            assert nearest.verify(v) == (lp is not None), v
+            assert lp is None or lp.verify(v)
 
     def test_complement_closure_all_n_le_3(self):
         """f is a threshold function iff its complement is (negate w and t)."""
@@ -257,13 +249,13 @@ class TestIsThreshold:
 
 class TestCounts:
     def test_small_counts(self):
-        assert count_threshold(1) == 4
-        assert count_threshold(2) == 14
-        assert count_threshold(3) == 104
+        assert len(threshold_tables(1)) == 4
+        assert len(threshold_tables(2)) == 14
+        assert len(threshold_tables(3)) == 104
 
     def test_counts_below_square_exponent_bound(self):
         for n in (2, 3):
-            assert count_threshold(n) < 2 ** (n * n)
+            assert len(threshold_tables(n)) < 2 ** (n * n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_enumeration_equals_exact_lp(self, n):
@@ -280,7 +272,7 @@ class TestCounts:
 
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
-            count_threshold(5)
+            threshold_tables(5)
 
     def test_weight_box_is_built_once_and_read_only(self):
         for n in (1, 2, 3, 4):
@@ -327,29 +319,27 @@ class TestCounts:
         tables = threshold_tables(3)
         sample = rng.choice(tables, size=20, replace=False)
         for v in sample:
-            fn = BooleanFunction.from_int(3, int(v))
-            witness = _lp_is_threshold(fn)
-            assert witness is not None and witness.verify(fn)
+            witness = _lp_is_threshold(3, int(v))
+            assert witness is not None and witness.verify(int(v))
 
     def test_non_members_are_not_threshold(self):
         tables = set(int(v) for v in threshold_tables(2))
         for v in range(16):
-            assert (_lp_is_threshold(BooleanFunction.from_int(2, v)) is not None) == (v in tables)
+            assert (_lp_is_threshold(2, v) is not None) == (v in tables)
 
 
 class TestAgreement:
     def test_xor2_best_agreement(self):
-        agreement, witness = best_threshold_agreement(xor_function(2))
+        agreement, witness = best_threshold_agreement(2, _parity(2))
         assert agreement == 3
 
     def test_threshold_functions_agree_perfectly(self):
-        and2 = BooleanFunction(2, (0, 0, 0, 1))
-        agreement, witness = best_threshold_agreement(and2)
+        agreement, witness = best_threshold_agreement(2, 0b1000)
         assert agreement == 4
-        assert witness.verify(and2)
+        assert witness.verify(0b1000)
 
     def test_xor4_best_agreement(self):
-        agreement, _ = best_threshold_agreement(xor_function(4))
+        agreement, _ = best_threshold_agreement(4, _parity(4))
         assert agreement == 11
 
     def test_closed_form_values(self):
@@ -367,7 +357,7 @@ class TestAgreement:
 
         monkeypatch.setattr(boolefn, "_weight_box", shifted)
         with pytest.raises(AssertionError):
-            best_threshold_agreement(xor_function(2))
+            best_threshold_agreement(2, _parity(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_transform_equals_all_pairs_scan(self, n):
@@ -382,29 +372,29 @@ class TestAgreement:
         rng = np.random.default_rng(7)
         sample = [int(v) for v in rng.choice(2**16, size=96, replace=False)]
         sample += [int(v) for v in rng.choice(threshold_tables(4), size=8, replace=False)]
-        sample += [xor_function(4).to_int()]
+        sample += [_parity(4)]
         sample += [full ^ v for v in sample]
         assert len(set(sample)) >= 200
         cases = [(n, v) for n in (1, 2, 3) for v in range(2 ** (2**n))] + [(4, v) for v in sample]
         best = {n: boolefn._agreements(n) for n in (1, 2, 3, 4)}
         for n, v in cases:
-            agreement, witness = best_threshold_agreement(BooleanFunction.from_int(n, v))
+            agreement, witness = best_threshold_agreement(n, v)
             assert agreement == best[n][v]
             assert all(type(w) is int and abs(w) <= muroga[n] for w in witness.weights)
             assert type(witness.threshold) is int
             # the table the witness cuts, by substitution on every corner
-            cut = np.array(corners(n)) @ np.array(witness.weights) > witness.threshold
+            cut = corners(n) @ np.array(witness.weights) > witness.threshold
             table = int(cut @ (1 << np.arange(2**n)))
-            assert witness.verify(BooleanFunction.from_int(n, table))
+            assert witness.verify(table)
             assert bin(table ^ v).count("1") == 2**n - agreement
         # each coordinate runs 0, 1, -1, ..., so the first minimiser has small weights
-        _, witness = best_threshold_agreement(xor_function(4))
+        _, witness = best_threshold_agreement(4, _parity(4))
         assert witness == ThresholdWitness(weights=(1, 1, 1, 1), threshold=0)
 
     def test_agreement_does_not_import_fractions(self):
         code = (
             "import sys, polyselect; "
-            "polyselect.boolefn.best_threshold_agreement(polyselect.xor_function(4)); "
+            "polyselect.boolefn.best_threshold_agreement(4, 0x6996); "
             "print('fractions' in sys.modules)"
         )
         assert _run_fresh(code) == "False"
@@ -414,7 +404,7 @@ class TestAgreement:
         [
             lambda: verify_xor_worst(5),
             lambda: threshold_stats(5),
-            lambda: best_threshold_agreement(xor_function(5)),
+            lambda: best_threshold_agreement(5, 0),
         ],
         ids=["verify_xor_worst", "threshold_stats", "best_threshold_agreement"],
     )
@@ -439,8 +429,8 @@ class TestWorstCase:
     def test_parity_is_worst(self, n):
         holds, offenders = verify_xor_worst(n)
         assert holds
-        assert xor_function(n).to_int() in offenders
-        assert xor_function(n).to_int() ^ (2 ** (2**n) - 1) in offenders
+        assert _parity(n) in offenders
+        assert _parity(n) ^ (2 ** (2**n) - 1) in offenders
 
 
 class TestStats:
@@ -456,9 +446,9 @@ class TestStats:
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: BooleanFunction(0, (0,)), "n must be >= 1"),
-        (lambda: BooleanFunction.from_int(2, 16), "table integer out of range"),
-        (lambda: BooleanFunction.from_int(2, -1), "table integer out of range"),
+        (lambda: best_threshold_agreement(0, 0), "whole-cube enumeration supports n in [1, 4]"),
+        (lambda: best_threshold_agreement(2, 16), "table integer out of range"),
+        (lambda: best_threshold_agreement(2, -1), "table integer out of range"),
         (lambda: xor_max_accuracy(0), "n must be >= 1"),
     ],
 )
@@ -468,6 +458,6 @@ def test_rejects_bad_input(call, message):
 
 
 def test_witness_of_the_wrong_length_verifies_nothing():
-    # (1, 1) > 0 decides AND on two inputs, but not on three
-    assert ThresholdWitness((1, 1), 0).verify(BooleanFunction.from_int(2, 0b1000))
-    assert not ThresholdWitness((1, 1), 0).verify(BooleanFunction.from_int(3, 0b10000000))
+    # (1, 1) > 0 decides AND on two inputs, but not the three-input AND table
+    assert ThresholdWitness((1, 1), 0).verify(0b1000)
+    assert not ThresholdWitness((1, 1), 0).verify(0b10000000)

@@ -488,7 +488,11 @@ class TestReproduceAndExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"error: argument {flag}: invalid" in capsys.readouterr().err
+        # the reason, not the name of the private function that parsed the flag
+        assert re.search(
+            rf"error: argument {flag}: invalid literal for int\(\) with base (10|16): '",
+            capsys.readouterr().err,
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "-inf"])
@@ -520,7 +524,7 @@ class TestReproduceAndExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert f"argument {argv[-2]}: path must not be empty" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["sweep", "--tasks-per-cell", "1"], ["gen-tasks"]])

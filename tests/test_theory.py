@@ -210,12 +210,22 @@ class TestExhaustiveOracle:
             assert theory._pair_moments.cache_info().misses == 7 * 5 * 2
 
     def test_enumeration_bounds(self):
-        with pytest.raises(ValueError):
-            exhaustive_stats(TheoryParams(alpha=5, beta_irrelevant=0, p=0.5, r=1))
-        with pytest.raises(ValueError):
-            exhaustive_stats(TheoryParams(alpha=2, beta_irrelevant=7, p=0.5, r=1))
-        with pytest.raises(ValueError):
-            exhaustive_stats(TheoryParams(alpha=2, beta_irrelevant=2, p=0.5, r=4))
+        for alpha, beta in ((5, 0), (2, 7)):
+            params = TheoryParams(alpha=alpha, beta_irrelevant=beta, p=0.5, r=1)
+            with pytest.raises(ValueError, match="enumeration bounds exceeded"):
+                exhaustive_stats(params)
+
+    @pytest.mark.parametrize("kernel", [Kernel.DOT, Kernel.COSINE, Kernel.SQ_EUCLIDEAN])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    @pytest.mark.parametrize("r", [4, 10])
+    def test_many_repetitions_match_closed_form(self, r, p, kernel):
+        # r only scales each term, so no bound on r limits the oracle
+        for alpha, beta in itertools.product(range(1, 5), (0, 3, 6)):
+            params = TheoryParams(alpha, beta, p, r, kernel)
+            exact = exhaustive_stats(params)
+            closed = support_sum_stats(params)
+            assert closed.mean == pytest.approx(exact.mean, rel=1e-9)
+            assert closed.variance == pytest.approx(exact.variance, rel=1e-9)
 
 
 class TestMonteCarlo:
