@@ -31,7 +31,6 @@ from .kernels import (
     Kernel,
     attend_probs,
     predict,
-    softmax_rows,
 )
 from .prototypes import build_prototypes, proto_classify
 from .selection import (
@@ -45,8 +44,6 @@ from .tasks import (
     SphereTaskSpec,
     gen_boolean_task,
     gen_sphere_task,
-    parity,
-    parity_label,
 )
 from .theory import (
     MCResult,

@@ -522,8 +522,18 @@ def _recipe_fig5_sphere(out_dir: Path, seed: int, scale: float) -> list[Path]:
     return [csv_path, _write_json(out_dir / "fig5_sphere_summary.json", summary)]
 
 
-def _sweep_recipe(out_dir: Path, stem: str, spec: SweepSpec) -> list[Path]:
-    """The sweep's CSV and JSON, and one heat map per method."""
+def _recipe_grid(out_dir: Path, seed: int, scale: float, *, stem, methods, full, small, selection) -> list[Path]:
+    """stem's CSV, JSON and per-method heat maps of an alpha=4 grid: full at scale >= 1, else small."""
+    r_values, beta_values = full if scale >= 1 else small
+    spec = SweepSpec(
+        alpha=4,
+        r_values=r_values,
+        beta_values=beta_values,
+        methods=methods,
+        tasks_per_cell=max(2, int(500 * scale)),
+        selection=selection,
+        global_seed=seed,
+    )
     grid = run_sweep(spec)
     paths = [
         emit_csv(spec, grid, out_dir / f"{stem}.csv"),
@@ -532,38 +542,6 @@ def _sweep_recipe(out_dir: Path, stem: str, spec: SweepSpec) -> list[Path]:
     for m in spec.methods:
         paths.append(emit_svg_heatmap(spec, grid, m, out_dir / f"{stem}_{m}.svg"))
     return paths
-
-
-def _recipe_fig7_soft_fs(out_dir: Path, seed: int, scale: float) -> list[Path]:
-    tasks = max(2, int(500 * scale))
-    spec = SweepSpec(
-        alpha=4,
-        r_values=tuple(range(1, 11)) if scale >= 1 else (1, 2),
-        beta_values=tuple(range(0, 11)) if scale >= 1 else (0, 3),
-        p=0.5,
-        methods=("Attn", "AttnSoftFS"),
-        tasks_per_cell=tasks,
-        attention=AttentionConfig(),
-        selection=SelectionConfig(),
-        global_seed=seed,
-    )
-    return _sweep_recipe(out_dir, "fig7_soft_fs", spec)
-
-
-def _recipe_fig11_topk(out_dir: Path, seed: int, scale: float) -> list[Path]:
-    tasks = max(2, int(500 * scale))
-    spec = SweepSpec(
-        alpha=4,
-        r_values=(1, 2, 5) if scale >= 1 else (5,),
-        beta_values=(4, 6, 8, 10) if scale >= 1 else (10,),
-        p=0.5,
-        methods=("AttnSoftFS", "AttnTopK"),
-        tasks_per_cell=tasks,
-        attention=AttentionConfig(),
-        selection=SelectionConfig(top_k=4),
-        global_seed=seed,
-    )
-    return _sweep_recipe(out_dir, "fig11_topk", spec)
 
 
 def _recipe_binary_strings_fs_raw(out_dir: Path, seed: int, scale: float) -> list[Path]:
@@ -575,11 +553,8 @@ def _recipe_binary_strings_fs_raw(out_dir: Path, seed: int, scale: float) -> lis
                 alpha=alpha,
                 r_values=(5,),
                 beta_values=(n - alpha,),
-                p=0.5,
                 methods=("Attn", "AttnSoftFS", "Proto"),
                 tasks_per_cell=tasks,
-                attention=AttentionConfig(),
-                selection=SelectionConfig(),
                 global_seed=task_seed(seed, n * 100 + alpha),
             )
             grid = run_sweep(spec)
@@ -591,8 +566,22 @@ def _recipe_binary_strings_fs_raw(out_dir: Path, seed: int, scale: float) -> lis
 
 
 RECIPES = {
-    "fig7_soft_fs": _recipe_fig7_soft_fs,
-    "fig11_topk": _recipe_fig11_topk,
+    "fig7_soft_fs": functools.partial(
+        _recipe_grid,
+        stem="fig7_soft_fs",
+        methods=("Attn", "AttnSoftFS"),
+        full=(tuple(range(1, 11)), tuple(range(0, 11))),
+        small=((1, 2), (0, 3)),
+        selection=SelectionConfig(),
+    ),
+    "fig11_topk": functools.partial(
+        _recipe_grid,
+        stem="fig11_topk",
+        methods=("AttnSoftFS", "AttnTopK"),
+        full=((1, 2, 5), (4, 6, 8, 10)),
+        small=((5,), (10,)),
+        selection=SelectionConfig(top_k=4),
+    ),
     "table3_counts": _recipe_table3_counts,
     "appD_xor_bound": _recipe_appd_xor_bound,
     "appC_boundary": _recipe_appc_boundary,

@@ -25,7 +25,6 @@ __all__ = [
     "attend_probs",
     "predict",
     "similarity_matrix",
-    "softmax_rows",
 ]
 
 
@@ -127,12 +126,6 @@ def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
         raise ValueError("softmax input must be finite")
     z /= _exp_rows_in_place(z, tau_inv)
     return z
-
-
-def softmax_rows(scores: np.ndarray, tau_inv: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of tau_inv * scores, stabilised by row-max subtraction."""
-    scores = np.array(scores, dtype=np.float64)  # a copy: the softmax overwrites it
-    return _softmax_in_place(scores, tau_inv)
 
 
 def attend_probs(query_features: np.ndarray, support: LabeledSet, config: AttentionConfig) -> np.ndarray:

@@ -22,25 +22,7 @@ __all__ = [
     "gen_boolean_batch",
     "gen_boolean_task",
     "gen_sphere_task",
-    "parity",
-    "parity_label",
 ]
-
-
-def parity(x: np.ndarray, active_indices) -> int:
-    """Parity over the active coordinates of a +-1 encoded vector: prod x_i."""
-    idx = tuple(active_indices)
-    if len(idx) == 0:
-        raise ValueError("parity needs a nonempty index set")
-    vals = np.asarray(x, dtype=np.float64)[list(idx)]
-    if not ((vals == -1.0) | (vals == 1.0)).all():
-        raise ValueError("parity expects +-1 encoded values")
-    return int(np.prod(vals))
-
-
-def parity_label(chi: int) -> int:
-    """Fixed parity-to-class mapping: chi == -1 is class 1, chi == +1 class 0."""
-    return 1 if chi == -1 else 0
 
 
 @dataclass(frozen=True)

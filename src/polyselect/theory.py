@@ -332,9 +332,11 @@ def mc_misclassification(
 ) -> MCResult:
     """Monte-Carlo estimate of the signed-sum moments and failure rate.
 
-    A trial misclassifies when its signed sum is <= 0 (ties count as
-    failures).  With beta == 0 the sum is deterministic and positive, so the
-    rate is exactly zero.
+    A trial fails when its float signed sum is <= 0, so an exact tie (row
+    counts that cancel at every exponent value) may round to either side:
+    at alpha=2, beta=2, r=1, p=0.5 counting every tie gives 27/64 = 0.4219,
+    but 200,000 trials at seed 0 give 0.4059 (see ROADMAP.md on exact ties).
+    With beta == 0 the sum is deterministic and positive: the rate is 0.
     """
     sums = mc_signed_sums(params, trials, seed, tau_inv)
     variance = float(np.var(sums, ddof=1)) if trials > 1 else 0.0

@@ -30,8 +30,8 @@ from polyselect.bench import (
 )
 from polyselect.core import Encoding, LabeledSet, Task, csv_text, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
-from polyselect.selection import FACTORS, SelectionConfig
-from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
+from polyselect.selection import FACTORS, SelectionConfig, feature_scores
+from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_task
 
 GOLDEN = Path(__file__).resolve().parents[1] / "out"
 
@@ -596,6 +596,64 @@ class TestReproduce:
         for path in paths:
             assert path.read_bytes() == (GOLDEN / golden / path.name).read_bytes(), path.name
 
+    def test_recipes_call_run_sweep_through_the_module_global(self, monkeypatch, tmp_path):
+        # perfbench captures every sweep by rebinding bench.run_sweep; a recipe that
+        # bound run_sweep early would leave its sweep oracle nothing to check
+        specs = []
+        run = bench.run_sweep
+
+        def recording(spec):
+            specs.append(spec)
+            return run(spec)
+
+        monkeypatch.setattr(bench, "run_sweep", recording)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+        calls = {}
+        for recipe in ("fig7_soft_fs", "fig11_topk", "binary_strings_fs_raw"):
+            reproduce(recipe, tmp_path / recipe, scale=0.01)
+            calls[recipe] = specs.copy()
+            specs.clear()
+        # every field spelled out, as the recipes spelled them before they shared one
+        fixed = dict(p=0.5, query_count=32, encoding=Encoding.PLUS_MINUS, attention=AttentionConfig())
+        assert calls["fig7_soft_fs"] == [
+            SweepSpec(
+                alpha=4,
+                r_values=(1, 2),
+                beta_values=(0, 3),
+                methods=("Attn", "AttnSoftFS"),
+                tasks_per_cell=5,
+                selection=SelectionConfig(),
+                global_seed=0,
+                **fixed,
+            )
+        ]
+        assert calls["fig11_topk"] == [
+            SweepSpec(
+                alpha=4,
+                r_values=(5,),
+                beta_values=(10,),
+                methods=("AttnSoftFS", "AttnTopK"),
+                tasks_per_cell=5,
+                selection=SelectionConfig(top_k=4),
+                global_seed=0,
+                **fixed,
+            )
+        ]
+        assert calls["binary_strings_fs_raw"] == [
+            SweepSpec(
+                alpha=alpha,
+                r_values=(5,),
+                beta_values=(n - alpha,),
+                methods=("Attn", "AttnSoftFS", "Proto"),
+                tasks_per_cell=10,
+                selection=SelectionConfig(),
+                global_seed=task_seed(0, n * 100 + alpha),
+                **fixed,
+            )
+            for n in (5, 10)
+            for alpha in (2, 3, 4)
+        ]
+
     def test_fig7_small_scale(self, tmp_path):
         paths = reproduce("fig7_soft_fs", tmp_path, seed=3, scale=0.01)
         names = {p.name for p in paths}
@@ -612,6 +670,11 @@ def _golden_means() -> dict[tuple, float]:
         for row in parse_csv(GOLDEN / f"{stem}.csv"):
             means[row["family"], row["alpha"], row["r"], row["beta"], row["method"]] = row["accuracy_mean"]
     return means
+
+
+def _proto_goldens() -> list[dict]:
+    rows = parse_csv(GOLDEN / "binary_strings" / "binary_strings_fs_raw.csv")
+    return [row for row in rows if row["method"] == "Proto"]
 
 
 def test_readme_measured_results_match_goldens():
@@ -635,10 +698,92 @@ def test_readme_measured_results_match_goldens():
         r = int(r_text or r)  # "at beta=10" keeps the r of the pair before it
         claims.append((top_k, golden["xor", 4, r, int(beta), "AttnTopK"]))
         claims.append((soft, golden["xor", 4, r, int(beta), "AttnSoftFS"]))
-    assert (len(table), len(uplifts), len(pairs)) == (6, 2, 2)
+    gaps = re.findall(r"recovers (\d+)%, (\d+)% and (\d+)% of the gap", prose)
+    for texts in gaps:
+        for alpha, text in zip((2, 3, 4), texts):
+            attn, soft = (golden["xor_n5", alpha, 5, 5 - alpha, m] for m in ("Attn", "AttnSoftFS"))
+            claims.append((text, 100 * (soft - attn) / (1 - attn)))
+    proto_z = re.findall(r"every Proto number above is within ([\d.]+) standard errors", prose)
+    for text in proto_z:
+        claims.append((text, max(abs(r["accuracy_mean"] - 0.5) / r["accuracy_se"] for r in _proto_goldens())))
+    assert (len(table), len(uplifts), len(pairs), len(gaps), len(proto_z)) == (6, 2, 2, 1, 1)
     wrong = [
         (text, value)
         for text, value in claims
         if abs(float(text) - value) > 0.5 * 10.0 ** -len(text.partition(".")[2]) + 1e-12
     ]
     assert wrong == []
+
+
+def _assert_chance(means, ses) -> None:
+    """Each mean within 4.5 SE of 1/2, and the summed z within 4 sqrt(cells)."""
+    z = (np.asarray(means) - 0.5) / np.asarray(ses)
+    assert np.all(np.abs(z) <= 4.5), z
+    assert abs(z.sum()) <= 4 * math.sqrt(z.size), z
+
+
+class TestTopKAndProtoOracles:
+    """AttnTopK scores 1 where its top-4 scores are the active set, else 1/2 in expectation.
+
+    With only the active features kept, each standardised to +-1/(1+eps), the
+    support is a complete alpha-input parity table, and a query's class
+    outvotes the other by r (2 sinh t)^alpha > 0 at t = tau_inv/(1+eps)^2: the
+    sum over distances d of C(alpha, d) (-1)^d e^(t (alpha - 2d)). A miss drops
+    an active feature, whose query bit is independent of everything the
+    classifier sees, so the label is a fair coin given its inputs. Proto's
+    class means are both 0 on the active features, so it decides on the
+    irrelevant ones, which are independent of the label: its expected accuracy
+    is exactly 1/2.
+    """
+
+    # the fig11 grid reduced to r in {1, 2, 5} and beta in {4, 10}
+    SPEC = SweepSpec(
+        alpha=4,
+        r_values=(1, 2, 5),
+        beta_values=(4, 10),
+        methods=("AttnTopK", "Proto"),
+        tasks_per_cell=100,
+        selection=SelectionConfig(top_k=4),
+    )
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        """(cell, per-task hit flags).
+
+        A hit is a task whose top-4 scores are its active set: every active
+        score exceeds every irrelevant one, so no tie decides it.
+        """
+        spec = self.SPEC
+        out = []
+        for cell_index, cell in enumerate(run_sweep(spec)):
+            first = cell_index * spec.tasks_per_cell
+            seeds = [task_seed(spec.global_seed, first + t) for t in range(spec.tasks_per_cell)]
+            shape = BooleanTaskSpec(n=spec.alpha + cell.beta, alpha=spec.alpha, r=cell.r)
+            stack, active = gen_boolean_batch(shape, seeds)
+            scores = feature_scores(stack.support, spec.selection)
+            is_active = np.zeros(scores.shape, dtype=bool)
+            np.put_along_axis(is_active, active, True, axis=-1)
+            lowest_active = np.where(is_active, scores, np.inf).min(axis=-1)
+            hits = lowest_active > np.where(is_active, -np.inf, scores).max(axis=-1)
+            out.append((cell, hits))
+        return out
+
+    def test_every_hit_is_perfect(self, cells):
+        for cell, hits in cells:
+            assert np.all(cell.per_task["AttnTopK"][hits] == 1.0), (cell.r, cell.beta)
+        rates = [hits.mean() for _, hits in cells]
+        assert (min(rates), max(rates)) == (0.16, 0.98)  # the range the README gives
+
+    def test_misses_are_at_chance(self, cells):
+        misses = [cell.per_task["AttnTopK"][~hits] for cell, hits in cells]
+        assert min(a.size for a in misses) >= 2  # so each cell's misses have a standard error
+        _assert_chance([a.mean() for a in misses], [a.std(ddof=1) / math.sqrt(a.size) for a in misses])
+
+    def test_proto_is_at_chance(self, cells):
+        grid = [cell for cell, _ in cells]
+        _assert_chance([c.accuracy_mean["Proto"] for c in grid], [c.accuracy_se["Proto"] for c in grid])
+
+    def test_proto_goldens_are_at_chance(self):
+        rows = _proto_goldens()
+        assert len(rows) == 6
+        _assert_chance([r["accuracy_mean"] for r in rows], [r["accuracy_se"] for r in rows])

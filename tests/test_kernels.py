@@ -7,10 +7,10 @@ from polyselect.core import LabeledSet, Task, one_hot
 from polyselect.kernels import (
     AttentionConfig,
     Kernel,
+    _softmax_in_place,
     attend_probs,
     predict,
     similarity_matrix,
-    softmax_rows,
 )
 from polyselect.prototypes import build_prototypes, proto_classify
 from polyselect.selection import self_attention_round
@@ -92,22 +92,30 @@ class TestStacks:
             similarity_matrix(AttentionConfig(Kernel.COSINE), queries, keys)
 
 
-class TestSoftmaxRows:
+def softmax_reference(scores: np.ndarray, tau_inv: float) -> np.ndarray:
+    """Row softmax in the package's order: scale, subtract the row maximum, exp, divide by the row sum."""
+    z = scores * tau_inv
+    z = np.exp(z - z.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmaxInPlace:
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]], atol=1e-15)
+        out = _softmax_in_place(np.array([[0.0, 0.0]]), 1.0)
+        np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_sharp_limit_is_argmax(self):
-        out = softmax_rows(np.array([[1.0, 0.0]]), tau_inv=1e4)
+        out = _softmax_in_place(np.array([[1.0, 0.0]]), 1e4)
         np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
 
     def test_hand_computed_four_way(self):
         z = E**2 + E**-2 + 2.0
         expected = [E**2 / z, E**-2 / z, 1.0 / z, 1.0 / z]
-        out = softmax_rows(np.array([[2.0, -2.0, 0.0, 0.0]]))
+        out = _softmax_in_place(np.array([[2.0, -2.0, 0.0, 0.0]]), 1.0)
         np.testing.assert_allclose(out[0], expected, rtol=1e-14)
 
     def test_stabilised_against_large_scores(self):
-        out = softmax_rows(np.array([[1000.0, 999.0]]))
+        out = _softmax_in_place(np.array([[1000.0, 999.0]]), 1.0)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out.sum(), 1.0, atol=1e-15)
 
@@ -209,24 +217,24 @@ class TestConfidenceField:
         assert abs(probs[0, 1] - probs[0, 0]) < 1e-6
 
 
-def _parent_attend_probs(query_features, support, config):
-    """attend_probs as a copy-then-softmax of the similarities, the reference."""
+def _reference_attend_probs(query_features, support, config):
+    """attend_probs with the reference softmax of the similarities."""
     scores = similarity_matrix(config, query_features, support.features)
-    return softmax_rows(scores, config.tau_inv) @ one_hot(support.labels, support.k)
+    return softmax_reference(scores, config.tau_inv) @ one_hot(support.labels, support.k)
 
 
 class TestAttendProbsBitIdentity:
     @pytest.mark.parametrize("shape", [(6, 40, 14), (32, 8, 8), (25, 10, 5)])
     @pytest.mark.parametrize("kind", list(Kernel))
     @pytest.mark.parametrize("tau_inv", [1.0, 2.0])
-    def test_equals_softmax_rows_formulation(self, shape, kind, tau_inv):
+    def test_equals_softmax_reference(self, shape, kind, tau_inv):
         rng = np.random.default_rng(sum(shape))
         keys = rng.choice([-1.0, 1.0], size=shape) + rng.normal(scale=0.1, size=shape)
         queries = rng.choice([-1.0, 1.0], size=(shape[0], 7, shape[2]))
         support = LabeledSet(keys, np.arange(shape[1]) % 2, k=2)
         config = AttentionConfig(kind, tau_inv)
         assert np.array_equal(
-            attend_probs(queries, support, config), _parent_attend_probs(queries, support, config)
+            attend_probs(queries, support, config), _reference_attend_probs(queries, support, config)
         )
 
 
@@ -248,14 +256,14 @@ class TestNonFiniteRejected:
             self_attention_round(x, 1.0)
 
     @pytest.mark.parametrize("x", _NON_FINITE)
-    def test_softmax_rows_of_gram(self, x):
+    def test_softmax_of_gram(self, x):
         with pytest.raises(ValueError, match="finite"):
-            softmax_rows(x @ x.T)
+            _softmax_in_place(x @ x.T, 1.0)
 
     @pytest.mark.parametrize("x", _NON_FINITE[:3])
-    def test_softmax_rows(self, x):
+    def test_softmax(self, x):
         with pytest.raises(ValueError, match="finite"):
-            softmax_rows(x)
+            _softmax_in_place(x.copy(), 1.0)
 
     @pytest.mark.parametrize("x", _NON_FINITE)
     @pytest.mark.parametrize("kind", [Kernel.DOT, Kernel.SQ_EUCLIDEAN])

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from polyselect.core import LabeledSet, rng_for
-from polyselect.kernels import AttentionConfig, Kernel, predict, similarity_matrix, softmax_rows
+from polyselect.kernels import AttentionConfig, Kernel, predict, similarity_matrix
 from polyselect.prototypes import build_prototypes, proto_classify
 
-from test_kernels import and_support, xor_support
+from test_kernels import and_support, softmax_reference, xor_support
 
 
 class TestBuildPrototypes:
@@ -108,10 +108,10 @@ class TestProtoClassify:
 class TestProtoClassifyBitIdentity:
     @pytest.mark.parametrize("shape", [(6, 40, 14), (32, 8, 8), (25, 10, 5)])
     @pytest.mark.parametrize("tau_inv", [1.0, 2.0])
-    def test_equals_softmax_rows_formulation(self, shape, tau_inv):
+    def test_equals_softmax_reference(self, shape, tau_inv):
         rng = rng_for(sum(shape))
         feats = rng.choice([-1.0, 1.0], size=shape) + rng.normal(scale=0.1, size=shape)
         queries = rng.choice([-1.0, 1.0], size=(shape[0], 7, shape[2]))
         protos = build_prototypes(LabeledSet(feats, np.arange(shape[1]) % 2, k=2))
         neg_sq = similarity_matrix(AttentionConfig(Kernel.SQ_EUCLIDEAN), queries, protos.features)
-        assert np.array_equal(proto_classify(queries, protos, tau_inv), softmax_rows(neg_sq, tau_inv))
+        assert np.array_equal(proto_classify(queries, protos, tau_inv), softmax_reference(neg_sq, tau_inv))

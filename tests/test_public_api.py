@@ -33,3 +33,33 @@ def test_package_reexports_only_public_names():
         module = importlib.import_module(f"polyselect.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def _defined_names(node: ast.stmt) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # every option needs a caller: a name in a layer's __all__ is read somewhere in
+    # src/polyselect outside its own definition; __init__.py's re-exports do not count
+    package = Path(polyselect.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            inside = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+            }
+            read |= inside - _defined_names(node)
+    uncalled = [
+        f"{layer}.{name}"
+        for layer in LAYERS
+        for name in importlib.import_module(f"polyselect.{layer}").__all__
+        if name not in read
+    ]
+    assert uncalled == []

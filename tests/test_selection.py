@@ -18,7 +18,7 @@ import polyselect
 from polyselect import selection
 from polyselect.bench import evaluate_method
 from polyselect.core import LabeledSet, task_seed
-from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict, softmax_rows
+from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict
 from polyselect.selection import (
     FACTORS,
     SelectionConfig,
@@ -30,6 +30,7 @@ from polyselect.selection import (
     standardize,
 )
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
+from test_kernels import softmax_reference
 
 
 class TestStandardize:
@@ -160,12 +161,12 @@ class TestSelfAttentionRoundBitIdentity:
         ids=["sphere511", "sphere513"] + ["parity{}x{}x{}".format(*s) for s in _PARITY_SHAPES],
     )
     @pytest.mark.parametrize("tau_inv", [1.0, 2.0])
-    def test_equals_softmax_rows_formulation(self, x, rtol, tau_inv):
+    def test_equals_softmax_reference(self, x, rtol, tau_inv):
         # parity classes keep the single Gram product and agree bit for bit,
         # its row maxima taken as column maxima included; the blocked sphere
         # classes divide each output row by its row sum instead of dividing
         # the weights, so they agree to rounding
-        expected = softmax_rows(x @ x.swapaxes(-1, -2), tau_inv) @ x
+        expected = softmax_reference(x @ x.swapaxes(-1, -2), tau_inv) @ x
         np.testing.assert_allclose(self_attention_round(x, tau_inv), expected, rtol=rtol, atol=0)
 
     @pytest.mark.parametrize("shape", _PARITY_SHAPES, ids=lambda s: "x".join(map(str, s)))
@@ -232,7 +233,7 @@ class TestSelfAttentionRoundBitIdentity:
         assert differ == [], f"(n, rows) whose bits depend on the thread count: {differ}"
 
     @pytest.mark.parametrize("shape", _ONE_ROW_SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_one_row_blocks_equal_softmax_rows_formulation(self, monkeypatch, shape):
+    def test_one_row_blocks_equal_softmax_reference(self, monkeypatch, shape):
         # rows * n > 2^17, so each block is one Gram row and its output product a gemv
         blocks = []
         exp_rows = selection._exp_rows_in_place
@@ -245,7 +246,7 @@ class TestSelfAttentionRoundBitIdentity:
         x = _off_zero_block(shape)
         got = self_attention_round(x, 2.0)
         assert blocks == [(1, shape[0])] * shape[0]
-        expected = softmax_rows(x @ x.T, 2.0) @ x
+        expected = softmax_reference(x @ x.T, 2.0) @ x
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_one_row_blocks_bits_equal_under_one_and_two_blas_threads(self):

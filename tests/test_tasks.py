@@ -14,38 +14,39 @@ from polyselect.tasks import (
     gen_boolean_batch,
     gen_boolean_task,
     gen_sphere_task,
-    parity,
-    parity_label,
 )
+from polyselect.tasks import _pattern_labels, _variant_patterns
+
+
+def _labels_of(bits) -> np.ndarray:
+    return _pattern_labels(np.asarray(bits, dtype=np.int64).reshape(1, -1))
 
 
 class TestParity:
+    """The package's one label rule: class 1 iff prod of the +-1 active values is -1."""
+
     def test_product_over_active(self):
-        assert parity([1.0, -1.0, 1.0], (0, 1, 2)) == -1
+        # bits (1, 0, 1) are the +-1 values (1, -1, 1), whose product is -1
+        assert _labels_of([1, 0, 1]).tolist() == [1]
+        assert _labels_of([0, 0, 1]).tolist() == [0]
 
     def test_single_index(self):
-        assert parity([1.0, -1.0], (0,)) == 1
+        assert _labels_of([1]).tolist() == [0]
+        assert _labels_of([0]).tolist() == [1]
 
-    def test_empty_index_set_rejected(self):
-        with pytest.raises(ValueError):
-            parity([1.0], ())
-
-    @pytest.mark.parametrize("bad", [2.0, 0.0, 0.5, np.nan])
-    def test_off_image_value_rejected(self, bad):
-        with pytest.raises(ValueError, match="parity expects"):
-            parity([1.0, bad, -1.0], (0, 1, 2))
-
-    @given(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=8), st.integers(0, 7))
-    def test_single_flip_flips_parity(self, values, pos):
-        pos = pos % len(values)
-        idx = tuple(range(len(values)))
-        flipped = list(values)
-        flipped[pos] = -flipped[pos]
-        assert parity(values, idx) == -parity(flipped, idx)
+    @given(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=8), st.integers(0, 7))
+    def test_single_flip_flips_parity(self, bits, pos):
+        pos = pos % len(bits)
+        flipped = list(bits)
+        flipped[pos] = 1 - flipped[pos]
+        assert _labels_of(bits)[0] == 1 - _labels_of(flipped)[0]
 
     def test_label_mapping(self):
-        assert parity_label(-1) == 1
-        assert parity_label(1) == 0
+        for alpha in range(1, 6):
+            patterns = _variant_patterns(alpha)
+            chi = np.prod(2 * patterns - 1, axis=1)
+            expected = (chi == -1).astype(np.int64)
+            np.testing.assert_array_equal(_pattern_labels(patterns), expected)
 
 
 class TestBooleanTasks:
@@ -66,12 +67,14 @@ class TestBooleanTasks:
         assert (task.support.labels == 0).sum() == (task.support.labels == 1).sum()
 
     def test_labels_recovered_from_parity(self):
+        # class 1 exactly when the product of the active +-1 coordinates is -1
         for seed in range(20):
             task = gen_boolean_task(BooleanTaskSpec(n=9, alpha=4, p=0.7, r=2, seed=seed))
-            idx = task.meta.active_indices
+            idx = list(task.meta.active_indices)
             for ls in (task.support, task.query):
-                expected = [parity_label(parity(row, idx)) for row in ls.features]
-                np.testing.assert_array_equal(ls.labels, expected)
+                chi = np.prod(ls.features[:, idx], axis=1)
+                assert set(chi.tolist()) <= {-1.0, 1.0}
+                np.testing.assert_array_equal(ls.labels, (chi == -1).astype(np.int64))
 
     def test_deterministic_given_seed(self):
         spec = BooleanTaskSpec(n=10, alpha=3, p=0.5, r=2, seed=77)
