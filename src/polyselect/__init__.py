@@ -19,7 +19,6 @@ from .core import (
     LabeledSet,
     Task,
     TaskMeta,
-    encode_bits,
     one_hot,
     rng_for,
     task_from_json,

@@ -12,9 +12,10 @@ on its grid position, so rerunning a sweep or recipe with the same seed
 produces byte-identical output files on any number of CPUs.
 fig5_sphere sends its tasks through the same pool.
 
-A sweep run on its own forks a pool for its one call.  While reproduce runs
-a recipe, the recipe's chunk maps share one pool instead, forked at the
-first map that needs two workers and reaped before reproduce returns or
+A sweep run on its own forks a pool for its one call, with one worker per
+chunk up to one per usable CPU.  While reproduce runs a recipe, the recipe's
+chunk maps share one pool instead, with one worker per usable CPU, forked by
+the first map that needs two workers and reaped before reproduce returns or
 raises.  binary_strings_fs_raw is the recipe with more than one map: its
 six one-cell sweeps start one set of workers, and each worker imports
 numpy.random once rather than once per sweep.  Recipes that map no chunks
@@ -24,9 +25,9 @@ fork nothing and import no process machinery.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import itertools
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -243,28 +244,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The pool slot of the open pool scope: None when no scope is open, else a
-# list holding at most one (workers, pool) pair once a map has forked it.
+# None outside reproduce; while reproduce runs a recipe, a list that holds the
+# recipe's pool once a chunk map has forked it.
 _pool_slot: list | None = None
-
-
-@contextlib.contextmanager
-def _pool_scope():
-    """Share one lazily forked pool among the chunk maps inside; reap it on exit.
-
-    Inside an open scope this adds nothing: the outer scope owns the pool.
-    """
-    global _pool_slot
-    if _pool_slot is not None:
-        yield
-        return
-    _pool_slot = slot = []
-    try:
-        yield
-    finally:
-        _pool_slot = None
-        for _, pool in slot:
-            pool.shutdown()  # joins and reaps every worker
 
 
 def _fork_pool(workers: int):
@@ -277,15 +259,13 @@ def _fork_pool(workers: int):
 def _map_chunks(fn: Callable, items: list) -> list:
     """fn over items in order, on up to one forked worker per usable CPU.
 
-    The map runs on the pool of the open pool scope, which reproduce holds
-    for a whole recipe; outside one it opens a scope of its own, so its pool
-    lives only for this call.  The first map of a scope that needs workers
-    forks the pool with its own worker count; a later map that needs more
-    shuts it down and forks a larger one, so no map runs on fewer workers
-    than a pool of its own would give it.  Leaving the scope joins and reaps
-    every worker, on error too.  Fork, not spawn or forkserver, because a
-    fresh interpreter per worker would import numpy again.  With one worker
-    or no fork, the items run inline and no process starts.
+    Inside reproduce the map runs on the recipe's pool: the first map that
+    needs two workers forks it with one worker per usable CPU, later maps
+    reuse it, and reproduce reaps it.  Outside reproduce the map forks
+    min(usable CPUs, items) workers for this call alone and reaps them before
+    it returns or raises.  Fork, not spawn or forkserver, because a fresh
+    interpreter per worker would import numpy again.  With one worker or no
+    fork, the items run inline and no process starts.
     """
     workers = min(_usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
@@ -294,12 +274,12 @@ def _map_chunks(fn: Callable, items: list) -> list:
     # per worker (multiprocessing.Pool.map's default): one message per chunk
     # costs more CPU than the chunk, and a few runs per worker keep the tail short
     runs = -(-len(items) // (4 * workers))
-    with _pool_scope():
-        if _pool_slot and _pool_slot[0][0] < workers:
-            _pool_slot.pop()[1].shutdown()
-        if not _pool_slot:
-            _pool_slot.append((workers, _fork_pool(workers)))
-        return list(_pool_slot[0][1].map(fn, items, chunksize=runs))
+    if _pool_slot is None:
+        with _fork_pool(workers) as pool:
+            return list(pool.map(fn, items, chunksize=runs))
+    if not _pool_slot:
+        _pool_slot.append(_fork_pool(_usable_cpus()))
+    return list(_pool_slot[0].map(fn, items, chunksize=runs))
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
@@ -367,14 +347,13 @@ def emit_csv(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
     return _write_rows_csv(_grid_rows(spec, grid), Path(path))
 
 
-def parse_csv(path: str | Path) -> list[dict]:
-    """Read a sweep CSV back into typed rows."""
-    with Path(path).open(newline="") as fh:
-        return [{c: cast(row[c]) for c, cast in _CSV_TYPES.items()} for row in csv.DictReader(fh)]
+def _json_rows(rows: list[dict]) -> list[dict]:
+    """Grid rows for JSON, with null for the CSV's nan: the mean of a method that failed on every task."""
+    return [{c: None if isinstance(v, float) and math.isnan(v) else v for c, v in row.items()} for row in rows]
 
 
 def emit_json(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path:
-    return _write_json(Path(path), {"rows": _grid_rows(spec, grid)})
+    return _write_json(Path(path), {"rows": _json_rows(_grid_rows(spec, grid))})
 
 
 def _heat_color(accuracy: float) -> str:
@@ -561,7 +540,7 @@ def _recipe_binary_strings_fs_raw(out_dir: Path, seed: int, scale: float) -> lis
             rows.extend(_grid_rows(spec, grid, family=f"xor_n{n}"))
     return [
         _write_rows_csv(rows, out_dir / "binary_strings_fs_raw.csv"),
-        _write_json(out_dir / "binary_strings_fs_raw.json", rows),
+        _write_json(out_dir / "binary_strings_fs_raw.json", _json_rows(rows)),
     ]
 
 
@@ -595,13 +574,19 @@ def reproduce(name: str, out_dir: str | Path, seed: int = 0, scale: float = 1.0)
 
     scale < 1 shrinks task counts and grids proportionally (used by quick
     runs and the determinism checks); outputs remain fully deterministic in
-    (name, seed, scale).  The recipe runs in one pool scope, so its chunk
-    maps share one worker pool, forked by the first map that needs it (see
-    _map_chunks); no worker is left when this returns or raises.
+    (name, seed, scale).  The recipe's chunk maps share one pool with one
+    worker per usable CPU, forked by the first map that needs two workers
+    (see _map_chunks); no worker is left when this returns or raises.
     """
+    global _pool_slot
     if name not in RECIPES:
         raise KeyError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _pool_scope():
+    _pool_slot = pools = []
+    try:
         return RECIPES[name](out, seed, scale)
+    finally:
+        _pool_slot = None
+        for pool in pools:
+            pool.shutdown()  # joins and reaps every worker

@@ -27,7 +27,6 @@ __all__ = [
     "Task",
     "TaskMeta",
     "csv_text",
-    "encode_bits",
     "json_text",
     "one_hot",
     "rng_for",
@@ -185,17 +184,6 @@ def one_hot(labels: Sequence[int], k: int) -> np.ndarray:
     return out
 
 
-def encode_bits(bits: Sequence[int], encoding: Encoding) -> np.ndarray:
-    """Map {0,1} bits to real feature values under the given encoding."""
-    arr = np.asarray(bits)
-    if not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("bits must be 0 or 1")
-    arr = arr.astype(np.float64)
-    if encoding is Encoding.PLUS_MINUS:
-        return 2.0 * arr - 1.0
-    return arr
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -233,8 +221,11 @@ def csv_text(header: Sequence[str], rows) -> str:
 
 
 def json_text(payload) -> str:
-    """Canonical JSON, the one format of every JSON the package writes: sorted keys, compact."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON, the one format of every JSON the package writes: sorted keys, compact.
+
+    A nan or infinite float raises ValueError: JSON has no such number.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _labeled_to_obj(ls: LabeledSet) -> dict:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Encoding, LabeledSet, Task, TaskMeta, encode_bits, rng_for
+from .core import Encoding, LabeledSet, Task, TaskMeta, rng_for
 
 __all__ = [
     "BooleanTaskSpec",
@@ -88,10 +88,10 @@ def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task
         qry_variant[t] = rng.integers(0, patterns.shape[0], size=q)
 
     def place(uniform: np.ndarray, variant_bits: np.ndarray) -> np.ndarray:
-        bits = (uniform < spec.p).astype(np.int64)
+        bits = (uniform < spec.p).astype(np.float64)
         cols = np.broadcast_to(active[:, None, :], bits.shape[:2] + (alpha,))
         np.put_along_axis(bits, cols, variant_bits, axis=-1)
-        return encode_bits(bits, spec.encoding)
+        return 2.0 * bits - 1.0 if spec.encoding is Encoding.PLUS_MINUS else bits
 
     sup_variant = np.repeat(np.arange(patterns.shape[0]), spec.r)
     stack = Task(

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import multiprocessing
@@ -24,7 +25,6 @@ from polyselect.bench import (
     emit_json,
     emit_svg_heatmap,
     evaluate_method,
-    parse_csv,
     reproduce,
     run_sweep,
 )
@@ -34,6 +34,12 @@ from polyselect.selection import FACTORS, SelectionConfig, feature_scores
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_task
 
 GOLDEN = Path(__file__).resolve().parents[1] / "out"
+
+
+def parse_csv(path: str | Path) -> list[dict]:
+    """A sweep CSV read back into rows typed by bench's column declaration."""
+    with Path(path).open(newline="") as fh:
+        return [{c: cast(row[c]) for c, cast in bench._CSV_TYPES.items()} for row in csv.DictReader(fh)]
 
 
 def small_spec(**kwargs):
@@ -408,7 +414,7 @@ class TestRecipePool:
         assert bench._pool_slot is None
         assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in inline]
 
-    def test_larger_map_forks_a_larger_pool(self, monkeypatch, process_starts, tmp_path):
+    def test_pool_forks_once_with_one_worker_per_cpu(self, monkeypatch, process_starts, tmp_path):
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
 
         def maps(out, seed, scale):
@@ -416,7 +422,7 @@ class TestRecipePool:
 
         monkeypatch.setitem(bench.RECIPES, "maps", maps)
         assert reproduce("maps", tmp_path) == [[2, 2], [3, 3, 3], [2, 2]]
-        assert len(process_starts) == 5  # 2, then 3 kept for the last map
+        assert len(process_starts) == 3  # forked by the first map, kept for the others
         assert multiprocessing.active_children() == []
         assert bench._pool_slot is None
 
@@ -443,6 +449,17 @@ class TestRecipePool:
         )
         assert out.stdout.strip() == "[]"
         assert len(list(tmp_path.iterdir())) == 5  # every recipe wrote its files
+
+    def test_worker_error_reaches_caller(self, monkeypatch, process_starts, map_sizes, tmp_path):
+        def fail(*args):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(bench, "_accuracies", fail)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            reproduce("binary_strings_fs_raw", tmp_path, scale=0.01)
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+        assert bench._pool_slot is None
 
     def test_crashed_worker_is_broken_pool(self, monkeypatch, process_starts, map_sizes, tmp_path):
         parent = os.getpid()
@@ -523,6 +540,8 @@ class TestEmitters:
                 assert (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
         assert all(r["p"] == 0.3 for r in parsed)
 
+    # in the two tests below no method fails on every task of a cell, so no mean is nan;
+    # the JSON writes null for a nan mean (tests/test_cli.py checks it), the CSV nan
     def test_json_mirrors_csv(self, tmp_path):
         spec = small_spec(r_values=(1,), beta_values=(2,), tasks_per_cell=5)
         grid = run_sweep(spec)

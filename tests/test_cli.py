@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from polyselect.bench import parse_csv
 from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
 from polyselect.cli import build_parser, main
 from polyselect.core import task_from_json
 from polyselect.kernels import Kernel
 from polyselect.selection import feature_scores
 from polyselect.theory import TheoryParams, snr_growth
+from test_bench import parse_csv
 
 
 # the flags of the boolean task spec, which gen-tasks --family sphere and eval --task do not read
@@ -338,6 +338,15 @@ class TestSweepAndTheory:
         ]
         rows = parse_csv(tmp_path / "sweep.csv")
         assert [(r["tasks"], math.isnan(r["accuracy_mean"])) for r in rows] == [(0, True), (0, True)]
+        # the JSON holds the same rows, with null for the CSV's nan: strict JSON has no NaN
+        assert main([*argv, "--format", "json"]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        json_rows = json.loads((tmp_path / "sweep.json").read_text(), parse_constant=no_constant)["rows"]
+        assert json_rows == [{**r, "accuracy_mean": None} for r in rows]
         # no failure, no line
         assert main([a if a != "1e308" else "3" for a in argv]) == 0
         assert capsys.readouterr().err == ""

@@ -12,7 +12,7 @@ from polyselect.core import (
     LabeledSet,
     Task,
     TaskMeta,
-    encode_bits,
+    json_text,
     one_hot,
     task_from_json,
     task_seed,
@@ -43,22 +43,11 @@ class TestOneHot:
         np.testing.assert_array_equal(mat.sum(axis=0), counts)
 
 
-class TestEncodeBits:
-    def test_plus_minus(self):
-        np.testing.assert_array_equal(encode_bits([1, 0], Encoding.PLUS_MINUS), [1.0, -1.0])
-
-    def test_zero_one_identity(self):
-        np.testing.assert_array_equal(encode_bits([1, 0], Encoding.ZERO_ONE), [1.0, 0.0])
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            encode_bits([2], Encoding.PLUS_MINUS)
-
-    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
-    @pytest.mark.parametrize("scheme", list(Encoding))
-    def test_encode_rejects_non_bits(self, bad, scheme):
-        with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            encode_bits([1, bad, 0], scheme)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_json_text_refuses_non_finite_floats(value):
+    # JSON has no NaN or Infinity; a strict parser rejects a file holding them
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        json_text({"rows": [{"accuracy_mean": value}]})
 
 
 class TestTaskSeed:

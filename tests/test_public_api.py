@@ -41,21 +41,27 @@ def _defined_names(node: ast.stmt) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
-def test_every_public_name_has_a_caller_in_the_package():
-    # every option needs a caller: a name in a layer's __all__ is read somewhere in
-    # src/polyselect outside its own definition; __init__.py's re-exports do not count
+def _modules_and_names_read() -> tuple[dict[str, list[ast.stmt]], set[str]]:
+    """Each module's top-level statements, and every name read in src/polyselect
+    outside the statement that defines it; __init__.py's re-exports do not count."""
     package = Path(polyselect.__file__).parent
+    modules = {p.stem: ast.parse(p.read_text()).body for p in package.glob("*.py") if p.name != "__init__.py"}
     read = set()
-    for path in package.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
+    for body in modules.values():
+        for node in body:
             inside = {
                 n.id if isinstance(n, ast.Name) else n.attr
                 for n in ast.walk(node)
                 if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
             }
             read |= inside - _defined_names(node)
+    return modules, read
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # every option needs a caller: a name in a layer's __all__ is read somewhere in
+    # src/polyselect outside its own definition
+    _, read = _modules_and_names_read()
     uncalled = [
         f"{layer}.{name}"
         for layer in LAYERS
@@ -63,3 +69,18 @@ def test_every_public_name_has_a_caller_in_the_package():
         if name not in read
     ]
     assert uncalled == []
+
+
+def test_every_module_level_name_has_a_caller_in_the_package():
+    # the same rule for every def, class and assignment at module level, private
+    # names included, so a helper only the tests call is caught too
+    modules, read = _modules_and_names_read()
+    unread = [
+        f"{module}.{name}"
+        for module, body in modules.items()
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign))
+        for name in _defined_names(node)
+        if name != "__all__" and name not in read
+    ]
+    assert unread == []

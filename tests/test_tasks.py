@@ -144,6 +144,31 @@ class TestBooleanBatch:
             assert task_to_json(stack[t]) == task_to_json(replace(lone, meta=None))
             assert tuple(active[t]) == lone.meta.active_indices
 
+    @pytest.mark.parametrize("p, bit", [(0.0, 0), (1.0, 1)])
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_constant_noise_bit_encoded(self, encoding, p, bit):
+        # p = 0 (1) makes every noise bit 0 (1): plus/minus writes it as -1 (+1), zero/one as is
+        expected = 2.0 * bit - 1.0 if encoding is Encoding.PLUS_MINUS else float(bit)
+        spec = BooleanTaskSpec(n=6, alpha=2, p=p, r=2, query_count=5, encoding=encoding)
+        stack, active = gen_boolean_batch(spec, [task_seed(8, t) for t in range(4)])
+        for t in range(4):
+            noise = np.setdiff1d(np.arange(6), active[t])
+            for features in (stack.support.features[t], stack.query.features[t]):
+                assert (features[:, noise] == expected).all()
+
+    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+    def test_plus_minus_is_zero_one_rescaled(self, p):
+        # both encodings draw the same bits; plus/minus maps each bit b to 2b - 1
+        seeds = [task_seed(9, t) for t in range(5)]
+        base = BooleanTaskSpec(n=7, alpha=3, p=p, r=2, query_count=6)
+        pm, pm_active = gen_boolean_batch(replace(base, encoding=Encoding.PLUS_MINUS), seeds)
+        zo, zo_active = gen_boolean_batch(replace(base, encoding=Encoding.ZERO_ONE), seeds)
+        np.testing.assert_array_equal(pm_active, zo_active)
+        assert np.isin(zo.support.features, (0.0, 1.0)).all()
+        for a, b in ((pm.support, zo.support), (pm.query, zo.query)):
+            np.testing.assert_array_equal(a.features, 2.0 * b.features - 1.0)
+            np.testing.assert_array_equal(a.labels, b.labels)
+
 
 class TestSphereTasks:
     def test_unit_norms(self):
