@@ -119,6 +119,8 @@ class TaskMeta:
         object.__setattr__(self, "active_indices", tuple(int(i) for i in self.active_indices))
         if self.alpha != len(self.active_indices):
             raise ValueError("alpha must equal the number of active indices")
+        if len(set(self.active_indices)) != self.alpha:
+            raise ValueError(f"active indices must be distinct, got {list(self.active_indices)}")
         if self.beta_irrelevant < 0:
             raise ValueError("irrelevant feature count must be >= 0")
         if not 0.0 <= self.p <= 1.0:

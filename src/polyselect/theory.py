@@ -68,8 +68,8 @@ _PAIR_CACHE_SIZE = 256
 _EXP_OVERFLOW = 709.0
 
 # Support uniforms per block of mc_signed_sums trials: 2^16 float64 (512 KiB),
-# sized to stay in L2.  A call's buffers then total at most about 1.6 MiB
-# (unless one trial alone needs more uniforms) besides its (trials,) output.
+# sized to stay in L2.  A block's temporaries then peak near 1.6 MiB (unless
+# one trial alone needs more uniforms) besides the call's (trials,) output.
 _MC_BLOCK_DRAWS = 1 << 16
 
 
@@ -122,11 +122,6 @@ def pbar(p: float) -> float:
 def qbar(p: float) -> float:
     """Complement of pbar: probability two independent bits disagree."""
     return 1.0 - pbar(p)
-
-
-def _check_tau_inv(tau_inv: float) -> None:
-    if not math.isfinite(tau_inv) or tau_inv <= 0:
-        raise ValueError(f"tau_inv must be positive and finite, got {tau_inv}")
 
 
 def _base_kernel(kernel: Kernel) -> Kernel:
@@ -259,9 +254,7 @@ def exhaustive_stats(params: TheoryParams) -> ScoreStats:
     return ScoreStats(mean=mean, variance=variance)
 
 
-def mc_signed_sums(
-    params: TheoryParams, trials: int, seed: int, tau_inv: float = 1.0
-) -> np.ndarray:
+def mc_signed_sums(params: TheoryParams, trials: int, seed: int) -> np.ndarray:
     """Signed score sums from sampled tasks, one value per trial.
 
     Each trial draws a full support (every variant r times, irrelevant bits
@@ -274,17 +267,16 @@ def mc_signed_sums(
     draws.
 
     The trials run in blocks of at most _MC_BLOCK_DRAWS support uniforms
-    (at least one trial), from the draws to the row sums, in buffers
-    allocated once; only the (trials,) result grows with trials.  At
-    alpha=4, beta=4, r=5 and 200,000 trials a call peaks at 3.1 MiB under
-    tracemalloc, 1.5 MiB of it the result.  Each element goes through the
-    same float operations as the one-shot formula
-    sum(signs * exp(tau_inv * (f + k*m + (beta - k)*mm))) over k matching
-    bits, so the values do not depend on the block size.
+    (at least one trial), each block allocating its own temporaries from the
+    draws to the row sums; only the (trials,) result grows with trials.  At
+    alpha=4, r=5 and 200,000 trials a first call peaks under tracemalloc at
+    3.1 MiB with beta=4 and 3.8 MiB with beta=0, 1.5 MiB of it the result.
+    Each element goes through the same float operations as the one-shot
+    formula sum(signs * exp(f + k*m + (beta - k)*mm)) over k matching bits,
+    so the values do not depend on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_tau_inv(tau_inv)
     alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
 
     # delta profile: the query's active pattern sits at distance delta from
@@ -300,36 +292,19 @@ def mc_signed_sums(
     # each float64 uniform takes one 64-bit PCG64 output
     query_rng.bit_generator.advance(trials * rows * beta)
     block = min(trials, max(1, _MC_BLOCK_DRAWS // (rows * max(1, beta))))
-    sup_draws, qry_draws = np.empty((block, rows, beta)), np.empty((block, 1, beta))
-    sup_bits, qry_bits = np.empty(sup_draws.shape, bool), np.empty(qry_draws.shape, bool)
-    matches, rest = np.empty((block, rows)), np.empty((block, rows))
     ones = np.ones(beta)
     sums = np.empty(trials)
     for start in range(0, trials, block):
         n = min(block, trials - start)
-        sup = np.less(support_rng.random(out=sup_draws[:n]), params.p, out=sup_bits[:n])
-        qry = np.less(query_rng.random(out=qry_draws[:n]), params.p, out=qry_bits[:n])
-        # 1.0 where a support bit equals the query's, in the spent uniforms'
-        # buffer; one product sums each row's integers, exactly
-        same = np.equal(sup, qry, out=sup_draws[:n])
-        k = matches[:n]
-        np.matmul(same.reshape(n * rows, beta), ones, out=k.reshape(n * rows))
-        # f + k*m + (beta - k)*mm, scaled by tau_inv, exp, signed, summed per row
-        other = np.subtract(beta, k, out=rest[:n])
-        other *= mm
-        k *= m
-        x = np.add(f, k, out=k)
-        x += other
-        x *= tau_inv
-        np.exp(x, out=x)
-        x *= signs
-        np.sum(x, axis=1, out=sums[start : start + n])
+        sup = support_rng.random((n, rows, beta)) < params.p
+        qry = query_rng.random((n, 1, beta)) < params.p
+        # one product sums each row's matching bits, exactly
+        k = ((sup == qry).reshape(n * rows, beta) @ ones).reshape(n, rows)
+        sums[start : start + n] = (np.exp(f + k * m + (beta - k) * mm) * signs).sum(axis=1)
     return sums
 
 
-def mc_misclassification(
-    params: TheoryParams, trials: int, seed: int, tau_inv: float = 1.0
-) -> MCResult:
+def mc_misclassification(params: TheoryParams, trials: int, seed: int) -> MCResult:
     """Monte-Carlo estimate of the signed-sum moments and failure rate.
 
     A trial fails when its float signed sum is <= 0, so an exact tie (row
@@ -338,7 +313,7 @@ def mc_misclassification(
     but 200,000 trials at seed 0 give 0.4059 (see ROADMAP.md on exact ties).
     With beta == 0 the sum is deterministic and positive: the rate is 0.
     """
-    sums = mc_signed_sums(params, trials, seed, tau_inv)
+    sums = mc_signed_sums(params, trials, seed)
     variance = float(np.var(sums, ddof=1)) if trials > 1 else 0.0
     return MCResult(
         mean=float(np.mean(sums)),
@@ -354,8 +329,9 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
     log(sigma/mu) is asymptotically linear in beta with slope
     0.5 * log(c2 / c1^2); the fitted slope is the least-squares slope of
     log(sigma/mu) on beta over the top half of the range (all of it below four
-    points).  The fit uses only the finite, positive ratios; with fewer than
-    two of those the slope is undefined and reads nan.
+    points).  A beta whose mean underflows to 0 gets a nan ratio.  The fit
+    uses only the finite, positive ratios; with fewer than two of those the
+    slope is undefined and reads nan.
     """
     betas = tuple(int(b) for b in betas)
     if len(betas) < 2:
@@ -367,9 +343,8 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
         stats = support_sum_stats(
             TheoryParams(params.alpha, beta, params.p, params.r, params.kernel)
         )
-        if stats.mean <= 0:
-            raise ValueError("signed-sum mean must be positive on the range")
-        ratios.append(math.sqrt(stats.variance) / stats.mean)
+        # checked first: 0.0 / 0.0 raises ZeroDivisionError
+        ratios.append(math.sqrt(stats.variance) / stats.mean if stats.mean > 0 else math.nan)
 
     c1, c2 = _bit_moments(params)
     asymptotic = 0.5 * math.log(c2 / (c1 * c1))
@@ -397,7 +372,8 @@ def and_boundary(tau_inv: float, x) -> np.ndarray | float:
     0 under dot attention with sharpness tau_inv, the boundary is
     y = -log(tanh(tau_inv * x)) / (2 * tau_inv), defined for x > 0.
     """
-    _check_tau_inv(tau_inv)
+    if not math.isfinite(tau_inv) or tau_inv <= 0:
+        raise ValueError(f"tau_inv must be positive and finite, got {tau_inv}")
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0):
         raise ValueError("boundary defined for x > 0 only")

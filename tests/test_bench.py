@@ -300,6 +300,13 @@ class TestSweepProcesses:
         assert len(process_starts) == 2
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpu_count, usable", [(5, 5), (None, 1)])
+    def test_usable_cpus_without_affinity_is_cpu_count(self, monkeypatch, cpu_count, usable):
+        # platforms without sched_getaffinity (macOS, Windows) fall back to os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert bench._usable_cpus() == usable
+
     def test_one_usable_cpu_starts_no_process(self, monkeypatch, process_starts):
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
         run_sweep(small_spec())

@@ -174,6 +174,17 @@ class TestEval:
         message = f"{part} features must be a list of rows, got shape (2, {rows}, 5)"
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_task_file_with_repeated_active_index_is_runtime_error(self, tmp_path, capsys):
+        # gen-tasks draws distinct indices, so a repeated one comes from an edited file
+        assert main(["gen-tasks", "--n", "5", "--alpha", "2", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        task_file = tmp_path / "task_00000.json"
+        obj = json.loads(task_file.read_text())
+        obj["meta"]["active_indices"] = [1, 1]
+        task_file.write_text(json.dumps(obj))
+        assert main(["eval", "--task", str(task_file)]) == 1
+        assert capsys.readouterr() == ("", "error: active indices must be distinct, got [1, 1]\n")
+
     def test_task_file_that_is_not_an_object_is_runtime_error(self, tmp_path, capsys):
         task_file = tmp_path / "task.json"
         task_file.write_text("[1, 2]")
@@ -412,6 +423,17 @@ class TestSweepAndTheory:
             ["nan", "nan"],
             ["nan", "nan"],
         ]
+
+    def test_theory_underflowed_mean_gives_nan_ratio(self, capsys):
+        # sq_euclidean's mean shrinks with beta and underflows to 0.0 by beta 2000
+        argv = ["theory", "--alpha", "2", "--beta-values", "2000,3000", "--kernel", "sq_euclidean"]
+        assert main([*argv, "--trials", "10"]) == 0
+        _, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        for row in rows:
+            cells = row.split(",")
+            assert cells[5] == "0.0"
+            assert cells[13:15] == ["nan", "nan"]
 
     @pytest.mark.parametrize("betas", ["", ","])
     def test_theory_empty_beta_list_is_runtime_error(self, betas, capsys):

@@ -254,6 +254,7 @@ def _labeled(k: int = 2) -> LabeledSet:
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 1), "class count must be >= 2, got 1"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 2], 2), "labels must lie in [0, 2)"),
         (lambda: _meta(alpha=2), "alpha must equal the number of active indices"),
+        (lambda: _meta(active_indices=(1, 1), alpha=2), "active indices must be distinct, got [1, 1]"),
         (lambda: _meta(beta_irrelevant=-1), "irrelevant feature count must be >= 0"),
         (lambda: _meta(p=1.5), "p must lie in [0, 1], got 1.5"),
         (lambda: _meta(r=0), "variant repetition count must be >= 1, got 0"),

@@ -84,3 +84,38 @@ def test_every_module_level_name_has_a_caller_in_the_package():
         if name != "__all__" and name not in read
     ]
     assert unread == []
+
+
+def _defaulted_parameters(node: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position or None for keyword-only, name) of each parameter with a default."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return params + [(None, a.arg) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+
+
+def test_every_defaulted_parameter_has_a_caller_in_the_package():
+    # every option needs a caller: each parameter with a default of a module-level
+    # function is passed, by position or keyword, at some call site in src/polyselect
+    modules, _ = _modules_and_names_read()
+    passed: dict[str, set] = {}  # called name -> positions and keywords passed
+    for body in modules.values():
+        for call in (n for node in body for n in ast.walk(node) if isinstance(n, ast.Call)):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            seen = passed.setdefault(name, set())
+            seen.update(range(len(call.args)))
+            seen.update(k.arg for k in call.keywords if k.arg is not None)
+            # a call with *args or **kwargs passes every parameter
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                seen.add("*")
+    unpassed = [
+        f"{module}.{node.name}({name})"
+        for module, body in modules.items()
+        for node in body
+        # main(argv=None) is the console-script entry, which the installed script calls bare
+        if isinstance(node, ast.FunctionDef) and (module, node.name) != ("cli", "main")
+        for position, name in _defaulted_parameters(node)
+        if not passed.get(node.name, set()) & {"*", position, name}
+    ]
+    assert unpassed == []

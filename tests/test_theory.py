@@ -91,7 +91,7 @@ def _variance_z(sums: np.ndarray, variance: float) -> float:
     return (s2 - variance) / math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n)
 
 
-def _reference_mc_signed_sums(params, trials, seed, tau_inv=1.0):
+def _reference_mc_signed_sums(params, trials, seed):
     """Reference sampler: the same draws, matches summed in one float64 reduction."""
     alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
     rng = rng_for(seed)
@@ -105,7 +105,7 @@ def _reference_mc_signed_sums(params, trials, seed, tau_inv=1.0):
     matches = np.sum(sup_bits == qry_bits, axis=2, dtype=np.float64)
     m, mm = theory._bit_exponents(params.kernel)
     exponents = f[None, :] + matches * m + (beta - matches) * mm
-    scores = np.exp(tau_inv * exponents)
+    scores = np.exp(exponents)
     return np.sum(signs[None, :] * scores, axis=1)
 
 
@@ -295,10 +295,8 @@ class TestMonteCarlo:
     def test_signed_sums_equal_reference(self, kernel, alpha, beta, p, r, trials):
         # beta = 300 at p = 0.95 gives about 270 matches, past a uint8 counter
         params = TheoryParams(alpha, beta, p, r, kernel)
-        for tau_inv in (1.0, 0.5):
-            got = mc_signed_sums(params, trials=trials, seed=11, tau_inv=tau_inv)
-            want = _reference_mc_signed_sums(params, trials, seed=11, tau_inv=tau_inv)
-            assert np.array_equal(got, want)
+        got = mc_signed_sums(params, trials=trials, seed=11)
+        assert np.array_equal(got, _reference_mc_signed_sums(params, trials, seed=11))
 
     @pytest.mark.parametrize("block_draws", [1, 100, 1000, 4097])
     @pytest.mark.parametrize(
@@ -308,13 +306,10 @@ class TestMonteCarlo:
         # blocks from one trial to the whole run; beta 0 at 100 draws, beta 4 at
         # 1000 and 4097, and beta 300 at 4097 end in a partial block
         monkeypatch.setattr(theory, "_MC_BLOCK_DRAWS", block_draws)
-        for kernel, tau_inv in itertools.product(
-            [Kernel.DOT, Kernel.COSINE, Kernel.SQ_EUCLIDEAN], [1.0, 0.7]
-        ):
+        for kernel in [Kernel.DOT, Kernel.COSINE, Kernel.SQ_EUCLIDEAN]:
             params = TheoryParams(alpha, beta, p, r, kernel)
-            got = mc_signed_sums(params, trials=trials, seed=11, tau_inv=tau_inv)
-            want = _reference_mc_signed_sums(params, trials, seed=11, tau_inv=tau_inv)
-            assert np.array_equal(got, want), (kernel, tau_inv)
+            got = mc_signed_sums(params, trials=trials, seed=11)
+            assert np.array_equal(got, _reference_mc_signed_sums(params, trials, seed=11)), kernel
 
     @pytest.mark.parametrize("beta", [4, 0])
     def test_memory_does_not_grow_with_trials(self, beta):
@@ -329,35 +324,20 @@ class TestMonteCarlo:
         assert sums.shape == (200_000,)
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("tau_inv", [math.nan, math.inf, 0.0, -1.0])
-    def test_signed_sums_reject_bad_tau_inv(self, tau_inv):
-        params = TheoryParams(alpha=2, beta_irrelevant=2, p=0.5, r=1)
-        with pytest.raises(ValueError, match="tau_inv"):
-            mc_signed_sums(params, trials=10, seed=0, tau_inv=tau_inv)
-
-    @pytest.mark.parametrize("tau_inv", [math.nan, math.inf, 0.0, -1.0])
-    def test_misclassification_rejects_bad_tau_inv(self, tau_inv):
-        # NaN sums would read as a misclass_rate of 0.0, a perfect classifier
-        params = TheoryParams(alpha=2, beta_irrelevant=2, p=0.5, r=1)
-        with pytest.raises(ValueError, match="tau_inv"):
-            mc_misclassification(params, trials=10, seed=0, tau_inv=tau_inv)
-
-    def test_dot_and_sq_euclidean_agree_on_shared_draws(self):
-        """Dot at tau and squared-Euclidean at 2*tau differ by the positive
-        factor e^(tau*n) per score, so misclassification events coincide on
-        every trial whose signed sum is not an exact tie (ties land on either
-        side of zero depending on float summation order)."""
-        dot = TheoryParams(alpha=3, beta_irrelevant=4, p=0.4, r=2, kernel=Kernel.DOT)
-        l2 = TheoryParams(alpha=3, beta_irrelevant=4, p=0.4, r=2, kernel=Kernel.SQ_EUCLIDEAN)
-        sums_dot = mc_signed_sums(dot, trials=5000, seed=6, tau_inv=1.0)
-        sums_l2 = mc_signed_sums(l2, trials=5000, seed=6, tau_inv=2.0)
-        scale = np.median(np.abs(sums_dot))
-        tied = np.abs(sums_dot) <= 1e-9 * scale
-        assert tied.mean() < 0.01
-        np.testing.assert_array_equal((sums_dot <= 0)[~tied], (sums_l2 <= 0)[~tied])
-        rate_dot = float(np.mean(sums_dot <= 0))
-        rate_l2 = float(np.mean(sums_l2 <= 0))
-        assert abs(rate_dot - rate_l2) <= tied.mean()
+    @pytest.mark.parametrize("beta", [0, 1, 3, 6])
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_dot_and_sq_euclidean_agree_on_shared_draws(self, beta, p):
+        """At alpha = 1, r = 1 the support holds one row at distance 0 and one at
+        distance 1, with k0 and k1 matching irrelevant bits.  Dot's sum is
+        e^(1 + 2 k0 - beta) - e^(-1 + 2 k1 - beta) and sq_euclidean's is
+        e^(k0 - beta) - e^(k1 - 1 - beta): both are > 0 iff k0 >= k1 and exactly
+        0 iff k1 = k0 + 1, so on the same draws their signs (0 at a tie) agree in
+        every trial."""
+        dot = TheoryParams(alpha=1, beta_irrelevant=beta, p=p, r=1, kernel=Kernel.DOT)
+        l2 = TheoryParams(alpha=1, beta_irrelevant=beta, p=p, r=1, kernel=Kernel.SQ_EUCLIDEAN)
+        sums_dot = mc_signed_sums(dot, trials=5000, seed=6)
+        sums_l2 = mc_signed_sums(l2, trials=5000, seed=6)
+        np.testing.assert_array_equal(np.sign(sums_dot), np.sign(sums_l2))
 
 
 class TestMeanPositivity:
