@@ -2,8 +2,8 @@
 
 Every method in a cell is evaluated on the same tasks (seeds derive from the
 global seed and the task's grid position), so per-cell method differences are
-paired comparisons.  METHODS names the classifiers a sweep can compare, and
-_probs dispatches each name to its query class probabilities.  Each cell is
+paired comparisons.  METHODS names the classifiers a sweep can compare;
+_probs gives all their query class probabilities in one call.  Each cell is
 evaluated in chunks of consecutive tasks, each chunk one Task whose arrays
 stack its tasks on a leading axis, sized by a fixed memory budget.  The
 chunks of the whole grid run in forked worker processes, up to one per usable
@@ -44,7 +44,7 @@ from .boolefn import (
 from .core import Encoding, LabeledSet, Task, csv_text, json_text, task_seed
 from .kernels import AttentionConfig, Kernel, attend_probs, predict
 from .prototypes import build_prototypes, proto_classify
-from .selection import FACTORS, SelectionConfig, feature_scores, score_chunk, select_probs
+from .selection import FACTORS, SelectionConfig, feature_scores, select_probs
 from .tasks import BooleanTaskSpec, SphereTaskSpec, gen_boolean_batch, gen_sphere_task
 from .theory import and_boundary
 
@@ -140,27 +140,24 @@ class CellResult:
         return sum(self.tasks - accs.size for accs in self.per_task.values())
 
 
-def _scorer(task: Task, selection: SelectionConfig):
-    """The task's scores, computed on first use and shared by every method."""
-    return functools.cache(lambda: score_chunk(task.support, task.query.features, selection))
+def _probs(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
+    """Each method's query class probabilities (..., queries, k) on a task or a stack of them.
 
-
-def _probs(name: str, task: Task, attention, selection, scored) -> np.ndarray:
-    """Query class probabilities (..., queries, k) of a task or a stack of them.
-
-    scored() returns the task's shared Scored; the caller fills in
+    The selection methods share one select_probs call; the caller fills in
     selection.top_k for AttnTopK.
     """
-    if name == "Attn":
-        return attend_probs(task.query.features, task.support, attention)
-    if name == "Proto":
-        return proto_classify(task.query.features, build_prototypes(task.support), attention.tau_inv)
-    return select_probs(scored(), name, attention, selection)
+    selected = [m for m in methods if m in FACTORS]
+    probs = select_probs(task, selected, attention, selection) if selected else {}
+    if "Attn" in methods:
+        probs["Attn"] = attend_probs(task.query.features, task.support, attention)
+    if "Proto" in methods:
+        probs["Proto"] = proto_classify(task.query.features, build_prototypes(task.support), attention.tau_inv)
+    return {m: probs[m] for m in methods}
 
 
-def _accuracies(name, task, attention, selection, scored) -> np.ndarray:
-    probs = _probs(name, task, attention, selection, scored)
-    return np.mean(predict(probs) == task.query.labels, axis=-1)
+def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
+    probs = _probs(task, methods, attention, selection)
+    return {m: np.mean(predict(p) == task.query.labels, axis=-1) for m, p in probs.items()}
 
 
 def evaluate_method(
@@ -180,7 +177,7 @@ def evaluate_method(
         raise ValueError(f"evaluate_method takes one task, not a stack of {task.support.features.shape[0]}")
     if selection.top_k is None and task.meta is not None:
         selection = replace(selection, top_k=task.meta.alpha)
-    return float(_accuracies(name, task, attention, selection, _scorer(task, selection)))
+    return float(_accuracies(task, (name,), attention, selection)[name])
 
 
 def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
@@ -214,8 +211,9 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     An item is (spec, r, beta, first, start, stop): tasks start..stop of the
     cell whose first task has grid index first.  It is small and picklable, so
     a worker process builds the chunk's tasks itself.  AttnTopK without top_k
-    keeps spec.alpha features.  A method that raises ValueError on the stack
-    is evaluated again task by task, so only the tasks it fails on are dropped.
+    keeps spec.alpha features.  If any method raises ValueError on the stack,
+    every method is evaluated again task by task, so only the tasks a method
+    fails on are dropped.
     """
     spec, r, beta, first, start, stop = item
     seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
@@ -223,18 +221,14 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     selection = spec.selection
     if selection.top_k is None:
         selection = replace(selection, top_k=spec.alpha)
-    scored = _scorer(chunk, selection)
-    accs = {}
-    for m in spec.methods:
-        try:
-            accs[m] = _accuracies(m, chunk, spec.attention, selection, scored)
-        except ValueError:
-            kept = []
-            for t in range(stop - start):
-                with contextlib.suppress(ValueError):
-                    kept.append(evaluate_method(m, chunk[t], spec.attention, selection))
-            accs[m] = np.array(kept, dtype=np.float64)
-    return accs
+    with contextlib.suppress(ValueError):
+        return _accuracies(chunk, spec.methods, spec.attention, selection)
+    accs = {m: [] for m in spec.methods}
+    for t in range(stop - start):
+        for m in spec.methods:
+            with contextlib.suppress(ValueError):
+                accs[m].append(evaluate_method(m, chunk[t], spec.attention, selection))
+    return {m: np.array(kept, dtype=np.float64) for m, kept in accs.items()}
 
 
 def _usable_cpus() -> int:

@@ -132,8 +132,10 @@ def _read_config(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line must be key=value: {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"config key {key} is set more than once")
+        out[key] = value
     return out
 
 
@@ -249,6 +251,8 @@ def _cmd_eval(read: _Inputs) -> int:
         spec = replace(_boolean_spec(read), seed=task_seed(seed, 0))
         read.done("eval")
         task = gen_boolean_task(spec)
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat a value, got {list(methods)}")
     rows = [{"method": m, "accuracy": evaluate_method(m, task, attention, selection)} for m in methods]
     if dump_scores is not None:
         scores = feature_scores(task.support, selection).tolist()

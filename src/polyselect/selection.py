@@ -14,10 +14,9 @@ scores scaled to mean one, AttnTopK keeps only the k best-scoring features.
 The factor multiplies standardised features, with query rows standardised
 using support statistics.
 
-Every step works on (..., rows, n) arrays, so a stack of same-shape tasks
-that share one support label row is standardised, scored and classified at
-once; score_chunk standardises a chunk once and its Scored result serves
-every selection method.
+Every step works on (..., rows, n) arrays, so select_probs standardises and
+scores a stack of same-shape tasks that share one support label row at once,
+and once for all the selection methods it classifies.
 """
 
 from __future__ import annotations
@@ -26,16 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledSet
+from .core import LabeledSet, Task
 from .kernels import AttentionConfig, _exp_rows_in_place, attend_probs
 
 __all__ = [
     "FACTORS",
-    "Scored",
     "SelectionConfig",
     "dispersion",
     "feature_scores",
-    "score_chunk",
     "select_probs",
     "self_attention_round",
     "standardize",
@@ -167,30 +164,6 @@ def feature_scores(support: LabeledSet, config: SelectionConfig = SelectionConfi
     return _scores(standardize(support, config.epsilon)[0], config)
 
 
-@dataclass(frozen=True)
-class Scored:
-    """A chunk standardised once, with the support's feature scores.
-
-    The query rows are standardised with the support statistics.  Every
-    selection method applies its factor to these same arrays, so the scores
-    of a chunk are computed once however many methods use them.
-    """
-
-    support: LabeledSet
-    query_features: np.ndarray
-    scores: np.ndarray
-
-
-def score_chunk(support: LabeledSet, query_features: np.ndarray, config: SelectionConfig) -> Scored:
-    """Standardise support and queries, then score the support's features."""
-    std_support, mu, sigma = standardize(support, config.epsilon)
-    query = standardize_features(query_features, mu, sigma, config.epsilon)
-    scores = _scores(std_support, config)
-    query.setflags(write=False)  # shared by every method that reads this chunk
-    scores.setflags(write=False)
-    return Scored(std_support, query, scores)
-
-
 def _top_k_mask(scores: np.ndarray, k: int | None) -> np.ndarray:
     """Binary mask keeping the k highest scores; ties keep the lowest index."""
     if k is None:
@@ -220,12 +193,21 @@ FACTORS = {
 }
 
 
-def select_probs(scored: Scored, method: str, attn: AttentionConfig, sel: SelectionConfig) -> np.ndarray:
-    """Apply the method's factor to a scored chunk, then attend-classify its queries."""
-    scores = scored.scores
+def select_probs(task: Task, methods, attn: AttentionConfig, sel: SelectionConfig) -> dict[str, np.ndarray]:
+    """Each selection method's query class probabilities on a task or a stack of them.
+
+    The support and the queries are standardised with the support statistics
+    and the support's features scored once; each method then multiplies both
+    by its FACTORS factor and attend-classifies the queries.
+    """
+    support, mu, sigma = standardize(task.support, sel.epsilon)
+    query = standardize_features(task.query.features, mu, sigma, sel.epsilon)
+    scores = _scores(support, sel)
     if np.any(scores < 0) or not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite and nonnegative")
-    factor = FACTORS[method](scores, sel)[..., None, :]
-    sup = scored.support
-    support = LabeledSet(sup.features * factor, sup.labels, sup.k)
-    return attend_probs(scored.query_features * factor, support, attn)
+    probs = {}
+    for method in methods:
+        factor = FACTORS[method](scores, sel)[..., None, :]
+        scaled = LabeledSet(support.features * factor, support.labels, support.k)
+        probs[method] = attend_probs(query * factor, scaled, attn)
+    return probs

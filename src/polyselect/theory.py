@@ -24,7 +24,10 @@ Kernel score models on their natural encodings:
     sq_euclidean  f(delta) = -delta            match  0 / mismatch -1 per bit
 
 The laplace kernel coincides with sq_euclidean on the zero/one encoding and
-is treated as an alias.
+is treated as an alias.  The cosine model is the package's cosine kernel only
+at beta = 0: the kernel divides by the row norms, so its exponent is
+(alpha - 2*delta + sum of the +-1 bit terms) / (alpha + beta), while the model
+adds +-1 per irrelevant bit to 1 - 2*delta/alpha.
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ class MCResult:
 
 @dataclass(frozen=True)
 class SnrGrowth:
-    betas: tuple[int, ...]
     ratios: tuple[float, ...]
     fitted_slope: float
     asymptotic_slope: float
@@ -328,10 +330,11 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
 
     log(sigma/mu) is asymptotically linear in beta with slope
     0.5 * log(c2 / c1^2); the fitted slope is the least-squares slope of
-    log(sigma/mu) on beta over the top half of the range (all of it below four
-    points).  A beta whose mean underflows to 0 gets a nan ratio.  The fit
-    uses only the finite, positive ratios; with fewer than two of those the
-    slope is undefined and reads nan.
+    log(sigma/mu) on beta over the larger half of the betas, in any order
+    (all of them below four points).  A beta whose mean underflows to 0 gets
+    a nan ratio.  The fit uses only the finite, positive ratios; with fewer
+    than two of those the slope is undefined and reads nan.  ratios follow
+    the order of betas.
     """
     betas = tuple(int(b) for b in betas)
     if len(betas) < 2:
@@ -349,7 +352,7 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
     c1, c2 = _bit_moments(params)
     asymptotic = 0.5 * math.log(c2 / (c1 * c1))
 
-    pts = [(b, math.log(x)) for b, x in zip(betas, ratios) if math.isfinite(x) and x > 0]
+    pts = sorted((b, math.log(x)) for b, x in zip(betas, ratios) if math.isfinite(x) and x > 0)
     if len(pts) < 2:
         fitted = math.nan
     else:
@@ -357,12 +360,7 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
         bs = np.array([b for b, _ in tail], dtype=np.float64)
         ls = np.array([v for _, v in tail], dtype=np.float64)
         fitted = float(np.polyfit(bs, ls, 1)[0])
-    return SnrGrowth(
-        betas=betas,
-        ratios=tuple(ratios),
-        fitted_slope=fitted,
-        asymptotic_slope=asymptotic,
-    )
+    return SnrGrowth(ratios=tuple(ratios), fitted_slope=fitted, asymptotic_slope=asymptotic)
 
 
 def and_boundary(tau_inv: float, x) -> np.ndarray | float:

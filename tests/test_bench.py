@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import polyselect
-from polyselect import bench
+from polyselect import bench, selection
 from polyselect.bench import (
     METHODS,
     CellResult,
@@ -239,6 +239,20 @@ class TestRunSweep:
         assert assert_matches_loop(spec) > 0
         assert len(process_starts) == 4  # both run_sweep calls went through the pool
 
+    @pytest.mark.parametrize(
+        "methods, per_chunk", [(("AttnSoftFS", "AttnTopK"), 1), (("Attn", "Proto"), 0)], ids=["fig11", "plain"]
+    )
+    def test_selection_methods_share_one_scoring_per_chunk(self, monkeypatch, methods, per_chunk):
+        # fig11_topk's two methods standardise and score each chunk once between them
+        chunks, scorings = [], []
+        run_chunk, scores = bench._run_chunk, selection._scores
+        monkeypatch.setattr(bench, "_run_chunk", lambda item: chunks.append(item) or run_chunk(item))
+        monkeypatch.setattr(selection, "_scores", lambda *args: scorings.append(args) or scores(*args))
+        monkeypatch.setattr(bench, "CHUNK_BYTES", 2048)
+        run_inline(monkeypatch, small_spec(alpha=4, methods=methods, selection=SelectionConfig(top_k=4)))
+        assert len(chunks) > 4  # several chunks in each of the four cells
+        assert len(scorings) == per_chunk * len(chunks)
+
     def test_unknown_method_evaluation_rejected(self):
         task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=1))
         with pytest.raises(ValueError):
@@ -272,8 +286,7 @@ class TestConfigKnobs:
     def _probs(self, task, attention, selection) -> list[np.ndarray]:
         if selection.top_k is None:  # as evaluate_method fills it in
             selection = replace(selection, top_k=task.meta.alpha)
-        scored = bench._scorer(task, selection)
-        return [bench._probs(m, task, attention, selection, scored) for m in METHODS]
+        return list(bench._probs(task, METHODS, attention, selection).values())
 
     @pytest.mark.parametrize("config, name", [(c, f.name) for c in KNOBS for f in fields(c)])
     def test_every_field_changes_some_method(self, config, name):

@@ -105,6 +105,18 @@ class TestEval:
         expected = "feature_index,score\n" + "".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist()))
         assert out.read_bytes() == expected.encode()  # LF line ends, like every CSV written
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["generated", "task_file"])
+    def test_repeated_methods_are_runtime_error(self, from_file, tmp_path, capsys):
+        task = []
+        if from_file:
+            assert main(["gen-tasks", "--out-dir", str(tmp_path)]) == 0
+            task = ["--task", str(tmp_path / "task_00000.json")]
+        capsys.readouterr()
+        scores = tmp_path / "scores.csv"
+        assert main(["eval", *task, "--methods", "Attn", "Attn", "--dump-scores", str(scores)]) == 1
+        assert capsys.readouterr() == ("", "error: methods must not repeat a value, got ['Attn', 'Attn']\n")
+        assert not scores.exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=6\nalpha=3\nseed=4\n")
@@ -596,6 +608,7 @@ class TestReproduceAndExitCodes:
         "text,message",
         [
             ("n=6\nalpha\n", "config line must be key=value: 'alpha'"),
+            ("alpha=3\n alpha = 2\n", "config key alpha is set more than once"),
         ],
     )
     def test_bad_config_file_is_runtime_error(self, text, message, tmp_path, monkeypatch, capsys):

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +23,10 @@ from polyselect.selection import (
     SelectionConfig,
     dispersion,
     feature_scores,
-    score_chunk,
     select_probs,
     self_attention_round,
     standardize,
+    standardize_features,
 )
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
 from test_kernels import softmax_reference
@@ -343,10 +342,10 @@ class TestFeatureScores:
         np.testing.assert_allclose(feature_scores(permuted), scores[perm], atol=1e-12)
 
 
-def scored_with(task, scores, config=SelectionConfig()):
-    """The task's standardised chunk of one, carrying the given scores."""
-    scored = score_chunk(task.support, task.query.features, config)
-    return replace(scored, scores=np.asarray(scores, dtype=np.float64))
+def probs_with(monkeypatch, task, scores, method, sel=SelectionConfig()):
+    """select_probs of one method on the task, with the support's feature scores fixed."""
+    monkeypatch.setattr(selection, "_scores", lambda support, config: np.asarray(scores, dtype=np.float64))
+    return select_probs(task, [method], AttentionConfig(), sel)[method]
 
 
 class TestApplySelection:
@@ -355,21 +354,20 @@ class TestApplySelection:
     def _task(self, seed=7):
         return gen_boolean_task(BooleanTaskSpec(n=6, alpha=2, p=0.5, r=3, seed=seed))
 
-    def test_uniform_scores_keep_dot_predictions(self):
+    def test_uniform_scores_keep_dot_predictions(self, monkeypatch):
         task = self._task()
-        attn, config = AttentionConfig(), SelectionConfig()
-        selected = select_probs(scored_with(task, np.full(6, 0.7)), "AttnSoftFS", attn, config)
-        base = select_probs(scored_with(task, np.ones(6)), "AttnSoftFS", attn, config)
+        selected = probs_with(monkeypatch, task, np.full(6, 0.7), "AttnSoftFS")
+        base = probs_with(monkeypatch, task, np.ones(6), "AttnSoftFS")
         np.testing.assert_array_equal(predict(selected), predict(base))
 
-    def test_top_k_full_width_is_identity_mask(self):
+    def test_top_k_full_width_is_identity_mask(self, monkeypatch):
         task = self._task()
         factor = FACTORS["AttnTopK"](np.arange(1.0, 7.0), SelectionConfig(top_k=6))
         np.testing.assert_array_equal(factor, np.ones(6))
-        scored = scored_with(task, np.arange(1.0, 7.0))
-        probs = select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=6))
-        plain = attend_probs(scored.query_features, scored.support, AttentionConfig())
-        assert probs.tobytes() == plain.tobytes()
+        probs = probs_with(monkeypatch, task, np.arange(1.0, 7.0), "AttnTopK", SelectionConfig(top_k=6))
+        support, mu, sigma = standardize(task.support, SelectionConfig().epsilon)
+        query = standardize_features(task.query.features, mu, sigma, SelectionConfig().epsilon)
+        assert probs.tobytes() == attend_probs(query, support, AttentionConfig()).tobytes()
 
     def test_top_k_rank_selection(self):
         factor = FACTORS["AttnTopK"](np.array([3.0, 1.0, 2.0]), SelectionConfig(top_k=2))
@@ -379,14 +377,11 @@ class TestApplySelection:
         factor = FACTORS["AttnTopK"](np.ones((2, 4)), SelectionConfig(top_k=2))
         np.testing.assert_array_equal(factor, [[1.0, 1.0, 0.0, 0.0]] * 2)
 
-    def test_top_k_exceeding_width_rejected(self):
-        task = self._task()
-        scored = scored_with(task, np.ones(6))
+    def test_top_k_exceeding_width_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="top_k must lie"):
-            select_probs(scored, "AttnTopK", AttentionConfig(), SelectionConfig(top_k=7))
+            probs_with(monkeypatch, self._task(), np.ones(6), "AttnTopK", SelectionConfig(top_k=7))
 
     def test_normalised_scores_mean_one(self):
-        task = self._task()
         scores = np.array([4.0, 0.0, 0.0, 0.0, 0.0, 2.0])
         factor = FACTORS["AttnSoftFSNorm"](scores, SelectionConfig())
         np.testing.assert_allclose(factor, scores / scores.sum() * 6, rtol=1e-15)
@@ -396,11 +391,16 @@ class TestApplySelection:
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("method", sorted(FACTORS))
-    def test_negative_or_non_finite_scores_rejected(self, method, bad):
-        task = self._task()
-        scored = scored_with(task, [1.0, 2.0, bad, 1.0, 1.0, 1.0])
+    def test_negative_or_non_finite_scores_rejected(self, monkeypatch, method, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            select_probs(scored, method, AttentionConfig(), SelectionConfig(top_k=2))
+            probs_with(monkeypatch, self._task(), [1.0, 2.0, bad, 1.0, 1.0, 1.0], method, SelectionConfig(top_k=2))
+
+    def test_one_call_equals_one_call_per_method(self):
+        task, attn, sel = self._task(), AttentionConfig(), SelectionConfig(top_k=2)
+        probs = select_probs(task, list(FACTORS), attn, sel)
+        assert list(probs) == list(FACTORS)
+        for method, p in probs.items():
+            assert p.tobytes() == select_probs(task, [method], attn, sel)[method].tobytes()
 
 
 class TestFsClassify:
@@ -417,8 +417,7 @@ class TestFsClassify:
     def test_rounds_zero_runs(self):
         task = gen_boolean_task(BooleanTaskSpec(n=6, alpha=3, p=0.5, r=2, seed=9))
         config = SelectionConfig(rounds=0)
-        scored = score_chunk(task.support, task.query.features, config)
-        probs = select_probs(scored, "AttnSoftFS", AttentionConfig(), config)
+        probs = select_probs(task, ["AttnSoftFS"], AttentionConfig(), config)["AttnSoftFS"]
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -428,17 +427,16 @@ class TestNormIsATemperature:
     def _pairs(self):
         for t in range(50):
             task = gen_boolean_task(BooleanTaskSpec(n=9, alpha=3, p=0.5, r=3, seed=task_seed(11, t)))
-            scored = score_chunk(task.support, task.query.features, SelectionConfig())
-            yield task, scored, task.support.cols / scored.scores.sum()
+            yield task, task.support.cols / feature_scores(task.support).sum()
 
     def test_dot_norm_is_soft_at_rescaled_temperature(self):
         # dot products of features scaled by c gain c^2, which the softmax
         # folds into its temperature
         sel = SelectionConfig()
         worst = 0.0
-        for task, scored, c in self._pairs():
-            norm = select_probs(scored, "AttnSoftFSNorm", AttentionConfig(tau_inv=1.5), sel)
-            soft = select_probs(scored, "AttnSoftFS", AttentionConfig(tau_inv=1.5 * c**2), sel)
+        for task, c in self._pairs():
+            norm = select_probs(task, ["AttnSoftFSNorm"], AttentionConfig(tau_inv=1.5), sel)["AttnSoftFSNorm"]
+            soft = select_probs(task, ["AttnSoftFS"], AttentionConfig(tau_inv=1.5 * c**2), sel)["AttnSoftFS"]
             worst = max(worst, float(np.abs(norm - soft).max()))
         assert worst <= 1e-12
 
@@ -446,10 +444,9 @@ class TestNormIsATemperature:
         # cosine similarity does not see a common scale of both vectors
         attn, sel = AttentionConfig(Kernel.COSINE, 1.5), SelectionConfig()
         worst = 0.0
-        for task, scored, _ in self._pairs():
-            norm = select_probs(scored, "AttnSoftFSNorm", attn, sel)
-            soft = select_probs(scored, "AttnSoftFS", attn, sel)
-            worst = max(worst, float(np.abs(norm - soft).max()))
+        for task, _ in self._pairs():
+            probs = select_probs(task, ["AttnSoftFSNorm", "AttnSoftFS"], attn, sel)
+            worst = max(worst, float(np.abs(probs["AttnSoftFSNorm"] - probs["AttnSoftFS"]).max()))
         assert worst <= 1e-12
 
 

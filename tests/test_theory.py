@@ -373,6 +373,16 @@ class TestSnrGrowth:
         growth = snr_growth(TheoryParams(alpha=3, beta_irrelevant=0, p=0.5, r=5), range(4, 24))
         assert growth.fitted_slope == pytest.approx(growth.asymptotic_slope, rel=0.02)
 
+    def test_fitted_slope_does_not_depend_on_beta_order(self):
+        # the fit takes the larger betas, wherever they stand in the list
+        params = TheoryParams(alpha=3, beta_irrelevant=0, p=0.5, r=2)
+        betas = [1, 2, 3, 20, 30, 40]
+        want = snr_growth(params, betas)
+        for order in ([30, 1, 40, 3, 20, 2], betas[::-1]):
+            growth = snr_growth(params, order)
+            assert growth.fitted_slope.hex() == want.fitted_slope.hex()
+            assert growth.ratios == tuple(want.ratios[betas.index(b)] for b in order)
+
     def test_degenerate_noise_gives_zero_ratio(self):
         growth = snr_growth(TheoryParams(alpha=2, beta_irrelevant=0, p=0.0, r=1), (1, 2, 3))
         assert all(r == 0.0 for r in growth.ratios)
