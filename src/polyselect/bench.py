@@ -3,7 +3,8 @@
 Every method in a cell is evaluated on the same tasks (seeds derive from the
 global seed and the task's grid position), so per-cell method differences are
 paired comparisons.  METHODS names the classifiers a sweep can compare;
-_probs gives all their query class probabilities in one call.  Each cell is
+_accuracies classifies a sweep chunk, or the CLI eval's one task, under all
+the methods asked for in one call, which scores each task once.  Each cell is
 evaluated in chunks of consecutive tasks, each chunk one Task whose arrays
 stack its tasks on a leading axis, sized by a fixed memory budget.  The
 chunks of the whole grid run in forked worker processes, up to one per usable
@@ -56,7 +57,6 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "emit_svg_heatmap",
-    "evaluate_method",
     "reproduce",
     "run_sweep",
 ]
@@ -156,28 +156,9 @@ def _probs(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
 
 
 def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
+    """Each method's query accuracy: a scalar on a task, one per task on a stack."""
     probs = _probs(task, methods, attention, selection)
     return {m: np.mean(predict(p) == task.query.labels, axis=-1) for m, p in probs.items()}
-
-
-def evaluate_method(
-    name: str,
-    task: Task,
-    attention: AttentionConfig,
-    selection: SelectionConfig,
-) -> float:
-    """Query accuracy of one method on one task.
-
-    AttnTopK without top_k keeps as many features as the task's metadata
-    has active ones.
-    """
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name}")
-    if task.support.features.ndim != 2:
-        raise ValueError(f"evaluate_method takes one task, not a stack of {task.support.features.shape[0]}")
-    if selection.top_k is None and task.meta is not None:
-        selection = replace(selection, top_k=task.meta.alpha)
-    return float(_accuracies(task, (name,), attention, selection)[name])
 
 
 def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
@@ -227,7 +208,7 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     for t in range(stop - start):
         for m in spec.methods:
             with contextlib.suppress(ValueError):
-                accs[m].append(evaluate_method(m, chunk[t], spec.attention, selection))
+                accs[m].append(_accuracies(chunk[t], (m,), spec.attention, selection)[m])
     return {m: np.array(kept, dtype=np.float64) for m, kept in accs.items()}
 
 
@@ -351,7 +332,13 @@ def emit_json(spec: SweepSpec, grid: list[CellResult], path: str | Path) -> Path
 
 
 def _heat_color(accuracy: float) -> str:
-    """Linear colour scale pinned to [0.5, 1.0]: cold blue to hot red."""
+    """Linear colour scale pinned to [0.5, 1.0]: cold blue to hot red.
+
+    A nan mean (the method failed on every task of the cell) is grey, which
+    the scale never produces.
+    """
+    if math.isnan(accuracy):
+        return "#808080"
     t = (accuracy - 0.5) / 0.5
     t = min(1.0, max(0.0, t))
     red = round(40 + 215 * t)
@@ -495,8 +482,11 @@ def _recipe_fig5_sphere(out_dir: Path, seed: int, scale: float) -> list[Path]:
     return [csv_path, _write_json(out_dir / "fig5_sphere_summary.json", summary)]
 
 
-def _recipe_grid(out_dir: Path, seed: int, scale: float, *, stem, methods, full, small, selection) -> list[Path]:
-    """stem's CSV, JSON and per-method heat maps of an alpha=4 grid: full at scale >= 1, else small."""
+def _recipe_grid(out_dir: Path, seed: int, scale: float, *, stem, methods, full, small) -> list[Path]:
+    """stem's CSV, JSON and per-method heat maps of an alpha=4 grid: full at scale >= 1, else small.
+
+    AttnTopK keeps alpha=4 features, the sweep's default top_k.
+    """
     r_values, beta_values = full if scale >= 1 else small
     spec = SweepSpec(
         alpha=4,
@@ -504,7 +494,6 @@ def _recipe_grid(out_dir: Path, seed: int, scale: float, *, stem, methods, full,
         beta_values=beta_values,
         methods=methods,
         tasks_per_cell=max(2, int(500 * scale)),
-        selection=selection,
         global_seed=seed,
     )
     grid = run_sweep(spec)
@@ -545,7 +534,6 @@ RECIPES = {
         methods=("Attn", "AttnSoftFS"),
         full=(tuple(range(1, 11)), tuple(range(0, 11))),
         small=((1, 2), (0, 3)),
-        selection=SelectionConfig(),
     ),
     "fig11_topk": functools.partial(
         _recipe_grid,
@@ -553,7 +541,6 @@ RECIPES = {
         methods=("AttnSoftFS", "AttnTopK"),
         full=((1, 2, 5), (4, 6, 8, 10)),
         small=((5,), (10,)),
-        selection=SelectionConfig(top_k=4),
     ),
     "table3_counts": _recipe_table3_counts,
     "appD_xor_bound": _recipe_appd_xor_bound,

@@ -21,11 +21,11 @@ from .bench import (
     METHODS,
     RECIPES,
     SweepSpec,
+    _accuracies,
     _count_row,
     emit_csv,
     emit_json,
     emit_svg_heatmap,
-    evaluate_method,
     reproduce,
     run_sweep,
 )
@@ -253,7 +253,11 @@ def _cmd_eval(read: _Inputs) -> int:
         task = gen_boolean_task(spec)
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat a value, got {list(methods)}")
-    rows = [{"method": m, "accuracy": evaluate_method(m, task, attention, selection)} for m in methods]
+    if selection.top_k is None and task.meta is not None:
+        # AttnTopK keeps as many features as the task has active ones
+        selection = replace(selection, top_k=task.meta.alpha)
+    accuracies = _accuracies(task, methods, attention, selection)
+    rows = [{"method": m, "accuracy": float(accuracies[m])} for m in methods]
     if dump_scores is not None:
         scores = feature_scores(task.support, selection).tolist()
         Path(dump_scores).write_text(csv_text(["feature_index", "score"], enumerate(scores)))

@@ -24,11 +24,10 @@ from polyselect.bench import (
     emit_csv,
     emit_json,
     emit_svg_heatmap,
-    evaluate_method,
     reproduce,
     run_sweep,
 )
-from polyselect.core import Encoding, LabeledSet, Task, csv_text, task_seed
+from polyselect.core import Encoding, csv_text, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import FACTORS, SelectionConfig, feature_scores
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_task
@@ -60,7 +59,10 @@ def small_spec(**kwargs):
 
 
 def loop_sweep(spec: SweepSpec) -> list[tuple[int, dict[str, np.ndarray]]]:
-    """Reference sweep: one generated task and one evaluate_method call at a time."""
+    """Reference sweep: one generated task and one method per _accuracies call at a time.
+
+    AttnTopK without top_k keeps the task metadata's active count, as eval fills it in.
+    """
     cells = []
     for cell_index, (r, beta) in enumerate(
         (r, beta) for r in spec.r_values for beta in spec.beta_values
@@ -79,9 +81,12 @@ def loop_sweep(spec: SweepSpec) -> list[tuple[int, dict[str, np.ndarray]]]:
                     seed=task_seed(spec.global_seed, cell_index * spec.tasks_per_cell + t),
                 )
             )
+            selection = spec.selection
+            if selection.top_k is None:
+                selection = replace(selection, top_k=task.meta.alpha)
             for m in spec.methods:
                 try:
-                    accs[m].append(evaluate_method(m, task, spec.attention, spec.selection))
+                    accs[m].append(bench._accuracies(task, (m,), spec.attention, selection)[m])
                 except ValueError:
                     failures += 1
         cells.append((failures, {m: np.array(v, dtype=np.float64) for m, v in accs.items()}))
@@ -253,27 +258,6 @@ class TestRunSweep:
         assert len(chunks) > 4  # several chunks in each of the four cells
         assert len(scorings) == per_chunk * len(chunks)
 
-    def test_unknown_method_evaluation_rejected(self):
-        task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=1))
-        with pytest.raises(ValueError):
-            evaluate_method("Nope", task, AttentionConfig(), SelectionConfig())
-
-    def test_stack_evaluation_rejected(self):
-        task = gen_boolean_task(BooleanTaskSpec(n=4, alpha=2, seed=1))
-        s, q = task.support, task.query
-        stack = Task(LabeledSet(s.features[None], s.labels, 2), LabeledSet(q.features[None], q.labels, 2))
-        with pytest.raises(ValueError, match="evaluate_method takes one task, not a stack of 1"):
-            evaluate_method("Attn", stack, AttentionConfig(), SelectionConfig())
-
-    def test_top_k_defaults_to_active_count(self):
-        attn = AttentionConfig()
-        tasks = [gen_boolean_task(BooleanTaskSpec(n=9, alpha=3, r=2, seed=s)) for s in range(8)]
-        default = [evaluate_method("AttnTopK", t, attn, SelectionConfig()) for t in tasks]
-        assert default == [evaluate_method("AttnTopK", t, attn, SelectionConfig(top_k=3)) for t in tasks]
-        assert default != [evaluate_method("AttnTopK", t, attn, SelectionConfig(top_k=1)) for t in tasks]
-        with pytest.raises(ValueError, match="needs top_k"):
-            evaluate_method("AttnTopK", replace(tasks[0], meta=None), attn, SelectionConfig())
-
 
 # a non-default value for every field of the configs the methods read
 KNOBS = {
@@ -284,7 +268,7 @@ KNOBS = {
 
 class TestConfigKnobs:
     def _probs(self, task, attention, selection) -> list[np.ndarray]:
-        if selection.top_k is None:  # as evaluate_method fills it in
+        if selection.top_k is None:  # as eval fills it in
             selection = replace(selection, top_k=task.meta.alpha)
         return list(bench._probs(task, METHODS, attention, selection).values())
 
@@ -586,6 +570,21 @@ class TestEmitters:
         assert _heat_color(0.2) == cold  # clamped below the scale floor
         assert _heat_color(1.3) == hot
 
+    def test_failed_cell_is_grey_not_chance(self, tmp_path):
+        # attention logits overflow at this tau_inv, so both methods fail on every task
+        spec = SweepSpec(
+            alpha=2, r_values=(1,), beta_values=(2,), methods=("Attn", "Proto"), tasks_per_cell=5,
+            attention=AttentionConfig(tau_inv=1e308),
+        )
+        grid = run_sweep(spec)
+        assert all(math.isnan(v) for v in grid[0].accuracy_mean.values())
+        scale = {_heat_color(a) for a in np.linspace(0.0, 1.5, 301)}
+        assert "#808080" not in scale
+        for m in spec.methods:
+            text = emit_svg_heatmap(spec, grid, m, tmp_path / f"{m}.svg").read_text()
+            rects = re.findall(r'<rect [^>]*fill="([^"]+)"><title>([^<]+)</title>', text)
+            assert rects == [("#808080", "r=1 beta=2 acc=nan")]
+
     def test_svg_written_with_labels(self, tmp_path):
         spec = small_spec(tasks_per_cell=5)
         grid = run_sweep(spec)
@@ -673,7 +672,7 @@ class TestReproduce:
                 beta_values=(10,),
                 methods=("AttnSoftFS", "AttnTopK"),
                 tasks_per_cell=5,
-                selection=SelectionConfig(top_k=4),
+                selection=SelectionConfig(),
                 global_seed=0,
                 **fixed,
             )

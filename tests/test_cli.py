@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from polyselect import selection
 from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
 from polyselect.cli import build_parser, main
 from polyselect.core import task_from_json
@@ -116,6 +117,44 @@ class TestEval:
         assert main(["eval", *task, "--methods", "Attn", "Attn", "--dump-scores", str(scores)]) == 1
         assert capsys.readouterr() == ("", "error: methods must not repeat a value, got ['Attn', 'Attn']\n")
         assert not scores.exists()
+
+    def test_selection_methods_share_one_scoring(self, tmp_path, monkeypatch, capsys):
+        # eval classifies under every method in one call, as a sweep chunk does;
+        # --dump-scores scores the task once more
+        scorings = []
+        scores = selection._scores
+        monkeypatch.setattr(selection, "_scores", lambda *args: scorings.append(args) or scores(*args))
+        argv = ["eval", "--methods", "AttnSoftFS", "AttnSoftFSNorm", "AttnTopK"]
+        assert main(argv) == 0
+        assert len(scorings) == 1
+        scorings.clear()
+        assert main([*argv, "--dump-scores", str(tmp_path / "scores.csv")]) == 0
+        assert len(scorings) == 2
+
+    def test_top_k_defaults_to_active_count(self, capsys):
+        def out(seed, *top_k):
+            argv = ["eval", "--n", "9", "--alpha", "3", "--r", "2", "--seed", str(seed), "--methods", "AttnTopK"]
+            assert main([*argv, *top_k]) == 0
+            return capsys.readouterr().out
+
+        default = [out(seed) for seed in range(8)]
+        assert default == [out(seed, "--top-k", "3") for seed in range(8)]
+        assert default != [out(seed, "--top-k", "1") for seed in range(8)]
+
+    def test_task_without_metadata_needs_top_k(self, tmp_path, capsys):
+        # a sphere task has no active count to default AttnTopK's k to
+        assert main(["gen-tasks", "--family", "sphere", "--sample-count", "8", "--out-dir", str(tmp_path)]) == 0
+        task_file = tmp_path / "task_00000.json"
+        capsys.readouterr()
+        assert main(["eval", "--task", str(task_file), "--methods", "AttnTopK"]) == 1
+        assert capsys.readouterr() == ("", "error: AttnTopK needs top_k (or task metadata with an active count)\n")
+        assert main(["eval", "--task", str(task_file), "--methods", "AttnTopK", "--top-k", "2"]) == 0
+
+    def test_unknown_method_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--methods", "Nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'Nope'" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

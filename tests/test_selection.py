@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import polyselect
-from polyselect import selection
-from polyselect.bench import evaluate_method
+from polyselect import bench, selection
 from polyselect.core import LabeledSet, task_seed
 from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict
 from polyselect.selection import (
@@ -404,7 +403,7 @@ class TestApplySelection:
 
 
 class TestFsClassify:
-    """The whole selection pipeline as evaluate_method and select_probs run it."""
+    """The whole selection pipeline as eval, a sweep chunk and select_probs run it."""
 
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_complete_noiseless_tasks_solved(self, alpha):
@@ -412,7 +411,8 @@ class TestFsClassify:
             task = gen_boolean_task(
                 BooleanTaskSpec(n=alpha, alpha=alpha, p=0.5, r=1, query_count=16, seed=seed)
             )
-            assert evaluate_method("AttnSoftFS", task, AttentionConfig(), SelectionConfig()) == 1.0
+            accuracy = bench._accuracies(task, ("AttnSoftFS",), AttentionConfig(), SelectionConfig(top_k=alpha))
+            assert accuracy["AttnSoftFS"] == 1.0
 
     def test_rounds_zero_runs(self):
         task = gen_boolean_task(BooleanTaskSpec(n=6, alpha=3, p=0.5, r=2, seed=9))
