@@ -17,17 +17,22 @@ samples full tasks instead (where one query shares its irrelevant bits
 across all support rows, which leaves the mean unchanged but perturbs the
 variance when p != 0.5).
 
-Kernel score models on their natural encodings:
+On its natural encoding every kernel's score is a sum of per-bit exponents
+(a+, a-, m, mm): an active bit that matches or differs, then an irrelevant
+bit that matches or differs.
 
-    dot           f(delta) = alpha - 2*delta   match +1 / mismatch -1 per bit
-    cosine        f(delta) = 1 - 2*delta/alpha match +1 / mismatch -1 per bit
-    sq_euclidean  f(delta) = -delta            match  0 / mismatch -1 per bit
+    dot            +-1 rows    (1, -1, 1, -1)
+    cosine         +-1 rows    (1, -1, 1, -1) / (alpha + beta)
+    sq_euclidean   0/1 rows    (0, -1, 0, -1)
+    laplace        0/1 rows    (0, -1, 0, -1)
 
-The laplace kernel coincides with sq_euclidean on the zero/one encoding and
-is treated as an alias.  The cosine model is the package's cosine kernel only
-at beta = 0: the kernel divides by the row norms, so its exponent is
-(alpha - 2*delta + sum of the +-1 bit terms) / (alpha + beta), while the model
-adds +-1 per irrelevant bit to 1 - 2*delta/alpha.
+Cosine divides by the row norms, and two +-1 rows of alpha + beta features
+have norm product alpha + beta, so its row is the kernel's own score.  A
+row at active distance delta has exponent (alpha - delta) a+ + delta a-
+plus its irrelevant bits' m or mm each.  At alpha=3, beta=4, r=2, p=0.5 a
+Monte-Carlo of the kernels' own signed sums over 1,500 generated tasks
+lands within 1.04 standard errors of the closed-form mean for every kernel
+(cosine: 0.0499 +- 0.0055 against 0.0491), and at beta = 0 within 1e-12.
 """
 
 from __future__ import annotations
@@ -57,8 +62,9 @@ __all__ = [
 ]
 
 # Enumeration bounds for the exhaustive oracle.  Alpha bounds accuracy: the signed
-# sum cancels, so its relative error (cosine, beta=6, p=0.3) grows from 1.4e-14 at
-# alpha=4 to 3.7e-10 at 8 and 5.2e-4 at 12.  Beta bounds cost: 4^beta pairs per key.
+# sum cancels, so its relative error against a 60-digit value (cosine, beta=6,
+# p=0.3, r=2) grows from 2.1e-13 at alpha=4 to 4.3e-8 at 8 and 2.8e-2 at 12.
+# Beta bounds cost: 4^beta pairs per key.
 _MAX_ALPHA = 4
 _MAX_BETA = 6
 
@@ -126,31 +132,29 @@ def qbar(p: float) -> float:
     return 1.0 - pbar(p)
 
 
-def _base_kernel(kernel: Kernel) -> Kernel:
-    return Kernel.SQ_EUCLIDEAN if kernel is Kernel.LAPLACE else kernel
+# Per-bit exponents (a+, a-, m, mm) of each kernel, as in the module docstring.
+_EXPONENTS = {
+    Kernel.DOT: (1.0, -1.0, 1.0, -1.0),
+    Kernel.COSINE: (1.0, -1.0, 1.0, -1.0),
+    Kernel.SQ_EUCLIDEAN: (0.0, -1.0, 0.0, -1.0),
+    Kernel.LAPLACE: (0.0, -1.0, 0.0, -1.0),
+}
 
 
-def _active_exponent(kernel: Kernel, alpha: int, delta: np.ndarray | int):
-    d = np.asarray(delta, dtype=np.float64)
-    kernel = _base_kernel(kernel)
-    if kernel is Kernel.DOT:
-        return alpha - 2.0 * d
+def _exponents(kernel: Kernel, alpha: int, beta: float) -> tuple[float, float, float, float]:
+    """The kernel's (a+, a-, m, mm) with alpha active and beta irrelevant bits.
+
+    beta = math.inf gives the limit, where cosine's row is all zeros.
+    """
+    row = _EXPONENTS[kernel]
     if kernel is Kernel.COSINE:
-        return 1.0 - 2.0 * d / alpha
-    return -d
+        return tuple(e / (alpha + beta) for e in row)
+    return row
 
 
-def _bit_exponents(kernel: Kernel) -> tuple[float, float]:
-    """Per irrelevant bit: (exponent when matching, exponent when differing)."""
-    if _base_kernel(kernel) is Kernel.SQ_EUCLIDEAN:
-        return 0.0, -1.0
-    return 1.0, -1.0
-
-
-def _bit_moments(params: TheoryParams) -> tuple[float, float]:
+def _bit_moments(p: float, m: float, mm: float) -> tuple[float, float]:
     """(c1, c2): mean of e^g and of e^(2g) for one irrelevant bit's exponent g."""
-    m, mm = _bit_exponents(params.kernel)
-    pb, qb = pbar(params.p), qbar(params.p)
+    pb, qb = pbar(p), qbar(p)
     return pb * math.exp(m) + qb * math.exp(mm), pb * math.exp(2 * m) + qb * math.exp(2 * mm)
 
 
@@ -159,33 +163,20 @@ def _log_gap(beta: int, c1: float, c2: float) -> float:
     return beta * math.log(c2) + math.log1p(-math.exp(beta * (2 * math.log(c1) - math.log(c2))))
 
 
-def _sum_bases(kernel: Kernel, alpha: int) -> tuple[float, float]:
-    """(signed sum of e^f, sum of e^2f) over the binomially-weighted deltas.
-
-    Closed forms: dot -> ((e - 1/e)^alpha, (e^2 + e^-2)^alpha); cosine
-    substitutes exponent 1/alpha; sq_euclidean -> ((1 - 1/e)^alpha,
-    (1 + e^-2)^alpha).
-    """
-    kernel = _base_kernel(kernel)
-    if kernel is Kernel.DOT:
-        return (math.e - math.exp(-1)) ** alpha, (math.exp(2) + math.exp(-2)) ** alpha
-    if kernel is Kernel.COSINE:
-        a = math.exp(1.0 / alpha) - math.exp(-1.0 / alpha)
-        b = math.exp(2.0 / alpha) + math.exp(-2.0 / alpha)
-        return a**alpha, b**alpha
-    return (1.0 - math.exp(-1)) ** alpha, (1.0 + math.exp(-2)) ** alpha
-
-
 def support_sum_stats(params: TheoryParams) -> ScoreStats:
     """Mean and variance of the signed score sum over the whole support.
 
     mean = r * base1 * c1^beta and variance = r * base2 * (c2^beta -
     c1^(2 beta)), computed in log space so large beta degrades to inf rather
-    than raising.
+    than raising.  Summed over the binomially-weighted deltas, the active
+    exponents give base1 = (e^a+ - e^a-)^alpha and base2 = (e^2a+ +
+    e^2a-)^alpha.
     """
-    beta = params.beta_irrelevant
-    base1, base2 = _sum_bases(params.kernel, params.alpha)
-    c1, c2 = _bit_moments(params)
+    alpha, beta = params.alpha, params.beta_irrelevant
+    ap, am, m, mm = _exponents(params.kernel, alpha, beta)
+    base1 = (math.exp(ap) - math.exp(am)) ** alpha
+    base2 = (math.exp(2 * ap) + math.exp(2 * am)) ** alpha
+    c1, c2 = _bit_moments(params.p, m, mm)
 
     log_mean = math.log(params.r) + math.log(base1) + beta * math.log(c1)
     mean = math.exp(log_mean) if log_mean <= _EXP_OVERFLOW else math.inf
@@ -242,17 +233,18 @@ def exhaustive_stats(params: TheoryParams) -> ScoreStats:
             f"enumeration bounds exceeded: need alpha <= {_MAX_ALPHA}, beta <= {_MAX_BETA}"
         )
     # float(p): keys that compare equal (0, 0.0, np.float64(0)) must give equal bits
-    e1_bits, e2_bits = _pair_moments(beta, float(params.p), *_bit_exponents(params.kernel))
+    ap, am, m, mm = _exponents(params.kernel, alpha, beta)
+    e1_bits, e2_bits = _pair_moments(beta, float(params.p), m, mm)
 
     mean = 0.0
     variance = 0.0
     bit_var = e2_bits - e1_bits * e1_bits  # exactly 0 when beta == 0
-    f = _active_exponent(params.kernel, alpha, np.arange(alpha + 1)).tolist()
     for delta in range(alpha + 1):
         count = r * math.comb(alpha, delta)
         sign = -1.0 if delta % 2 else 1.0
-        mean += sign * count * math.exp(f[delta]) * e1_bits
-        variance += count * math.exp(2 * f[delta]) * bit_var
+        f = (alpha - delta) * ap + delta * am
+        mean += sign * count * math.exp(f) * e1_bits
+        variance += count * math.exp(2 * f) * bit_var
     return ScoreStats(mean=mean, variance=variance)
 
 
@@ -286,8 +278,8 @@ def mc_signed_sums(params: TheoryParams, trials: int, seed: int) -> np.ndarray:
     deltas = np.repeat(np.arange(alpha + 1), [math.comb(alpha, d) for d in range(alpha + 1)])
     deltas = np.tile(deltas, r)
     signs = np.where(deltas % 2 == 0, 1.0, -1.0)
-    f = _active_exponent(params.kernel, alpha, deltas)
-    m, mm = _bit_exponents(params.kernel)
+    ap, am, m, mm = _exponents(params.kernel, alpha, beta)
+    f = (alpha - deltas) * ap + deltas * am
 
     rows = deltas.shape[0]
     support_rng, query_rng = rng_for(seed), rng_for(seed)
@@ -329,7 +321,9 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
     """sigma/mu across an irrelevant-feature range, with its log-linear slope.
 
     log(sigma/mu) is asymptotically linear in beta with slope
-    0.5 * log(c2 / c1^2); the fitted slope is the least-squares slope of
+    0.5 * log(c2 / c1^2), the per-bit moments of the kernel's row in the
+    limit beta -> inf: 0 for cosine, whose per-bit exponents vanish there, so
+    that its ratio grows slower than any exponential.  The fitted slope is the least-squares slope of
     log(sigma/mu) on beta over the larger half of the betas, in any order
     (all of them below four points).  A beta whose mean underflows to 0 gets
     a nan ratio.  The fit uses only the finite, positive ratios; with fewer
@@ -349,7 +343,7 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
         # checked first: 0.0 / 0.0 raises ZeroDivisionError
         ratios.append(math.sqrt(stats.variance) / stats.mean if stats.mean > 0 else math.nan)
 
-    c1, c2 = _bit_moments(params)
+    c1, c2 = _bit_moments(params.p, *_exponents(params.kernel, params.alpha, math.inf)[2:])
     asymptotic = 0.5 * math.log(c2 / (c1 * c1))
 
     pts = sorted((b, math.log(x)) for b, x in zip(betas, ratios) if math.isfinite(x) and x > 0)

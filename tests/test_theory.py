@@ -2,13 +2,15 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polyselect import theory
-from polyselect.core import rng_for
-from polyselect.kernels import Kernel
+from polyselect.core import Encoding, rng_for
+from polyselect.kernels import AttentionConfig, Kernel, similarity_matrix
+from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch
 from polyselect.theory import (
     ScoreStats,
     TheoryParams,
@@ -29,7 +31,7 @@ def _loop_exhaustive_stats(params: TheoryParams) -> ScoreStats:
     """Reference oracle: the (query bits, support bits) pairs as nested loops,
     each probability built bit by bit and each term added as it is reached."""
     alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
-    m, mm = theory._bit_exponents(params.kernel)
+    ap, am, m, mm = theory._exponents(params.kernel, alpha, beta)
     e1_bits = 0.0
     e2_bits = 0.0
     for q_bits in range(2**beta):
@@ -50,7 +52,7 @@ def _loop_exhaustive_stats(params: TheoryParams) -> ScoreStats:
     bit_var = e2_bits - e1_bits * e1_bits
     for delta in range(alpha + 1):
         count = r * math.comb(alpha, delta)
-        f = float(theory._active_exponent(params.kernel, alpha, delta))
+        f = (alpha - delta) * ap + delta * am
         sign = -1.0 if delta % 2 else 1.0
         mean += sign * count * math.exp(f) * e1_bits
         variance += count * math.exp(2 * f) * bit_var
@@ -63,14 +65,14 @@ def _shared_query_var(params: TheoryParams) -> float:
     weight w ~ Bin(beta, p) the rows are independent, so Var S is
     E_w[Var(S|w)] + Var_w(E[S|w])."""
     alpha, beta, p, r = params.alpha, params.beta_irrelevant, params.p, params.r
-    m, mm = theory._bit_exponents(params.kernel)
+    ap, am, m, mm = theory._exponents(params.kernel, alpha, beta)
     # per irrelevant bit, E e^g (a) and E e^2g (b) given a query bit of 1 or 0
     a1, a0 = p * math.exp(m) + (1 - p) * math.exp(mm), (1 - p) * math.exp(m) + p * math.exp(mm)
     b1, b0 = p * math.exp(2 * m) + (1 - p) * math.exp(2 * mm), (1 - p) * math.exp(2 * m) + p * math.exp(2 * mm)
     signed = squared = 0.0
     for delta in range(alpha + 1):
         count = r * math.comb(alpha, delta)
-        f = theory._active_exponent(params.kernel, alpha, delta)
+        f = (alpha - delta) * ap + delta * am
         signed += (-1) ** delta * count * math.exp(f)
         squared += count * math.exp(2 * f)
     mean = second = within = 0.0
@@ -98,12 +100,12 @@ def _reference_mc_signed_sums(params, trials, seed):
     deltas = np.repeat(np.arange(alpha + 1), [math.comb(alpha, d) for d in range(alpha + 1)])
     deltas = np.tile(deltas, r)
     signs = np.where(deltas % 2 == 0, 1.0, -1.0)
-    f = theory._active_exponent(params.kernel, alpha, deltas)
+    ap, am, m, mm = theory._exponents(params.kernel, alpha, beta)
+    f = (alpha - deltas) * ap + deltas * am
     rows = deltas.shape[0]
     sup_bits = rng.random(size=(trials, rows, beta)) < params.p
     qry_bits = rng.random(size=(trials, 1, beta)) < params.p
     matches = np.sum(sup_bits == qry_bits, axis=2, dtype=np.float64)
-    m, mm = theory._bit_exponents(params.kernel)
     exponents = f[None, :] + matches * m + (beta - matches) * mm
     scores = np.exp(exponents)
     return np.sum(signs[None, :] * scores, axis=1)
@@ -197,6 +199,14 @@ class TestExhaustiveOracle:
             for point in itertools.product(range(1, 5), range(7), ps, (1, 3), list(Kernel))
         ]
         want = [_loop_exhaustive_stats(params) for params in grid]
+        # one enumeration per beta, distinct p and irrelevant exponent pair:
+        # dot and cosine share theirs only at alpha + beta = 1, while laplace
+        # and sq_euclidean always do
+        keys = {
+            (q.beta_irrelevant, float(q.p), *theory._exponents(q.kernel, q.alpha, q.beta_irrelevant)[2:])
+            for q in grid
+        }
+        assert len(keys) <= theory._PAIR_CACHE_SIZE
         assert theory._pair_moments.cache_info().maxsize is not None
         # each direction starts from a cleared cache, so another spelling of 0,
         # 0.3 and 1 fills their keys, and later calls read them under other
@@ -205,9 +215,7 @@ class TestExhaustiveOracle:
             theory._pair_moments.cache_clear()
             for params, expected in zip(grid[order], want[order]):
                 assert exhaustive_stats(params) == expected, params
-            # one enumeration per beta, distinct p and per-bit exponent pair
-            # (dot and cosine share theirs, as laplace and sq_euclidean do)
-            assert theory._pair_moments.cache_info().misses == 7 * 5 * 2
+            assert theory._pair_moments.cache_info().misses == len(keys)
 
     def test_enumeration_bounds(self):
         for alpha, beta in ((5, 0), (2, 7)):
@@ -338,6 +346,51 @@ class TestMonteCarlo:
         sums_dot = mc_signed_sums(dot, trials=5000, seed=6)
         sums_l2 = mc_signed_sums(l2, trials=5000, seed=6)
         np.testing.assert_array_equal(np.sign(sums_dot), np.sign(sums_l2))
+
+
+def _kernel_signed_sum_means(kernel: Kernel, beta: int, tasks: int) -> np.ndarray:
+    """Per task, the mean over its queries of the signed sum of exp(kernel
+    score) that the package's own kernel gives: + for a support row of the
+    query's class, - for one of the other class.  The stack holds the tasks
+    gen_boolean_task makes at seeds 0..tasks-1."""
+    encoding = Encoding.ZERO_ONE if kernel in (Kernel.SQ_EUCLIDEAN, Kernel.LAPLACE) else Encoding.PLUS_MINUS
+    spec = BooleanTaskSpec(3 + beta, 3, p=0.5, r=2, encoding=encoding)
+    stack, _ = gen_boolean_batch(spec, range(tasks))
+    config = AttentionConfig(kind=kernel)
+    scores = np.exp(similarity_matrix(config, stack.query.features, stack.support.features))
+    signs = np.where(stack.query.labels[..., :, None] == stack.support.labels[..., None, :], 1.0, -1.0)
+    return np.mean(np.sum(signs * scores, axis=-1), axis=-1)
+
+
+class TestKernelModel:
+    """The closed-form mean describes the package's own kernels, each on its
+    natural encoding, with no reference to theory's exponent table."""
+
+    @pytest.mark.parametrize("kernel", list(Kernel))
+    def test_mean_matches_kernel_monte_carlo(self, kernel):
+        for beta in (0, 4):
+            means = _kernel_signed_sum_means(kernel, beta, tasks=1500)
+            analytic = support_sum_stats(TheoryParams(3, beta, 0.5, 2, kernel)).mean
+            if beta == 0:
+                # every query meets each active pattern r times: the sum is fixed
+                np.testing.assert_allclose(means, analytic, rtol=1e-12)
+            else:
+                se = np.std(means, ddof=1) / math.sqrt(means.size)
+                assert abs(means.mean() - analytic) <= 4 * se, (means.mean(), se, analytic)
+
+    def test_every_kernel_has_a_row(self):
+        assert set(theory._EXPONENTS) == set(Kernel)
+        params = TheoryParams(alpha=3, beta_irrelevant=0, p=0.5, r=2)
+        slopes = {
+            kernel: snr_growth(replace(params, kernel=kernel), (1, 2)).asymptotic_slope
+            for kernel in Kernel
+        }
+        assert slopes == {
+            Kernel.DOT: 0.22872054319590504,
+            Kernel.COSINE: 0.0,
+            Kernel.SQ_EUCLIDEAN: 0.09677590828323616,
+            Kernel.LAPLACE: 0.09677590828323616,
+        }
 
 
 class TestMeanPositivity:
