@@ -161,6 +161,22 @@ def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarr
     return {m: np.mean(predict(p) == task.query.labels, axis=-1) for m, p in probs.items()}
 
 
+def _kept_accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
+    """_accuracies less the methods that raise ValueError on task.
+
+    The methods are classified in one call; only if it raises is each tried alone.
+    """
+    try:
+        return _accuracies(task, methods, attention, selection)
+    except ValueError:
+        if len(methods) == 1:
+            return {}
+    kept = {}
+    for m in methods:
+        kept |= _kept_accuracies(task, (m,), attention, selection)
+    return kept
+
+
 def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
     """Tasks per chunk: the largest per-task temporary times this stays within CHUNK_BYTES.
 
@@ -193,8 +209,9 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     cell whose first task has grid index first.  It is small and picklable, so
     a worker process builds the chunk's tasks itself.  AttnTopK without top_k
     keeps spec.alpha features.  If any method raises ValueError on the stack,
-    every method is evaluated again task by task, so only the tasks a method
-    fails on are dropped.
+    the chunk is classified again task by task, so only the tasks a method
+    fails on are dropped: the selection methods in one call, since they share
+    a scoring, and Attn and Proto each in its own.
     """
     spec, r, beta, first, start, stop = item
     seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
@@ -204,11 +221,13 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
         selection = replace(selection, top_k=spec.alpha)
     with contextlib.suppress(ValueError):
         return _accuracies(chunk, spec.methods, spec.attention, selection)
+    selected = tuple(m for m in spec.methods if m in FACTORS)
+    calls = [(m,) for m in spec.methods if m not in FACTORS] + ([selected] if selected else [])
     accs = {m: [] for m in spec.methods}
     for t in range(stop - start):
-        for m in spec.methods:
-            with contextlib.suppress(ValueError):
-                accs[m].append(_accuracies(chunk[t], (m,), spec.attention, selection)[m])
+        for methods in calls:
+            for m, a in _kept_accuracies(chunk[t], methods, spec.attention, selection).items():
+                accs[m].append(a)
     return {m: np.array(kept, dtype=np.float64) for m, kept in accs.items()}
 
 

@@ -7,6 +7,11 @@ temperature it returns the support class balance.
 
 Every function here works on the last two axes, so queries (..., q, n) and
 a stacked support (..., m, n) classify a whole chunk of tasks at once.
+
+One row softmax serves the classifier and selection's scoring rounds:
+_exp_rows_in_place, which checks only the row maxima its caller passes.
+attend_probs scans its scores whole first, for a -inf below a finite
+maximum; selection.self_attention_round says why a Gram needs no scan.
 """
 
 from __future__ import annotations
@@ -82,30 +87,22 @@ def similarity_matrix(config: AttentionConfig, queries: np.ndarray, keys: np.nda
     return -np.abs(queries[..., :, None, :] - keys[..., None, :, :]).sum(axis=-1)
 
 
-def _exp_rows_in_place(z: np.ndarray, tau_inv: float, symmetric: bool = False) -> np.ndarray:
-    """Overwrite z with exp(tau_inv * z - row max) and return the (..., rows, 1) row sums.
+def _exp_rows_in_place(z: np.ndarray, tau_inv: float, peak: np.ndarray) -> np.ndarray:
+    """Overwrite z with exp(tau_inv * z - tau_inv * peak) and return the (..., rows, 1) row sums.
 
-    Only the (..., rows) row maxima are checked, before z is scaled: NaN or
-    +inf anywhere in a row reaches its maximum, and since tau_inv > 0 and
+    peak holds z's (..., rows, 1) row maxima, taken by the caller and scaled
+    here in place.  Only they are checked, before z is scaled: NaN or +inf
+    anywhere in a row reaches its maximum, and since tau_inv > 0 and
     rounding is monotone, fl(tau_inv * max z) = max fl(tau_inv * z), so a
     row's scaled entries overflow upwards exactly when its scaled maximum
     does.  That product is formed on the largest |maximum| as a Python float,
     so an overflow raises ValueError without a numpy warning.  A -inf below
-    a finite maximum would pass, so _softmax_in_place checks its buffer
-    whole first.  Rows of a Gram X X^T need no such scan: since
-    |G_ij| <= max(G_ii, G_jj), any infinite or NaN entry comes with a +inf or
-    NaN on the diagonal, where it is the maximum of its row.
-
-    symmetric=True promises that z equals its own transpose bit for bit; the
-    row maxima are then taken as column maxima, a faster reduction on short
-    rows.  A maximum does not depend on the order it is taken in, so the bits
-    are the same, NaN and inf included, but only for such a z.
+    a finite maximum passes.
 
     What overflow is left is downward: an entry far below its row's maximum
     goes to -inf when scaled or shifted, and exp gives it the 0 it should
     have, so numpy's overflow warning is silenced for those two steps.
     """
-    peak = z.max(axis=-2)[..., None] if symmetric else z.max(axis=-1, keepdims=True)
     if not math.isfinite(float(tau_inv) * float(np.abs(peak).max(initial=0.0))):
         raise ValueError("softmax input must be finite")
     with np.errstate(over="ignore"):
@@ -116,22 +113,17 @@ def _exp_rows_in_place(z: np.ndarray, tau_inv: float, symmetric: bool = False) -
     return z.sum(axis=-1, keepdims=True)
 
 
-def _softmax_in_place(z: np.ndarray, tau_inv: float) -> np.ndarray:
-    """Row-wise softmax of tau_inv * z, computed in z's own buffer and returned.
-
-    ValueError unless every entry of z is finite, then _exp_rows_in_place's
-    overflow check: the row maxima alone would pass a -inf below a finite one.
-    """
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input must be finite")
-    z /= _exp_rows_in_place(z, tau_inv)
-    return z
-
-
 def attend_probs(query_features: np.ndarray, support: LabeledSet, config: AttentionConfig) -> np.ndarray:
-    """Class probabilities for arbitrary query rows against a support set."""
+    """Class probabilities for arbitrary query rows against a support set.
+
+    ValueError unless every similarity is finite: the softmax checks only
+    the row maxima, which miss a -inf below a finite one.
+    """
     scores = similarity_matrix(config, query_features, support.features)
-    return _softmax_in_place(scores, config.tau_inv) @ one_hot(support.labels, support.k)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("softmax input must be finite")
+    scores /= _exp_rows_in_place(scores, config.tau_inv, scores.max(axis=-1, keepdims=True))
+    return scores @ one_hot(support.labels, support.k)
 
 
 def predict(probs: np.ndarray) -> np.ndarray:

@@ -107,13 +107,16 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     Every output row is a convex combination of the input rows, so each
     coordinate stays inside the class's [min, max] for that coordinate, and a
     single-row class is returned unchanged.  With two or more rows, non-finite
-    input or an overflowing scaled Gram entry raises ValueError.
+    input or an overflowing scaled Gram entry raises ValueError from the row
+    maxima alone: since |G_ij| <= max(G_ii, G_jj), a non-finite Gram entry
+    comes with a +inf or NaN on the diagonal, the maximum of its row, so a
+    Gram needs no finite scan.
 
     A class within the budget is one Gram product x @ x^T, which numpy builds
     with syrk and a copy of one triangle into the other, so the Gram equals
-    its transpose bit for bit and its row maxima are taken as column maxima.
-    The blocked path's buffers hold a few rows of the Gram, not a symmetric
-    matrix, so it keeps the row maxima.
+    its transpose bit for bit and its column maxima are its row maxima, a
+    faster reduction on short rows.  The blocked path's buffers hold a few
+    rows of the Gram, not a symmetric matrix, so it takes the row maxima.
     """
     x = np.asarray(class_features, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < 1:
@@ -124,7 +127,7 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     if rows * rows * n <= _GRAM_BUDGET:
         # one rows x rows buffer: the symmetric Gram, scaled and normalised in place
         weights = x @ x.swapaxes(-1, -2)
-        weights /= _exp_rows_in_place(weights, tau_inv, symmetric=True)
+        weights /= _exp_rows_in_place(weights, tau_inv, weights.max(axis=-2)[..., None])
         return weights @ x
     # a block of Gram rows at a time, each product within the budget; the
     # row sums divide the block's output rows rather than the block itself
@@ -134,7 +137,7 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     out = np.empty(x.shape)
     for start in range(0, rows, step):
         block = np.matmul(x[..., start : start + step, :], xt, out=gram[..., : rows - start, :])
-        sums = _exp_rows_in_place(block, tau_inv)
+        sums = _exp_rows_in_place(block, tau_inv, block.max(axis=-1, keepdims=True))
         updated = np.matmul(block, x, out=out[..., start : start + step, :])
         updated /= sums
     return out

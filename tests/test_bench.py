@@ -258,6 +258,20 @@ class TestRunSweep:
         assert len(chunks) > 4  # several chunks in each of the four cells
         assert len(scorings) == per_chunk * len(chunks)
 
+    def test_fallback_scores_each_task_once(self, monkeypatch):
+        # every chunk raises on its stack; task by task, the three selection
+        # methods then share one scoring, as they do on a stack
+        chunks, scorings = [], []
+        run_chunk, scores = bench._run_chunk, selection._scores
+        monkeypatch.setattr(bench, "_run_chunk", lambda item: chunks.append(item) or run_chunk(item))
+        monkeypatch.setattr(selection, "_scores", lambda *args: scorings.append(args) or scores(*args))
+        spec = forced_failure_spec()
+        grid = run_inline(monkeypatch, spec)
+        assert all(cell.failures > 0 for cell in grid)
+        tasks = spec.tasks_per_cell * len(grid)
+        assert (len(chunks), tasks) == (4, 120)
+        assert len(scorings) == len(chunks) + tasks  # 364 when each method scored alone
+
 
 # a non-default value for every field of the configs the methods read
 KNOBS = {

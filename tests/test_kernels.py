@@ -7,7 +7,7 @@ from polyselect.core import LabeledSet, Task, one_hot
 from polyselect.kernels import (
     AttentionConfig,
     Kernel,
-    _softmax_in_place,
+    _exp_rows_in_place,
     attend_probs,
     predict,
     similarity_matrix,
@@ -99,23 +99,29 @@ def softmax_reference(scores: np.ndarray, tau_inv: float) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-class TestSoftmaxInPlace:
+def attention_softmax(scores: np.ndarray, tau_inv: float) -> np.ndarray:
+    """attend_probs over one-hot identity keys: the row softmax of tau_inv * finite scores, exactly."""
+    k = scores.shape[-1]
+    return attend_probs(scores, LabeledSet(np.eye(k), np.arange(k), k=k), AttentionConfig(Kernel.DOT, tau_inv))
+
+
+class TestSoftmax:
     def test_symmetry(self):
-        out = _softmax_in_place(np.array([[0.0, 0.0]]), 1.0)
+        out = attention_softmax(np.array([[0.0, 0.0]]), 1.0)
         np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_sharp_limit_is_argmax(self):
-        out = _softmax_in_place(np.array([[1.0, 0.0]]), 1e4)
+        out = attention_softmax(np.array([[1.0, 0.0]]), 1e4)
         np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
 
     def test_hand_computed_four_way(self):
         z = E**2 + E**-2 + 2.0
         expected = [E**2 / z, E**-2 / z, 1.0 / z, 1.0 / z]
-        out = _softmax_in_place(np.array([[2.0, -2.0, 0.0, 0.0]]), 1.0)
+        out = attention_softmax(np.array([[2.0, -2.0, 0.0, 0.0]]), 1.0)
         np.testing.assert_allclose(out[0], expected, rtol=1e-14)
 
     def test_stabilised_against_large_scores(self):
-        out = _softmax_in_place(np.array([[1000.0, 999.0]]), 1.0)
+        out = attention_softmax(np.array([[1000.0, 999.0]]), 1.0)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out.sum(), 1.0, atol=1e-15)
 
@@ -257,13 +263,26 @@ class TestNonFiniteRejected:
 
     @pytest.mark.parametrize("x", _NON_FINITE)
     def test_softmax_of_gram(self, x):
+        # a Gram needs no finite scan: its row maxima alone catch every case
+        gram = x @ x.T
         with pytest.raises(ValueError, match="finite"):
-            _softmax_in_place(x @ x.T, 1.0)
+            _exp_rows_in_place(gram, 1.0, gram.max(axis=-1, keepdims=True))
 
     @pytest.mark.parametrize("x", _NON_FINITE[:3])
     def test_softmax(self, x):
+        # similarities equal to x, but for a NaN that fills its row: finite
+        # entries come through identity keys scaled by 2^512, infinite ones
+        # overflow from a query of +-2^600, since an infinite query would make
+        # the rest of its row NaN.  Only the whole-buffer scan catches x2's
+        # -inf, which lies below a finite row maximum.
+        queries = np.where(np.isinf(x), np.sign(x) * 2.0**600, x / 2.0**512)
+        keys = LabeledSet(np.eye(2) * 2.0**512, [0, 1], k=2)
+        nan_rows = np.isnan(x).any(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(
+            similarity_matrix(AttentionConfig(), queries, keys.features), np.where(nan_rows, np.nan, x)
+        )
         with pytest.raises(ValueError, match="finite"):
-            _softmax_in_place(x.copy(), 1.0)
+            attend_probs(queries, keys, AttentionConfig())
 
     @pytest.mark.parametrize("x", _NON_FINITE)
     @pytest.mark.parametrize("kind", [Kernel.DOT, Kernel.SQ_EUCLIDEAN])

@@ -175,15 +175,16 @@ class TestSelfAttentionRoundBitIdentity:
         grams = []
         exp_rows = selection._exp_rows_in_place
 
-        def spy(z, tau_inv, symmetric=False):
-            grams.append((symmetric, z.copy()))
-            return exp_rows(z, tau_inv, symmetric)
+        def spy(z, tau_inv, peak):
+            grams.append((z.copy(), peak.copy()))
+            return exp_rows(z, tau_inv, peak)
 
         monkeypatch.setattr(selection, "_exp_rows_in_place", spy)
         self_attention_round(_parity_blocks(shape), 1.5)
-        ((symmetric, gram),) = grams
-        assert symmetric
+        ((gram, peak),) = grams
         assert np.array_equal(gram, gram.swapaxes(-1, -2))
+        row_max = gram.max(axis=-1, keepdims=True)
+        assert peak.shape == row_max.shape and peak.tobytes() == row_max.tobytes()
 
     def test_blocked_stack_equals_its_slices(self):
         # 513 rows leave a partial last block, written through a strided view
@@ -236,9 +237,9 @@ class TestSelfAttentionRoundBitIdentity:
         blocks = []
         exp_rows = selection._exp_rows_in_place
 
-        def spy(z, tau_inv, symmetric=False):
+        def spy(z, tau_inv, peak):
             blocks.append(z.shape)
-            return exp_rows(z, tau_inv, symmetric)
+            return exp_rows(z, tau_inv, peak)
 
         monkeypatch.setattr(selection, "_exp_rows_in_place", spy)
         x = _off_zero_block(shape)
