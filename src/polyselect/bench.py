@@ -253,6 +253,9 @@ def _fork_pool(workers: int):
 def _map_chunks(fn: Callable, items: list) -> list:
     """fn over items in order, on up to one forked worker per usable CPU.
 
+    Each item is one message, so an idle worker takes the next item and a
+    map's tail is at most one item.
+
     Inside reproduce the map runs on the recipe's pool: the first map that
     needs two workers forks it with one worker per usable CPU, later maps
     reuse it, and reproduce reaps it.  Outside reproduce the map forks
@@ -264,16 +267,12 @@ def _map_chunks(fn: Callable, items: list) -> list:
     workers = min(_usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
         return list(map(fn, items))
-    # items go to the workers in runs of consecutive chunks, about four runs
-    # per worker (multiprocessing.Pool.map's default): one message per chunk
-    # costs more CPU than the chunk, and a few runs per worker keep the tail short
-    runs = -(-len(items) // (4 * workers))
     if _pool_slot is None:
         with _fork_pool(workers) as pool:
-            return list(pool.map(fn, items, chunksize=runs))
+            return list(pool.map(fn, items))
     if not _pool_slot:
         _pool_slot.append(_fork_pool(_usable_cpus()))
-    return list(_pool_slot[0].map(fn, items, chunksize=runs))
+    return list(_pool_slot[0].map(fn, items))
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:

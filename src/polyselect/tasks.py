@@ -8,12 +8,12 @@ distribution as the support.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .boolefn import corners
 from .core import Encoding, LabeledSet, Task, TaskMeta, rng_for
 
 __all__ = [
@@ -53,16 +53,6 @@ class BooleanTaskSpec:
             raise ValueError("query_count must be >= 1")
 
 
-def _variant_patterns(alpha: int) -> np.ndarray:
-    return np.array(list(itertools.product((0, 1), repeat=alpha)), dtype=np.int64)
-
-
-def _pattern_labels(patterns: np.ndarray) -> np.ndarray:
-    # chi = (-1)^(number of zero bits); class 1 iff chi == -1
-    zeros = patterns.shape[1] - patterns.sum(axis=1)
-    return (zeros % 2).astype(np.int64)
-
-
 def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task, np.ndarray]:
     """One task of spec's shape per seed, stacked; spec's own seed is not read.
 
@@ -71,8 +61,11 @@ def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task
     Returns the stack and the (tasks, alpha) sorted active indices.
     """
     n, alpha, q = spec.n, spec.alpha, spec.query_count
-    patterns = _variant_patterns(alpha)
-    pattern_labels = _pattern_labels(patterns)
+    # variant i is corners(alpha) row i with the inputs reversed, as 0/1 bits;
+    # class 1 iff the product of its +-1 values is -1
+    signs = corners(alpha)
+    patterns = (signs[:, ::-1] + 1) // 2
+    pattern_labels = (signs.prod(axis=1) < 0).astype(np.int64)
     rows = spec.r * patterns.shape[0]
 
     tasks = len(seeds)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from multiprocessing.process import BaseProcess
@@ -168,6 +169,12 @@ def process_starts(monkeypatch):
     monkeypatch.setattr(BaseProcess, "start", counting_start)
     monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
     return started
+
+
+def _pid_after_sleep_on_zero(item: int) -> int:
+    if item == 0:
+        time.sleep(0.3)
+    return os.getpid()
 
 
 def run_inline(monkeypatch, spec: SweepSpec) -> list[CellResult]:
@@ -369,9 +376,10 @@ class TestSweepProcesses:
         assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in inline]
 
     def test_full_scale_recipe_sweeps_plan_eight_chunks_or_more(self, monkeypatch, tmp_path):
-        # two workers take runs of ceil(chunks / 8) chunks; 8 chunks or more make
-        # 5 runs or more, so the last run is a small part of the call (a 1000-task
-        # cell at a CHUNK_BYTES of 8 MiB was 1 to 3 chunks, and one worker ran two)
+        # workers take one chunk at a time, so 8 chunks or more keep a sweep's
+        # tail, the last chunk one worker runs while the other idles, to at most
+        # an eighth of it (a 1000-task cell at a CHUNK_BYTES of 8 MiB was 1 to 3
+        # chunks, and one worker ran two)
         planned = []
 
         def plan_only(fn, items):
@@ -384,6 +392,12 @@ class TestSweepProcesses:
             reproduce(recipe, tmp_path / recipe)
         assert len(planned) == 1 + 1 + 6  # binary_strings_fs_raw sweeps six grids
         assert min(planned) >= 8, planned
+
+    def test_idle_worker_takes_the_next_chunk(self, monkeypatch):
+        # item 0 holds its worker, so the other worker takes every later item
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+        pids = bench._map_chunks(_pid_after_sleep_on_zero, list(range(16)))
+        assert pids[0] not in pids[1:]
 
     def test_import_loads_no_process_machinery(self):
         # the pool's modules are imported only when a sweep starts one, and

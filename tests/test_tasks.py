@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyselect.boolefn import corners
 from polyselect.core import Encoding, task_seed, task_to_json
 from polyselect.tasks import (
     BooleanTaskSpec,
@@ -15,11 +16,17 @@ from polyselect.tasks import (
     gen_boolean_task,
     gen_sphere_task,
 )
-from polyselect.tasks import _pattern_labels, _variant_patterns
+
+
+def _complete_support(alpha: int, encoding: Encoding = Encoding.ZERO_ONE):
+    # with n = alpha every feature is active, and r = 1 lists each variant once
+    return gen_boolean_task(BooleanTaskSpec(n=alpha, alpha=alpha, r=1, encoding=encoding)).support
 
 
 def _labels_of(bits) -> np.ndarray:
-    return _pattern_labels(np.asarray(bits, dtype=np.int64).reshape(1, -1))
+    """The label the generator gives to the active 0/1 pattern bits."""
+    support = _complete_support(len(bits))
+    return support.labels[(support.features == np.array(bits)).all(axis=1)]
 
 
 class TestParity:
@@ -42,11 +49,13 @@ class TestParity:
         assert _labels_of(bits)[0] == 1 - _labels_of(flipped)[0]
 
     def test_label_mapping(self):
-        for alpha in range(1, 6):
-            patterns = _variant_patterns(alpha)
-            chi = np.prod(2 * patterns - 1, axis=1)
-            expected = (chi == -1).astype(np.int64)
-            np.testing.assert_array_equal(_pattern_labels(patterns), expected)
+        # variant i is boolefn.corners row i with the inputs reversed
+        for alpha in range(1, 9):
+            support = _complete_support(alpha, Encoding.PLUS_MINUS)
+            rows = corners(alpha)[:, ::-1]
+            np.testing.assert_array_equal(support.features, rows)
+            expected = (np.prod(rows, axis=1) == -1).astype(np.int64)
+            np.testing.assert_array_equal(support.labels, expected)
 
 
 class TestBooleanTasks:
