@@ -239,6 +239,8 @@ def _cmd_eval(read: _Inputs) -> int:
     attention = _attention_from(read)
     selection = _selection_from(read)
     methods = read("methods", ["Attn", "AttnSoftFS", "Proto"])
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat a value, got {list(methods)}")
     dump_scores = read("dump_scores")
     output_format = read("format", "csv")
     task_file = read("task")
@@ -251,8 +253,6 @@ def _cmd_eval(read: _Inputs) -> int:
         spec = replace(_boolean_spec(read), seed=task_seed(seed, 0))
         read.done("eval")
         task = gen_boolean_task(spec)
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"methods must not repeat a value, got {list(methods)}")
     if selection.top_k is None and task.meta is not None:
         # AttnTopK keeps as many features as the task has active ones
         selection = replace(selection, top_k=task.meta.alpha)

@@ -70,28 +70,24 @@ def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task
 
     tasks = len(seeds)
     active = np.empty((tasks, alpha), dtype=np.int64)
-    sup_u = np.empty((tasks, rows, n))
-    qry_u = np.empty((tasks, q, n))
-    qry_variant = np.empty((tasks, q), dtype=np.int64)
+    uniform = np.empty((tasks, rows + q, n))
+    # the support's variants come first, then each task's drawn query variants
+    variant = np.empty((tasks, rows + q), dtype=np.int64)
+    variant[:, :rows] = np.repeat(np.arange(patterns.shape[0]), spec.r)
     for t, seed in enumerate(seeds):
         rng = rng_for(seed)
-        active[t] = np.sort(rng.choice(n, size=alpha, replace=False))
-        rng.random(out=sup_u[t])
-        rng.random(out=qry_u[t])
-        qry_variant[t] = rng.integers(0, patterns.shape[0], size=q)
+        active[t] = rng.choice(n, size=alpha, replace=False)
+        rng.random(out=uniform[t])
+        variant[t, rows:] = rng.integers(0, patterns.shape[0], size=q)
+    active.sort(axis=1)
 
-    def place(uniform: np.ndarray, variant_bits: np.ndarray) -> np.ndarray:
-        bits = (uniform < spec.p).astype(np.float64)
-        cols = np.broadcast_to(active[:, None, :], bits.shape[:2] + (alpha,))
-        np.put_along_axis(bits, cols, variant_bits, axis=-1)
-        return 2.0 * bits - 1.0 if spec.encoding is Encoding.PLUS_MINUS else bits
-
-    sup_variant = np.repeat(np.arange(patterns.shape[0]), spec.r)
-    stack = Task(
-        support=LabeledSet(place(sup_u, patterns[sup_variant]), pattern_labels[sup_variant], k=2),
-        query=LabeledSet(place(qry_u, patterns[qry_variant]), pattern_labels[qry_variant], k=2),
-    )
-    return stack, active
+    bits = (uniform < spec.p).astype(np.float64)
+    cols = np.broadcast_to(active[:, None, :], (tasks, rows + q, alpha))
+    np.put_along_axis(bits, cols, patterns[variant], axis=-1)
+    x = 2.0 * bits - 1.0 if spec.encoding is Encoding.PLUS_MINUS else bits
+    y = pattern_labels[variant]
+    support = LabeledSet(x[:, :rows], y[0, :rows], k=2)
+    return Task(support=support, query=LabeledSet(x[:, rows:], y[:, rows:], k=2)), active
 
 
 def gen_boolean_task(spec: BooleanTaskSpec) -> Task:

@@ -238,7 +238,8 @@ def exhaustive_stats(params: TheoryParams) -> ScoreStats:
 
     mean = 0.0
     variance = 0.0
-    bit_var = e2_bits - e1_bits * e1_bits  # exactly 0 when beta == 0
+    # exactly 0 when beta == 0; at qbar(p) == 0 the difference would leave a rounding residue
+    bit_var = 0.0 if qbar(params.p) == 0.0 else e2_bits - e1_bits * e1_bits
     for delta in range(alpha + 1):
         count = r * math.comb(alpha, delta)
         sign = -1.0 if delta % 2 else 1.0
@@ -344,7 +345,7 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
         ratios.append(math.sqrt(stats.variance) / stats.mean if stats.mean > 0 else math.nan)
 
     c1, c2 = _bit_moments(params.p, *_exponents(params.kernel, params.alpha, math.inf)[2:])
-    asymptotic = 0.5 * math.log(c2 / (c1 * c1))
+    asymptotic = 0.0 if qbar(params.p) == 0.0 else 0.5 * math.log(c2 / (c1 * c1))
 
     pts = sorted((b, math.log(x)) for b, x in zip(betas, ratios) if math.isfinite(x) and x > 0)
     if len(pts) < 2:

@@ -251,6 +251,13 @@ class TestRunSweep:
         assert assert_matches_loop(spec) > 0
         assert len(process_starts) == 4  # both run_sweep calls went through the pool
 
+    def test_failing_method_dropped_alone(self):
+        # at beta=0 (n=2) AttnTopK's top_k=3 fails every task; AttnSoftFS is kept
+        spec = small_spec(
+            alpha=2, beta_values=(0, 3), methods=("AttnSoftFS", "AttnTopK"), selection=SelectionConfig(rounds=2, top_k=3)
+        )
+        assert assert_matches_loop(spec) == 40
+
     @pytest.mark.parametrize(
         "methods, per_chunk", [(("AttnSoftFS", "AttnTopK"), 1), (("Attn", "Proto"), 0)], ids=["fig11", "plain"]
     )

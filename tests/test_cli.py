@@ -106,11 +106,13 @@ class TestEval:
         expected = "feature_index,score\n" + "".join(f"{i},{s!r}\n" for i, s in enumerate(scores.tolist()))
         assert out.read_bytes() == expected.encode()  # LF line ends, like every CSV written
 
-    @pytest.mark.parametrize("from_file", [False, True], ids=["generated", "task_file"])
-    def test_repeated_methods_are_runtime_error(self, from_file, tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["generated", "task_file", "missing_task_file"])
+    def test_repeated_methods_are_runtime_error(self, source, tmp_path, capsys):
+        # rejected before the task is read or generated, so a missing file is not opened
         task = []
-        if from_file:
+        if source == "task_file":
             assert main(["gen-tasks", "--out-dir", str(tmp_path)]) == 0
+        if source != "generated":
             task = ["--task", str(tmp_path / "task_00000.json")]
         capsys.readouterr()
         scores = tmp_path / "scores.csv"

@@ -49,7 +49,7 @@ def _loop_exhaustive_stats(params: TheoryParams) -> ScoreStats:
 
     mean = 0.0
     variance = 0.0
-    bit_var = e2_bits - e1_bits * e1_bits
+    bit_var = 0.0 if theory.qbar(params.p) == 0.0 else e2_bits - e1_bits * e1_bits
     for delta in range(alpha + 1):
         count = r * math.comb(alpha, delta)
         f = (alpha - delta) * ap + delta * am
@@ -216,6 +216,13 @@ class TestExhaustiveOracle:
             for params, expected in zip(grid[order], want[order]):
                 assert exhaustive_stats(params) == expected, params
             assert theory._pair_moments.cache_info().misses == len(keys)
+
+    def test_no_variance_without_randomness(self):
+        # at qbar(p) = 0 every row is deterministic: E[X^2] - E[X]^2 must leave no rounding residue
+        grid = itertools.product(range(1, 5), range(7), (0.0, 1.0), (1, 2, 5), list(Kernel))
+        variances = [exhaustive_stats(TheoryParams(*point)).variance for point in grid]
+        assert len(variances) == 672
+        assert all(v == 0.0 for v in variances)
 
     def test_enumeration_bounds(self):
         for alpha, beta in ((5, 0), (2, 7)):
@@ -439,6 +446,8 @@ class TestSnrGrowth:
     def test_degenerate_noise_gives_zero_ratio(self):
         growth = snr_growth(TheoryParams(alpha=2, beta_irrelevant=0, p=0.0, r=1), (1, 2, 3))
         assert all(r == 0.0 for r in growth.ratios)
+        for p, kernel in itertools.product((0.0, 1.0), Kernel):
+            assert snr_growth(TheoryParams(2, 0, p, 1, kernel), (1, 2)).asymptotic_slope == 0.0
 
     @pytest.mark.parametrize(
         "p, betas",
