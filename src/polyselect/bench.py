@@ -25,7 +25,6 @@ fork nothing and import no process machinery.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -162,19 +161,24 @@ def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarr
 
 
 def _kept_accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
-    """_accuracies less the methods that raise ValueError on task.
+    """_accuracies less what raises ValueError, on a task or a stack of them.
 
-    The methods are classified in one call; only if it raises is each tried alone.
+    The methods are classified in one call.  If it raises, each is tried
+    alone; a method that still raises is left out of a single task, and on a
+    stack is tried task by task, keeping a float64 array of the tasks it passed.
     """
     try:
         return _accuracies(task, methods, attention, selection)
     except ValueError:
-        if len(methods) == 1:
+        if len(methods) == 1 and task.support.features.ndim < 3:
             return {}
-    kept = {}
-    for m in methods:
-        kept |= _kept_accuracies(task, (m,), attention, selection)
-    return kept
+    if len(methods) > 1:
+        kept = {}
+        for m in methods:
+            kept |= _kept_accuracies(task, (m,), attention, selection)
+        return kept
+    singles = (_kept_accuracies(task[t], methods, attention, selection) for t in range(len(task.support.features)))
+    return {methods[0]: np.array([a for accs in singles for a in accs.values()], dtype=np.float64)}
 
 
 def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
@@ -208,10 +212,8 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     An item is (spec, r, beta, first, start, stop): tasks start..stop of the
     cell whose first task has grid index first.  It is small and picklable, so
     a worker process builds the chunk's tasks itself.  AttnTopK without top_k
-    keeps spec.alpha features.  If any method raises ValueError on the stack,
-    the chunk is classified again task by task, so only the tasks a method
-    fails on are dropped: the selection methods in one call, since they share
-    a scoring, and Attn and Proto each in its own.
+    keeps spec.alpha features.  A method that raises ValueError loses only
+    the tasks it raises on (see _kept_accuracies).
     """
     spec, r, beta, first, start, stop = item
     seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
@@ -219,16 +221,7 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     selection = spec.selection
     if selection.top_k is None:
         selection = replace(selection, top_k=spec.alpha)
-    with contextlib.suppress(ValueError):
-        return _accuracies(chunk, spec.methods, spec.attention, selection)
-    selected = tuple(m for m in spec.methods if m in FACTORS)
-    calls = [(m,) for m in spec.methods if m not in FACTORS] + ([selected] if selected else [])
-    accs = {m: [] for m in spec.methods}
-    for t in range(stop - start):
-        for methods in calls:
-            for m, a in _kept_accuracies(chunk[t], methods, spec.attention, selection).items():
-                accs[m].append(a)
-    return {m: np.array(kept, dtype=np.float64) for m, kept in accs.items()}
+    return _kept_accuracies(chunk, spec.methods, spec.attention, selection)
 
 
 def _usable_cpus() -> int:

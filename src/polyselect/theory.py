@@ -304,8 +304,10 @@ def mc_misclassification(params: TheoryParams, trials: int, seed: int) -> MCResu
 
     A trial fails when its float signed sum is <= 0, so an exact tie (row
     counts that cancel at every exponent value) may round to either side:
-    at alpha=2, beta=2, r=1, p=0.5 counting every tie gives 27/64 = 0.4219,
-    but 200,000 trials at seed 0 give 0.4059 (see ROADMAP.md on exact ties).
+    at alpha=2, beta=2, r=1, p=0.5, P(S<0) = 5/16 and counting every tie
+    gives 27/64 = 0.4219, but 200,000 trials at seed 0 give 0.4059 (see
+    ROADMAP.md on exact ties).  test_rate_within_brute_force_bracket in
+    tests/test_theory.py holds the rate between those two by brute force.
     With beta == 0 the sum is deterministic and positive: the rate is 0.
     """
     sums = mc_signed_sums(params, trials, seed)

@@ -2,7 +2,9 @@ import itertools
 import math
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +111,39 @@ def _reference_mc_signed_sums(params, trials, seed):
     exponents = f[None, :] + matches * m + (beta - matches) * mm
     scores = np.exp(exponents)
     return np.sum(signs[None, :] * scores, axis=1)
+
+
+def _brute_force_sign_probabilities(params: TheoryParams) -> tuple[Fraction, Fraction]:
+    """Exact P(S < 0) and P(S = 0) of mc_signed_sums' dot-kernel model.
+
+    Enumerates every irrelevant-bit configuration: one query's beta bits,
+    shared by all r * 2^alpha support rows, and each row's own beta bits,
+    each bit 1 with probability p (taken as the exact decimal).  A row at
+    active distance delta with k matching irrelevant bits scores the dot
+    product alpha - beta + 2(k - delta), so each configuration's signed rows
+    are counted as integers per u = k - delta.  It is a tie iff every count
+    is 0; no other counts cancel exactly, since e^2 is transcendental, and
+    math.fsum takes the sign of the rest.
+    """
+    assert params.kernel is Kernel.DOT
+    alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
+    p = Fraction(str(params.p))
+    deltas = [d for _ in range(r) for d in range(alpha + 1) for _ in range(math.comb(alpha, d))]
+    bits, mask = beta * (len(deltas) + 1), (1 << beta) - 1
+    negative = tie = Fraction(0)
+    for config in range(2**bits):
+        ones = config.bit_count()
+        weight = p**ones * (1 - p) ** (bits - ones)
+        query = config & mask
+        counts = Counter()
+        for i, delta in enumerate(deltas):
+            k = beta - (((config >> (beta * (i + 1))) & mask) ^ query).bit_count()
+            counts[k - delta] += (-1) ** delta
+        if not any(counts.values()):
+            tie += weight
+        elif math.fsum(c * math.exp(alpha - beta + 2 * u) for u, c in counts.items()) < 0:
+            negative += weight
+    return negative, tie
 
 
 class TestPbar:
@@ -338,6 +373,30 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert sums.shape == (200_000,)
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "alpha, beta, r, p, negative, tie",
+        [
+            (2, 2, 1, 0.5, Fraction(5, 16), Fraction(7, 64)),
+            (1, 2, 1, 0.5, Fraction(1, 16), Fraction(1, 4)),
+            (2, 1, 2, 0.5, Fraction(19, 128), Fraction(3, 128)),
+            (2, 2, 1, 0.3, Fraction(1765491, 6250000), Fraction(2698479, 25000000)),
+            (3, 1, 1, 0.5, Fraction(11, 32), Fraction(9, 256)),
+        ],
+    )
+    def test_rate_within_brute_force_bracket(self, alpha, beta, r, p, negative, tie):
+        # an exact tie may round to either side of 0.0, so the rate lies between
+        # P(S < 0) and P(S <= 0); at alpha = 1 every tie is one pair of equal
+        # terms, exactly 0.0, and the rate is P(S <= 0)
+        params = TheoryParams(alpha, beta, p, r)
+        below, at = _brute_force_sign_probabilities(params)
+        assert (below, at) == (negative, tie)
+        trials = 20_000
+        rate = mc_misclassification(params, trials=trials, seed=0).misclass_rate
+        lo, hi = float(below), float(below + at)
+        assert lo - 4 * math.sqrt(lo * (1 - lo) / trials) <= rate <= hi + 4 * math.sqrt(hi * (1 - hi) / trials)
+        if alpha == 1:
+            assert abs(rate - hi) <= 4 * math.sqrt(hi * (1 - hi) / trials)
 
     @pytest.mark.parametrize("beta", [0, 1, 3, 6])
     @pytest.mark.parametrize("p", [0.5, 0.3])
