@@ -139,8 +139,8 @@ class CellResult:
         return sum(self.tasks - accs.size for accs in self.per_task.values())
 
 
-def _probs(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
-    """Each method's query class probabilities (..., queries, k) on a task or a stack of them.
+def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
+    """Each method's query accuracy: a scalar on a task, one per task on a stack.
 
     The selection methods share one select_probs call; the caller fills in
     selection.top_k for AttnTopK.
@@ -151,13 +151,7 @@ def _probs(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
         probs["Attn"] = attend_probs(task.query.features, task.support, attention)
     if "Proto" in methods:
         probs["Proto"] = proto_classify(task.query.features, build_prototypes(task.support), attention.tau_inv)
-    return {m: probs[m] for m in methods}
-
-
-def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
-    """Each method's query accuracy: a scalar on a task, one per task on a stack."""
-    probs = _probs(task, methods, attention, selection)
-    return {m: np.mean(predict(p) == task.query.labels, axis=-1) for m, p in probs.items()}
+    return {m: np.mean(predict(probs[m]) == task.query.labels, axis=-1) for m in methods}
 
 
 def _kept_accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
@@ -493,12 +487,11 @@ def _recipe_fig5_sphere(out_dir: Path, seed: int, scale: float) -> list[Path]:
     return [csv_path, _write_json(out_dir / "fig5_sphere_summary.json", summary)]
 
 
-def _recipe_grid(out_dir: Path, seed: int, scale: float, *, stem, methods, full, small) -> list[Path]:
-    """stem's CSV, JSON and per-method heat maps of an alpha=4 grid: full at scale >= 1, else small.
+def _recipe_grid(out_dir: Path, seed: int, scale: float, *, stem, methods, r_values, beta_values) -> list[Path]:
+    """stem's CSV, JSON and per-method heat maps of an alpha=4 grid; scale sets its task count.
 
     AttnTopK keeps alpha=4 features, the sweep's default top_k.
     """
-    r_values, beta_values = full if scale >= 1 else small
     spec = SweepSpec(
         alpha=4,
         r_values=r_values,
@@ -543,15 +536,15 @@ RECIPES = {
         _recipe_grid,
         stem="fig7_soft_fs",
         methods=("Attn", "AttnSoftFS"),
-        full=(tuple(range(1, 11)), tuple(range(0, 11))),
-        small=((1, 2), (0, 3)),
+        r_values=tuple(range(1, 11)),
+        beta_values=tuple(range(0, 11)),
     ),
     "fig11_topk": functools.partial(
         _recipe_grid,
         stem="fig11_topk",
         methods=("AttnSoftFS", "AttnTopK"),
-        full=((1, 2, 5), (4, 6, 8, 10)),
-        small=((5,), (10,)),
+        r_values=(1, 2, 5),
+        beta_values=(4, 6, 8, 10),
     ),
     "table3_counts": _recipe_table3_counts,
     "appD_xor_bound": _recipe_appd_xor_bound,
@@ -564,11 +557,12 @@ RECIPES = {
 def reproduce(name: str, out_dir: str | Path, seed: int = 0, scale: float = 1.0) -> list[Path]:
     """Run a named recipe and write its artifacts under out_dir.
 
-    scale < 1 shrinks task counts and grids proportionally (used by quick
-    runs and the determinism checks); outputs remain fully deterministic in
-    (name, seed, scale).  The recipe's chunk maps share one pool with one
-    worker per usable CPU, forked by the first map that needs two workers
-    (see _map_chunks); no worker is left when this returns or raises.
+    scale multiplies task counts, and fig5_sphere's point count; a grid
+    recipe keeps its grid at every scale (quick runs and the determinism
+    checks use scale < 1).  Outputs remain fully deterministic in (name,
+    seed, scale).  The recipe's chunk maps share one pool with one worker
+    per usable CPU, forked by the first map that needs two workers (see
+    _map_chunks); no worker is left when this returns or raises.
     """
     global _pool_slot
     if name not in RECIPES:

@@ -106,11 +106,11 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
 
     Every output row is a convex combination of the input rows, so each
     coordinate stays inside the class's [min, max] for that coordinate, and a
-    single-row class is returned unchanged.  With two or more rows, non-finite
-    input or an overflowing scaled Gram entry raises ValueError from the row
-    maxima alone: since |G_ij| <= max(G_ii, G_jj), a non-finite Gram entry
-    comes with a +inf or NaN on the diagonal, the maximum of its row, so a
-    Gram needs no finite scan.
+    single-row class, whose one weight is exp(0) = 1, is returned unchanged.
+    Non-finite input or an overflowing scaled Gram entry raises ValueError
+    from the row maxima alone: since |G_ij| <= max(G_ii, G_jj), a non-finite
+    Gram entry comes with a +inf or NaN on the diagonal, the maximum of its
+    row, so a Gram needs no finite scan.
 
     A class within the budget is one Gram product x @ x^T, which numpy builds
     with syrk and a copy of one triangle into the other, so the Gram equals
@@ -122,8 +122,6 @@ def self_attention_round(class_features: np.ndarray, tau_inv: float) -> np.ndarr
     if x.ndim < 2 or x.shape[-2] < 1:
         raise ValueError("class features must be a non-empty (..., rows, n) array")
     rows, n = x.shape[-2:]
-    if rows == 1:
-        return x.copy()
     if rows * rows * n <= _GRAM_BUDGET:
         # one rows x rows buffer: the symmetric Gram, scaled and normalised in place
         weights = x @ x.swapaxes(-1, -2)

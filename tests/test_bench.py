@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import polyselect
-from polyselect import bench, selection
+from polyselect import bench, selection, theory
 from polyselect.bench import (
     METHODS,
     CellResult,
@@ -32,6 +32,7 @@ from polyselect.core import Encoding, csv_text, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import FACTORS, SelectionConfig, feature_scores
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_task
+from polyselect.theory import TheoryParams
 
 GOLDEN = Path(__file__).resolve().parents[1] / "out"
 
@@ -299,19 +300,24 @@ KNOBS = {
 
 
 class TestConfigKnobs:
-    def _probs(self, task, attention, selection) -> list[np.ndarray]:
+    def _probs(self, monkeypatch, task, attention, selection) -> list[np.ndarray]:
+        """Each method's query probabilities, as _accuracies hands them to predict."""
         if selection.top_k is None:  # as eval fills it in
             selection = replace(selection, top_k=task.meta.alpha)
-        return list(bench._probs(task, METHODS, attention, selection).values())
+        probs, predict = [], bench.predict
+        monkeypatch.setattr(bench, "predict", lambda p: probs.append(p) or predict(p))
+        bench._accuracies(task, METHODS, attention, selection)
+        assert len(probs) == len(METHODS)
+        return probs
 
     @pytest.mark.parametrize("config, name", [(c, f.name) for c in KNOBS for f in fields(c)])
-    def test_every_field_changes_some_method(self, config, name):
+    def test_every_field_changes_some_method(self, monkeypatch, config, name):
         # a field that no method reads is an option without effect
         task = gen_boolean_task(BooleanTaskSpec(n=7, alpha=3, p=0.5, r=3, seed=5))
         defaults = {SelectionConfig: SelectionConfig(), AttentionConfig: AttentionConfig()}
         changed = {**defaults, config: replace(defaults[config], **{name: KNOBS[config][name]})}
-        before = self._probs(task, defaults[AttentionConfig], defaults[SelectionConfig])
-        after = self._probs(task, changed[AttentionConfig], changed[SelectionConfig])
+        before = self._probs(monkeypatch, task, defaults[AttentionConfig], defaults[SelectionConfig])
+        after = self._probs(monkeypatch, task, changed[AttentionConfig], changed[SelectionConfig])
         assert any(a.tobytes() != b.tobytes() for a, b in zip(before, after, strict=True))
 
 
@@ -695,8 +701,8 @@ class TestReproduce:
         assert calls["fig7_soft_fs"] == [
             SweepSpec(
                 alpha=4,
-                r_values=(1, 2),
-                beta_values=(0, 3),
+                r_values=tuple(range(1, 11)),
+                beta_values=tuple(range(0, 11)),
                 methods=("Attn", "AttnSoftFS"),
                 tasks_per_cell=5,
                 selection=SelectionConfig(),
@@ -707,8 +713,8 @@ class TestReproduce:
         assert calls["fig11_topk"] == [
             SweepSpec(
                 alpha=4,
-                r_values=(5,),
-                beta_values=(10,),
+                r_values=(1, 2, 5),
+                beta_values=(4, 6, 8, 10),
                 methods=("AttnSoftFS", "AttnTopK"),
                 tasks_per_cell=5,
                 selection=SelectionConfig(),
@@ -738,6 +744,11 @@ class TestReproduce:
         assert "fig7_soft_fs.json" in names
         rows = parse_csv(tmp_path / "fig7_soft_fs.csv")
         assert {r["method"] for r in rows} == {"Attn", "AttnSoftFS"}
+        # a quick run covers the golden's grid, with fewer tasks per cell
+        tables = (rows, parse_csv(GOLDEN / "fig7" / "fig7_soft_fs.csv"))
+        quick, golden = ([(r["r"], r["beta"], r["method"]) for r in table] for table in tables)
+        assert quick == golden
+        assert {r["tasks"] for r in rows} == {5}
 
 
 # the sweep recipes whose cells the README cites, each by its directory under out/
@@ -841,11 +852,61 @@ def test_readme_claims_hold_at_a_second_seed(tmp_path):
     _assert_chance([r["accuracy_mean"] for r in proto], [r["accuracy_se"] for r in proto])
 
 
-def _assert_chance(means, ses) -> None:
-    """Each mean within 4.5 SE of 1/2, and the summed z within 4 sqrt(cells)."""
-    z = (np.asarray(means) - 0.5) / np.asarray(ses)
+def _assert_z_gate(z) -> None:
+    """Each |z| within 4.5, and the summed z within 4 sqrt(cells)."""
+    z = np.asarray(z)
     assert np.all(np.abs(z) <= 4.5), z
     assert abs(z.sum()) <= 4 * math.sqrt(z.size), z
+
+
+def _assert_chance(means, ses) -> None:
+    """Each mean within 4.5 SE of 1/2, and the summed z within 4 sqrt(cells)."""
+    _assert_z_gate((np.asarray(means) - 0.5) / np.asarray(ses))
+
+
+def _fig7_attn_rows(r_values=range(1, 11)) -> list[dict]:
+    """The fig7 golden's Attn rows with r in r_values, sorted by (r, beta)."""
+    rows = parse_csv(GOLDEN / "fig7" / "fig7_soft_fs.csv")
+    rows = [row for row in rows if row["method"] == "Attn" and row["r"] in r_values]
+    return sorted(rows, key=lambda row: (row["r"], row["beta"]))
+
+
+def _assert_theory_predicts_attn(rows: list[dict]) -> int:
+    """Theory's Attn accuracy for each golden row within the z gate; returns the cells with a z.
+
+    Attn on the dot kernel at tau 1 with +-1 rows classifies a query by the
+    sign of theory's signed sum S, so row i's expected accuracy is P(S>0) +
+    P(S=0)/2, estimated from 20,000 mc_signed_sums trials at task_seed(2, i)
+    with the per-trial outcome's standard error.  At beta=0, S is a positive
+    constant: prediction and golden both read exactly 1.0, and there is no z.
+    """
+    z = []
+    for i, row in enumerate(rows):
+        params = TheoryParams(row["alpha"], row["beta"], row["p"], row["r"], Kernel.DOT)
+        sums = theory.mc_signed_sums(params, 20_000, task_seed(2, i))
+        outcome = (sums > 0) + 0.5 * (sums == 0)
+        predicted = float(outcome.mean())
+        if row["beta"] == 0:
+            assert predicted == row["accuracy_mean"] == 1.0, row
+            continue
+        se = math.hypot(row["accuracy_se"], float(outcome.std(ddof=1)) / math.sqrt(outcome.size))
+        z.append((row["accuracy_mean"] - predicted) / se)
+    _assert_z_gate(z)
+    return len(z)
+
+
+def test_theory_predicts_the_attn_goldens():
+    # the cells were fixed before any z was seen: fig7 at r in 1, 5, 10, then
+    # the binary-strings rows in file order
+    binary = parse_csv(GOLDEN / "binary_strings" / "binary_strings_fs_raw.csv")
+    binary = [row for row in binary if row["method"] == "Attn"]
+    assert _assert_theory_predicts_attn(_fig7_attn_rows((1, 5, 10)) + binary) == 36
+
+
+@pytest.mark.slow
+def test_theory_predicts_every_fig7_attn_golden():
+    """The same rule over all 110 fig7 Attn rows (100 with a z); about 8 s."""
+    assert _assert_theory_predicts_attn(_fig7_attn_rows()) == 100
 
 
 class TestTopKAndProtoOracles:

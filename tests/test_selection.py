@@ -61,6 +61,12 @@ class TestSelfAttentionRound:
         x = np.array([[0.3, -2.0, 1.0]])
         np.testing.assert_array_equal(self_attention_round(x, 1.0), x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_singleton_raises(self, bad):
+        # a one-row class takes the Gram path, and its check, like any other class
+        with pytest.raises(ValueError, match="finite"):
+            self_attention_round(np.array([[0.3, bad, 1.0]]), 1.0)
+
     def test_constant_coordinate_preserved(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(10, 4))
