@@ -203,19 +203,15 @@ def _cell_shape(spec: SweepSpec, r: int, beta: int) -> BooleanTaskSpec:
 def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     """Each method's per-task accuracies on one chunk, a stack of tasks.
 
-    An item is (spec, r, beta, first, start, stop): tasks start..stop of the
-    cell whose first task has grid index first.  It is small and picklable, so
-    a worker process builds the chunk's tasks itself.  AttnTopK without top_k
-    keeps spec.alpha features.  A method that raises ValueError loses only
-    the tasks it raises on (see _kept_accuracies).
+    An item is (spec, shape, start, stop): the tasks of grid index start..stop
+    (task t of cell c has index c*tasks_per_cell + t), all of one cell, whose
+    task shape is shape.  It is small and picklable, so a worker process
+    builds the chunk's tasks itself.  A method that raises ValueError loses
+    only the tasks it raises on (see _kept_accuracies).
     """
-    spec, r, beta, first, start, stop = item
-    seeds = [task_seed(spec.global_seed, first + t) for t in range(start, stop)]
-    chunk, _ = gen_boolean_batch(_cell_shape(spec, r, beta), seeds)
-    selection = spec.selection
-    if selection.top_k is None:
-        selection = replace(selection, top_k=spec.alpha)
-    return _kept_accuracies(chunk, spec.methods, spec.attention, selection)
+    spec, shape, start, stop = item
+    chunk, _ = gen_boolean_batch(shape, [task_seed(spec.global_seed, i) for i in range(start, stop)])
+    return _kept_accuracies(chunk, spec.methods, spec.attention, spec.selection)
 
 
 def _usable_cpus() -> int:
@@ -263,18 +259,20 @@ def _map_chunks(fn: Callable, items: list) -> list:
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
-    """Evaluate every method on every cell of the grid; paired per-task seeds."""
+    """Evaluate every method on every cell of the grid; paired per-task seeds.
+
+    The sweep is planned here once: AttnTopK without top_k keeps spec.alpha
+    features, and each cell's task shape and chunk items (see _run_chunk) are fixed.
+    """
+    if spec.selection.top_k is None:
+        spec = replace(spec, selection=replace(spec.selection, top_k=spec.alpha))
     cells = list(itertools.product(spec.r_values, spec.beta_values))
     plan = []
     for cell_index, (r, beta) in enumerate(cells):
-        size = _chunk_size(_cell_shape(spec, r, beta), spec.attention.kind)
-        first = cell_index * spec.tasks_per_cell
-        plan.append(
-            [
-                (spec, r, beta, first, start, min(start + size, spec.tasks_per_cell))
-                for start in range(0, spec.tasks_per_cell, size)
-            ]
-        )
+        shape = _cell_shape(spec, r, beta)
+        size = _chunk_size(shape, spec.attention.kind)
+        tasks = range(cell_index * spec.tasks_per_cell, (cell_index + 1) * spec.tasks_per_cell)
+        plan.append([(spec, shape, start, min(start + size, tasks.stop)) for start in tasks[::size]])
     chunks = iter(_map_chunks(_run_chunk, [item for items in plan for item in items]))
     results = []
     for (r, beta), items in zip(cells, plan):

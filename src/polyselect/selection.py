@@ -50,9 +50,10 @@ class SelectionConfig:
     produce; 2.0 keeps groups segregated well past rounds=10 on every task
     family in the test suite.
 
-    top_k is required by AttnTopK.  When it is None, a sweep fills it in
-    with its alpha and the CLI eval with the active-feature count of its
-    task's metadata; both then classify through one bench._accuracies call.
+    top_k is required by AttnTopK.  When it is None, run_sweep fills it in
+    once per sweep with the sweep's alpha, and the CLI eval with the
+    active-feature count of its task's metadata; both then classify through
+    one bench._accuracies call.
     """
 
     epsilon: float = 1e-8

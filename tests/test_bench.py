@@ -410,6 +410,30 @@ class TestSweepProcesses:
         assert len(planned) == 1 + 1 + 6  # binary_strings_fs_raw sweeps six grids
         assert min(planned) >= 8, planned
 
+    def test_plan_is_made_once_in_run_sweep(self, monkeypatch):
+        # each item is (spec, shape, start, stop): the items partition the grid's
+        # task indices in grid order, each within one cell and with that cell's
+        # task shape, and AttnTopK's k is filled in without touching the caller's spec
+        spec = small_spec(methods=("AttnTopK",))
+        planned = []
+
+        def plan_only(fn, items):
+            planned.extend(items)
+            return [{m: np.zeros(stop - start) for m in spec.methods} for *_, start, stop in items]
+
+        monkeypatch.setattr(bench, "_map_chunks", plan_only)
+        monkeypatch.setattr(bench, "CHUNK_BYTES", 2048)
+        run_sweep(spec)
+        assert spec.selection.top_k is None
+        cells = [(r, beta) for r in spec.r_values for beta in spec.beta_values]
+        tasks = spec.tasks_per_cell
+        assert len(planned) > len(cells)  # several chunks in some cell
+        assert [i for *_, start, stop in planned for i in range(start, stop)] == list(range(len(cells) * tasks))
+        for item_spec, shape, start, stop in planned:
+            assert item_spec == replace(spec, selection=replace(spec.selection, top_k=spec.alpha))
+            assert start // tasks == (stop - 1) // tasks
+            assert shape == bench._cell_shape(spec, *cells[start // tasks])
+
     def test_idle_worker_takes_the_next_chunk(self, monkeypatch):
         # item 0 holds its worker, so the other worker takes every later item
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
@@ -872,17 +896,19 @@ def _fig7_attn_rows(r_values=range(1, 11)) -> list[dict]:
 
 
 def _assert_theory_predicts_attn(rows: list[dict]) -> int:
-    """Theory's Attn accuracy for each golden row within the z gate; returns the cells with a z.
+    """Theory's Attn accuracy for each sweep row within the z gate; returns the cells with a z.
 
-    Attn on the dot kernel at tau 1 with +-1 rows classifies a query by the
-    sign of theory's signed sum S, so row i's expected accuracy is P(S>0) +
-    P(S=0)/2, estimated from 20,000 mc_signed_sums trials at task_seed(2, i)
-    with the per-trial outcome's standard error.  At beta=0, S is a positive
-    constant: prediction and golden both read exactly 1.0, and there is no z.
+    Attn at tau 1 on the encoding theory models for the row's kernel (dot
+    unless the row names one; +-1 rows for dot and cosine, 0/1 rows for
+    sq_euclidean and laplace) classifies a query by the sign of theory's
+    signed sum S, so row i's expected accuracy is P(S>0) + P(S=0)/2,
+    estimated from 20,000 mc_signed_sums trials at task_seed(2, i) with the
+    per-trial outcome's standard error.  At beta=0, S is a positive
+    constant: prediction and row both read exactly 1.0, and there is no z.
     """
     z = []
     for i, row in enumerate(rows):
-        params = TheoryParams(row["alpha"], row["beta"], row["p"], row["r"], Kernel.DOT)
+        params = TheoryParams(row["alpha"], row["beta"], row["p"], row["r"], row.get("kernel", Kernel.DOT))
         sums = theory.mc_signed_sums(params, 20_000, task_seed(2, i))
         outcome = (sums > 0) + 0.5 * (sums == 0)
         predicted = float(outcome.mean())
@@ -907,6 +933,48 @@ def test_theory_predicts_the_attn_goldens():
 def test_theory_predicts_every_fig7_attn_golden():
     """The same rule over all 110 fig7 Attn rows (100 with a z); about 8 s."""
     assert _assert_theory_predicts_attn(_fig7_attn_rows()) == 100
+
+
+# each kernel on the encoding its theory row models, in the order the cells are numbered
+NATURAL_ENCODINGS = (
+    (Kernel.DOT, Encoding.PLUS_MINUS),
+    (Kernel.COSINE, Encoding.PLUS_MINUS),
+    (Kernel.SQ_EUCLIDEAN, Encoding.ZERO_ONE),
+    (Kernel.LAPLACE, Encoding.ZERO_ONE),
+)
+
+
+def attn_sweep(kind: Kernel, encoding: Encoding, **kwargs) -> tuple[SweepSpec, list[CellResult]]:
+    """An Attn-only alpha=4 sweep with the given kernel and encoding."""
+    spec = SweepSpec(
+        alpha=4, methods=("Attn",), encoding=encoding, attention=AttentionConfig(kind=kind), **kwargs
+    )
+    return spec, run_sweep(spec)
+
+
+def test_theory_predicts_attn_for_every_kernel_on_its_encoding():
+    # the cells were fixed before any z was seen: alpha=4, r in {2, 5} and
+    # beta in {3, 6} at seed 11, kernel by kernel, each cell in grid order
+    rows = []
+    for kind, encoding in NATURAL_ENCODINGS:
+        spec, grid = attn_sweep(kind, encoding, r_values=(2, 5), beta_values=(3, 6), global_seed=11)
+        rows += [row | {"kernel": kind} for row in bench._grid_rows(spec, grid)]
+    assert _assert_theory_predicts_attn(rows) == 16
+
+
+@pytest.mark.parametrize(
+    "encoding, twin",
+    [(Encoding.PLUS_MINUS, Kernel.DOT), (Encoding.ZERO_ONE, Kernel.SQ_EUCLIDEAN)],
+    ids=["plus_minus-dot", "zero_one-sq_euclidean"],
+)
+def test_laplace_on_binary_rows_is_another_kernel(encoding, twin):
+    # on +-1 rows -|x - y|_1 = x.y - n, a shift the softmax cannot see, and on
+    # 0/1 rows |x - y|_1 = |x - y|^2: Attn's per-task accuracies are equal bit
+    # for bit, an oracle for the L1 branch of similarity_matrix on sweep shapes
+    grid = dict(r_values=(1, 2, 5, 10), beta_values=(0, 3, 6, 10), tasks_per_cell=80, global_seed=5)
+    _, laplace = attn_sweep(Kernel.LAPLACE, encoding, **grid)
+    _, other = attn_sweep(twin, encoding, **grid)
+    assert_same_cells(laplace, other)
 
 
 class TestTopKAndProtoOracles:
