@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -181,9 +181,7 @@ def one_hot(labels: Sequence[int], k: int) -> np.ndarray:
     labels = _shared_labels(np.asarray(labels, dtype=np.int64))
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels must lie in [0, {k})")
-    out = np.zeros((labels.shape[0], k), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    return np.eye(k)[labels]
 
 
 _MASK64 = (1 << 64) - 1
@@ -231,11 +229,7 @@ def json_text(payload) -> str:
 
 
 def _labeled_to_obj(ls: LabeledSet) -> dict:
-    return {
-        "features": [[float(v) for v in row] for row in ls.features],
-        "labels": [int(v) for v in ls.labels],
-        "k": ls.k,
-    }
+    return {"features": ls.features.tolist(), "labels": ls.labels.tolist(), "k": ls.k}
 
 
 # The Python types json.loads gives each JSON kind, compared exactly: bool is
@@ -277,7 +271,7 @@ def _labeled_from_obj(task: dict, what: str) -> LabeledSet:
 
 
 def task_to_json(task: Task) -> str:
-    """Canonical JSON for a task; identical tasks serialize byte-identically."""
+    """Canonical JSON for a task: meta holds TaskMeta's fields, the encoding by value; equal tasks, equal bytes."""
     shape = task.support.features.shape
     if len(shape) != 2:
         raise ValueError(
@@ -286,17 +280,7 @@ def task_to_json(task: Task) -> str:
     obj = {
         "support": _labeled_to_obj(task.support),
         "query": _labeled_to_obj(task.query),
-        "meta": None
-        if task.meta is None
-        else {
-            "active_indices": list(task.meta.active_indices),
-            "alpha": task.meta.alpha,
-            "beta_irrelevant": task.meta.beta_irrelevant,
-            "p": task.meta.p,
-            "r": task.meta.r,
-            "encoding": task.meta.encoding.value,
-            "seed": task.meta.seed,
-        },
+        "meta": None if task.meta is None else {**asdict(task.meta), "encoding": task.meta.encoding.value},
     }
     return json_text(obj)
 

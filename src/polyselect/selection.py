@@ -48,7 +48,8 @@ class SelectionConfig:
     groups into each other and collapses to the class mean within ~10 rounds,
     destroying the active/irrelevant score separation the procedure exists to
     produce; 2.0 keeps groups segregated well past rounds=10 on every task
-    family in the test suite.
+    family in the test suite.  epsilon, added to each feature's standard
+    deviation before dividing by it, must be positive and finite.
 
     top_k is required by AttnTopK.  When it is None, run_sweep fills it in
     once per sweep with the sweep's alpha, and the CLI eval with the
@@ -62,8 +63,8 @@ class SelectionConfig:
     top_k: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not np.isfinite(self.tau_inv) or self.tau_inv <= 0:
             raise ValueError("tau_inv must be positive and finite")
         if self.rounds < 0:

@@ -158,6 +158,12 @@ class TestEval:
         assert exc.value.code == 2
         assert "invalid choice: 'Nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_epsilon_is_runtime_error(self, value, capsys):
+        # an infinite epsilon would standardise every feature to 0 and still print accuracies
+        assert main(["eval", "--epsilon", value]) == 1
+        assert capsys.readouterr() == ("", f"error: epsilon must be positive and finite, got {value}\n")
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=6\nalpha=3\nseed=4\n")

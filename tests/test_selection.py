@@ -461,6 +461,8 @@ class TestNormIsATemperature:
     "call,message",
     [
         (lambda: SelectionConfig(epsilon=0.0), "epsilon must be positive"),
+        (lambda: SelectionConfig(epsilon=math.inf), "epsilon must be positive and finite, got inf"),
+        (lambda: SelectionConfig(epsilon=math.nan), "epsilon must be positive and finite, got nan"),
         (lambda: SelectionConfig(tau_inv=math.inf), "tau_inv must be positive and finite"),
         (lambda: SelectionConfig(rounds=-1), "rounds must be >= 0"),
         (lambda: SelectionConfig(top_k=0), "top_k must be >= 1"),

@@ -2,7 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -278,6 +278,69 @@ class TestExhaustiveOracle:
             assert closed.variance == pytest.approx(exact.variance, rel=1e-9)
 
 
+def _dp_sign_probabilities(params: TheoryParams, exact: bool = True) -> tuple:
+    """P(S < 0) and P(S = 0) of mc_signed_sums' dot-kernel model, by dynamic programming.
+
+    The same model and sign rule as _brute_force_sign_probabilities, with
+    Fraction weights when exact and float weights otherwise.  Given the
+    query's irrelevant weight w ~ Bin(beta, p) the support rows are iid, and
+    a row's match count k is Bin(w, p) + Bin(beta - w, 1 - p); weights with
+    the same law of k share one pass.  The state is the vector of signed row
+    counts c_u for u = k - delta = -alpha..beta, added one row at a time.
+    """
+    assert params.kernel is Kernel.DOT
+    alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
+    p = Fraction(str(params.p)) if exact else params.p
+    q = 1 - p
+    deltas = [d for _ in range(r) for d in range(alpha + 1) for _ in range(math.comb(alpha, d))]
+    laws = defaultdict(int)
+    for w in range(beta + 1):
+        law = [0 * p] * (beta + 1)
+        for j in range(w + 1):
+            for i in range(beta - w + 1):
+                law[j + i] += math.comb(w, j) * p**j * q ** (w - j) * math.comb(beta - w, i) * q**i * p ** (beta - w - i)
+        laws[tuple(law)] += math.comb(beta, w) * p**w * q ** (beta - w)
+    negative = tie = 0 * p
+    for law, weight in laws.items():
+        states = {(0,) * (alpha + beta + 1): weight}
+        for delta in deltas:
+            step = defaultdict(int)
+            for counts, prob in states.items():
+                for k, pk in enumerate(law):
+                    c = list(counts)
+                    c[alpha + k - delta] += (-1) ** delta
+                    step[tuple(c)] += prob * pk
+            states = step
+        for counts, prob in states.items():
+            if not any(counts):
+                tie += prob
+            elif math.fsum(c * math.exp(alpha - beta + 2 * u) for u, c in enumerate(counts, -alpha)) < 0:
+                negative += prob
+    return negative, tie
+
+
+def _mc_rate_in_sign_bracket(params: TheoryParams, below, at) -> float:
+    """mc_misclass_rate at 20,000 trials and seed 0, asserted within 4 SE of [P(S < 0), P(S <= 0)].
+
+    An exact tie may round to either side of 0.0, so the rate lies anywhere in
+    that bracket.
+    """
+    trials = 20_000
+    rate = mc_misclassification(params, trials=trials, seed=0).misclass_rate
+    lo, hi = float(below), float(below + at)
+    assert lo - 4 * math.sqrt(lo * (1 - lo) / trials) <= rate <= hi + 4 * math.sqrt(hi * (1 - hi) / trials)
+    return rate
+
+
+_EXACT_SIGN_CASES = [
+    (2, 2, 1, 0.5, Fraction(5, 16), Fraction(7, 64)),
+    (1, 2, 1, 0.5, Fraction(1, 16), Fraction(1, 4)),
+    (2, 1, 2, 0.5, Fraction(19, 128), Fraction(3, 128)),
+    (2, 2, 1, 0.3, Fraction(1765491, 6250000), Fraction(2698479, 25000000)),
+    (3, 1, 1, 0.5, Fraction(11, 32), Fraction(9, 256)),
+]
+
+
 class TestMonteCarlo:
     def test_noiseless_never_misclassifies(self):
         result = mc_misclassification(
@@ -374,29 +437,28 @@ class TestMonteCarlo:
         assert sums.shape == (200_000,)
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize(
-        "alpha, beta, r, p, negative, tie",
-        [
-            (2, 2, 1, 0.5, Fraction(5, 16), Fraction(7, 64)),
-            (1, 2, 1, 0.5, Fraction(1, 16), Fraction(1, 4)),
-            (2, 1, 2, 0.5, Fraction(19, 128), Fraction(3, 128)),
-            (2, 2, 1, 0.3, Fraction(1765491, 6250000), Fraction(2698479, 25000000)),
-            (3, 1, 1, 0.5, Fraction(11, 32), Fraction(9, 256)),
-        ],
-    )
+    @pytest.mark.parametrize("alpha, beta, r, p, negative, tie", _EXACT_SIGN_CASES)
     def test_rate_within_brute_force_bracket(self, alpha, beta, r, p, negative, tie):
-        # an exact tie may round to either side of 0.0, so the rate lies between
-        # P(S < 0) and P(S <= 0); at alpha = 1 every tie is one pair of equal
-        # terms, exactly 0.0, and the rate is P(S <= 0)
+        # at alpha = 1 every tie is one pair of equal terms, exactly 0.0, and
+        # the rate is P(S <= 0)
         params = TheoryParams(alpha, beta, p, r)
         below, at = _brute_force_sign_probabilities(params)
         assert (below, at) == (negative, tie)
-        trials = 20_000
-        rate = mc_misclassification(params, trials=trials, seed=0).misclass_rate
-        lo, hi = float(below), float(below + at)
-        assert lo - 4 * math.sqrt(lo * (1 - lo) / trials) <= rate <= hi + 4 * math.sqrt(hi * (1 - hi) / trials)
+        rate = _mc_rate_in_sign_bracket(params, below, at)
         if alpha == 1:
-            assert abs(rate - hi) <= 4 * math.sqrt(hi * (1 - hi) / trials)
+            hi = float(below + at)
+            assert abs(rate - hi) <= 4 * math.sqrt(hi * (1 - hi) / 20_000)
+
+    @pytest.mark.parametrize("alpha, beta, r, p, negative, tie", _EXACT_SIGN_CASES)
+    def test_dp_equals_brute_force(self, alpha, beta, r, p, negative, tie):
+        params = TheoryParams(alpha, beta, p, r)
+        assert _dp_sign_probabilities(params) == _brute_force_sign_probabilities(params) == (negative, tie)
+
+    @pytest.mark.parametrize("alpha, beta, r, p", [(3, 3, 2, 0.5), (3, 3, 1, 0.3)])
+    def test_rate_within_dp_bracket(self, alpha, beta, r, p):
+        # past the brute force's reach: 27 bits at (3, 3, 1), 51 at (3, 3, 2)
+        params = TheoryParams(alpha, beta, p, r)
+        _mc_rate_in_sign_bracket(params, *_dp_sign_probabilities(params, exact=False))
 
     @pytest.mark.parametrize("beta", [0, 1, 3, 6])
     @pytest.mark.parametrize("p", [0.5, 0.3])
