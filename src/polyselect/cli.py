@@ -275,6 +275,7 @@ def _cmd_sweep(read: _Inputs) -> int:
         beta_values=read("beta_values", (0, 3, 6, 10)),
         p=read("p", 0.5),
         query_count=read("query_count", 32),
+        encoding=Encoding(read("encoding", "plus_minus")),
         methods=tuple(read("methods", ("Attn", "AttnSoftFS"))),
         tasks_per_cell=read("tasks_per_cell", 500),
         attention=_attention_from(read),
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             "seed", "config", "format", "task", "methods", *task, *knobs, "dump_scores")
     command("sweep", _cmd_sweep, "run a task grid sweep",
             "seed", "out_dir", "config", "format", "alpha", "r_values", "beta_values", "p",
-            "query_count", "tasks_per_cell", "methods", *knobs, "svg")
+            "query_count", "encoding", "tasks_per_cell", "methods", *knobs, "svg")
     command("theory", _cmd_theory, "analytic vs exhaustive vs Monte-Carlo table",
             "seed", "config", "alpha", "beta_values", "p", "r", "kernel", "trials")
     p = command("thresholds", _cmd_thresholds, "exact threshold-function queries", "truth_table",
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
     run, parser = given.pop("run"), given.pop("parser")
     try:
         return run(_Inputs(parser, given))
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -85,12 +85,17 @@ def standardize(support: LabeledSet, epsilon: float = 1e-8) -> tuple[LabeledSet,
     """Z-normalise the support over all rows (population statistics).
 
     Returns the standardised set plus the per-feature mean and standard
-    deviation so queries can be standardised with the same statistics.
+    deviation so queries can be standardised with the same statistics.  A
+    support whose mean or standard deviation overflows float64 raises
+    ValueError, since an infinite sigma would standardise every feature to 0.
     """
     if support.rows < 2:
         raise ValueError("standardisation needs at least 2 support rows")
-    mu = support.features.mean(axis=-2)
-    sigma = support.features.std(axis=-2)  # population (divide by N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = support.features.mean(axis=-2)
+        sigma = support.features.std(axis=-2)  # population (divide by N)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        raise ValueError("support feature mean or standard deviation overflows float64")
     feats = standardize_features(support.features, mu, sigma, epsilon)
     return LabeledSet(features=feats, labels=support.labels, k=support.k), mu, sigma
 
@@ -160,10 +165,14 @@ def _scores(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
 
 
 def feature_scores(support: LabeledSet, config: SelectionConfig = SelectionConfig()) -> np.ndarray:
-    """Nonnegative per-feature scores from the attention-then-dispersion loop.
+    """Per-feature scores from the attention-then-dispersion loop.
 
     rounds=0 skips the attention entirely and scores features by the
-    dispersion of the standardised support.
+    dispersion of the standardised support.  Every score is finite and >= 0,
+    or the call raises ValueError: the standardised support is finite, each
+    round keeps every row inside its class's finite range or raises on an
+    overflowing Gram, and a mean absolute deviation of finite values is
+    finite and >= 0.
     """
     return _scores(standardize(support, config.epsilon)[0], config)
 
@@ -207,8 +216,6 @@ def select_probs(task: Task, methods, attn: AttentionConfig, sel: SelectionConfi
     support, mu, sigma = standardize(task.support, sel.epsilon)
     query = standardize_features(task.query.features, mu, sigma, sel.epsilon)
     scores = _scores(support, sel)
-    if np.any(scores < 0) or not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite and nonnegative")
     probs = {}
     for method in methods:
         factor = FACTORS[method](scores, sel)[..., None, :]

@@ -45,6 +45,9 @@ class BooleanTaskSpec:
     def __post_init__(self):
         if not 1 <= self.alpha <= self.n:
             raise ValueError("alpha must lie in [1, n]")
+        if self.alpha > 62:
+            # corners(alpha) indexes its 2^alpha rows with int64
+            raise ValueError(f"alpha must be <= 62, got {self.alpha}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.r < 1:

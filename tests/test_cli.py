@@ -3,15 +3,17 @@ import json
 import math
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from polyselect import selection
+from polyselect.bench import SweepSpec, emit_csv, run_sweep
 from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
 from polyselect.cli import build_parser, main
-from polyselect.core import task_from_json
-from polyselect.kernels import Kernel
+from polyselect.core import Encoding, task_from_json, task_to_json
+from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import feature_scores
 from polyselect.theory import TheoryParams, snr_growth
 from test_bench import parse_csv
@@ -387,6 +389,8 @@ class TestSweepAndTheory:
             (["--r-values", "1,2", "--beta-values", "3,0,3"], "beta_values must not repeat"),
             (["--r-values", "", "--beta-values", "1"], "r_values and beta_values must be nonempty"),
             (["--r-values", "1", "--beta-values", "1", "--tasks-per-cell", "0"], "tasks_per_cell must be >= 1"),
+            # corners(63) would index past int64, in a pool worker
+            (["--alpha", "63", "--r-values", "1", "--beta-values", "0"], "alpha must be <= 62, got 63"),
         ],
     )
     def test_bad_grid_is_runtime_error_with_no_directory(self, flags, message, tmp_path, capsys):
@@ -395,6 +399,23 @@ class TestSweepAndTheory:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_sweep_encoding_reaches_the_spec(self, by_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.txt").write_text("encoding=zero_one\n")
+        encoding = ["--config", "cfg.txt"] if by_config else ["--encoding", "zero_one"]
+        argv = ["sweep", "--alpha", "2", "--r-values", "1,2", "--beta-values", "0,3", "--tasks-per-cell", "6",
+                "--kernel", "sq_euclidean", "--seed", "5", "--out-dir", "cli", *encoding]
+        assert main(argv) == 0
+        capsys.readouterr()
+        spec = SweepSpec(alpha=2, r_values=(1, 2), beta_values=(0, 3), tasks_per_cell=6,
+                         attention=AttentionConfig(Kernel.SQ_EUCLIDEAN), global_seed=5)
+        plus_minus = emit_csv(spec, run_sweep(spec), "plus_minus.csv").read_bytes()
+        spec = replace(spec, encoding=Encoding.ZERO_ONE)
+        zero_one = emit_csv(spec, run_sweep(spec), "zero_one.csv").read_bytes()
+        assert zero_one != plus_minus
+        assert Path("cli/sweep.csv").read_bytes() == zero_one
 
     def test_sweep_failures_reported_on_stderr(self, tmp_path, capsys):
         # attention logits overflow at this tau_inv, so every Attn and AttnSoftFS evaluation fails
@@ -689,6 +710,43 @@ class TestReproduceAndExitCodes:
         code = main(["eval", "--task", "/nonexistent/task.json"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # np.repeat of 2^70 rows in the Monte-Carlo sampler
+            (["theory", "--alpha", "70", "--beta-values", "0,1", "--trials", "10"], "too large"),
+            # fails at allocation, so nothing is allocated
+            (["gen-tasks", "--family", "sphere", "--sample-count", "100000000000000"], "Unable to allocate"),
+        ],
+        ids=["theory", "gen-tasks"],
+    )
+    def test_oversized_input_is_runtime_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_task_file_is_runtime_error(self, tmp_path, capsys):
+        # at x 2^600 the support's standard deviation overflows: sigma = inf would
+        # standardise every feature to 0 and classify at chance; a numpy
+        # RuntimeWarning would be an error here, not a line on stderr
+        assert main(["gen-tasks", "--n", "6", "--alpha", "2", "--r", "3", "--seed", "1"]) == 0
+        task = task_from_json(capsys.readouterr().out)
+        scaled = {part: replace(getattr(task, part), features=getattr(task, part).features * 2.0**600)
+                  for part in ("support", "query")}
+        path = tmp_path / "big.json"
+        path.write_text(task_to_json(replace(task, **scaled)))
+        for methods in (["AttnSoftFS", "AttnTopK"], ["AttnSoftFSNorm"]):
+            assert main(["eval", "--task", str(path), "--methods", *methods, "--top-k", "2"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: support feature mean or standard deviation overflows float64"
+            ]
 
 
 def readme_cli_lines() -> list[list[str]]:

@@ -143,11 +143,6 @@ def _defaulted_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
     return [(i, f.target.id) for i, f in enumerate(fields) if has_default(f.value)]
 
 
-# SweepSpec.encoding is set only by the tests and perfbench: ROADMAP item 19
-# registers sweep's --encoding flag, which passes it, and removes this exception
-UNSET_FIELDS = ["bench.SweepSpec.encoding"]
-
-
 def test_every_defaulted_dataclass_field_has_a_caller_in_the_package():
     # every option needs a caller: each field with a default of a package dataclass
     # is set somewhere in src/polyselect, by position or keyword at a call of its
@@ -163,4 +158,4 @@ def test_every_defaulted_dataclass_field_has_a_caller_in_the_package():
         for position, name in _defaulted_fields(node)
         if not (passed.get(node.name, set()) | replaced) & {"*", position, name}
     ]
-    assert unset == UNSET_FIELDS
+    assert unset == []
