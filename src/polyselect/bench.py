@@ -97,9 +97,9 @@ class SweepSpec:
             raise ValueError(f"r_values must all be >= 1, got {list(self.r_values)}")
         if min(self.beta_values) < 0:
             raise ValueError(f"beta_values must all be >= 0, got {list(self.beta_values)}")
-        # the cells differ only in r and n = alpha + beta, so this one checks alpha, p
-        # and query_count for all of them, before any cell runs
-        _cell_shape(self, min(self.r_values), min(self.beta_values))
+        # the cells differ only in r and n = alpha + beta, so the largest one checks
+        # alpha, p, query_count and every cell's buffer size, before any cell runs
+        _cell_shape(self, max(self.r_values), max(self.beta_values))
         if self.tasks_per_cell < 1:
             raise ValueError("tasks_per_cell must be >= 1")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -564,7 +564,7 @@ def reproduce(name: str, out_dir: str | Path, seed: int = 0, scale: float = 1.0)
     """
     global _pool_slot
     if name not in RECIPES:
-        raise KeyError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
+        raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _pool_slot = pools = []

@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     run, parser = given.pop("run"), given.pop("parser")
     try:
         return run(_Inputs(parser, given))
-    except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,8 @@ operation in this package is a pure function of its inputs.
 
 Feature arrays are (..., rows, n): leading axes stack same-shape tasks into
 one Task, and every pipeline function works on the last two axes, so a single
-task is the case with no leading axis.  A stack's labels are either one row
-shared by every task or one row per task; the support's are always shared.
+task is the case with no leading axis.  A stack's labels, support and query
+alike, are either one row shared by every task or one row per task.
 """
 
 from __future__ import annotations
@@ -97,7 +97,9 @@ class LabeledSet:
 
     def class_rows(self, c: int) -> np.ndarray:
         """Feature rows of class c, per task of a stack with shared labels; ValueError if c has none."""
-        rows = _shared_labels(self.labels) == c
+        if self.labels.ndim != 1:
+            raise ValueError(f"labels must be one row shared by every task, got shape {self.labels.shape}")
+        rows = self.labels == c
         if not rows.any():
             raise ValueError(f"class {c} has no support examples")
         return self.features[..., rows, :]
@@ -117,6 +119,8 @@ class TaskMeta:
 
     def __post_init__(self):
         object.__setattr__(self, "active_indices", tuple(int(i) for i in self.active_indices))
+        if self.alpha < 1:
+            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.alpha != len(self.active_indices):
             raise ValueError("alpha must equal the number of active indices")
         if len(set(self.active_indices)) != self.alpha:
@@ -134,8 +138,8 @@ class Task:
     """A few-shot episode: labelled support set plus labelled query set.
 
     Support and query may be (tasks, rows, n) stacks of same-shape tasks;
-    the support labels are shared by every task, the query labels may be
-    per task, and generation metadata belongs to a single task only.
+    either's labels may be shared by every task or per task, and generation
+    metadata belongs to a single task only.
     """
 
     support: LabeledSet
@@ -149,8 +153,6 @@ class Task:
             raise ValueError("support and query must have the same class count")
         if self.support.features.shape[:-2] != self.query.features.shape[:-2]:
             raise ValueError("support and query must stack the same tasks")
-        if self.support.labels.ndim != 1:
-            raise ValueError("support labels must be shared by every task")
         if self.meta is not None:
             if self.support.features.ndim != 2:
                 raise ValueError("meta describes a single task, not a stack")
@@ -161,27 +163,32 @@ class Task:
                 raise ValueError("active indices out of range")
 
     def __getitem__(self, t: int) -> Task:
-        """Task t of a stack, without metadata."""
-        s, q = self.support, self.query
-        if s.features.ndim < 3:
+        """Task t of a stack, without metadata; shared labels stay shared, per-task ones pick task t's row."""
+        if self.support.features.ndim < 3:
             raise ValueError("a single task has no task axis to index")
-        labels = q.labels if q.labels.ndim == 1 else q.labels[t]
-        return Task(LabeledSet(s.features[t], s.labels, s.k), LabeledSet(q.features[t], labels, q.k))
-
-
-def _shared_labels(labels: np.ndarray) -> np.ndarray:
-    """labels if they are one row shared by every task, else ValueError."""
-    if np.ndim(labels) != 1:
-        raise ValueError(f"labels must be one row shared by every task, got shape {np.shape(labels)}")
-    return labels
+        return Task(*(
+            LabeledSet(ls.features[t], ls.labels if ls.labels.ndim == 1 else ls.labels[t], ls.k)
+            for ls in (self.support, self.query)
+        ))
 
 
 def one_hot(labels: Sequence[int], k: int) -> np.ndarray:
-    """One-hot value matrix for dense class ids: one row per label, k columns."""
-    labels = _shared_labels(np.asarray(labels, dtype=np.int64))
+    """One-hot rows of np.eye(k) for dense class ids: labels of shape (..., rows) give (..., rows, k)."""
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels must lie in [0, {k})")
     return np.eye(k)[labels]
+
+
+def _require_indexable(alpha: int, r: int, extra_rows: int, cols: int, what: str) -> None:
+    """ValueError unless (r * 2^alpha + extra_rows) x cols float64 values fit in one numpy array.
+
+    numpy counts an array's bytes in intp, so a larger buffer cannot even be
+    asked for; what names the buffer by the sizes behind it.  alpha >= 63 is
+    too large at any r, and is rejected before 2^alpha is formed.
+    """
+    if alpha >= 63 or (r * 2**alpha + extra_rows) * cols * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"{what} is larger than numpy can index")
 
 
 _MASK64 = (1 << 64) - 1

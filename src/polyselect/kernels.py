@@ -116,10 +116,14 @@ def _exp_rows_in_place(z: np.ndarray, tau_inv: float, peak: np.ndarray) -> np.nd
 def attend_probs(query_features: np.ndarray, support: LabeledSet, config: AttentionConfig) -> np.ndarray:
     """Class probabilities for arbitrary query rows against a support set.
 
-    ValueError unless every similarity is finite: the softmax checks only
-    the row maxima, which miss a -inf below a finite one.
+    A stacked support's labels may be shared or per task: the one-hot
+    values of each task's own labels weight its attention.  ValueError
+    unless every similarity is finite: the softmax checks only the row
+    maxima, which miss a -inf below a finite one.
     """
-    scores = similarity_matrix(config, query_features, support.features)
+    # a query far outside the support's range may overflow here; the scan rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = similarity_matrix(config, query_features, support.features)
     if not np.all(np.isfinite(scores)):
         raise ValueError("softmax input must be finite")
     scores /= _exp_rows_in_place(scores, config.tau_inv, scores.max(axis=-1, keepdims=True))

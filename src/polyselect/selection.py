@@ -214,11 +214,15 @@ def select_probs(task: Task, methods, attn: AttentionConfig, sel: SelectionConfi
     by its FACTORS factor and attend-classifies the queries.
     """
     support, mu, sigma = standardize(task.support, sel.epsilon)
-    query = standardize_features(task.query.features, mu, sigma, sel.epsilon)
     scores = _scores(support, sel)
+    factors = {method: FACTORS[method](scores, sel)[..., None, :] for method in methods}
+    # a query far outside the support's range may standardise or scale to inf, or
+    # to nan where an inf meets a zero factor; attend_probs' finite scan rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        query = standardize_features(task.query.features, mu, sigma, sel.epsilon)
+        queries = {method: query * factor for method, factor in factors.items()}
     probs = {}
-    for method in methods:
-        factor = FACTORS[method](scores, sel)[..., None, :]
+    for method, factor in factors.items():
         scaled = LabeledSet(support.features * factor, support.labels, support.k)
-        probs[method] = attend_probs(query * factor, scaled, attn)
+        probs[method] = attend_probs(queries[method], scaled, attn)
     return probs

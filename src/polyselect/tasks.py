@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolefn import corners
-from .core import Encoding, LabeledSet, Task, TaskMeta, rng_for
+from .core import Encoding, LabeledSet, Task, TaskMeta, _require_indexable, rng_for
 
 __all__ = [
     "BooleanTaskSpec",
@@ -45,15 +45,14 @@ class BooleanTaskSpec:
     def __post_init__(self):
         if not 1 <= self.alpha <= self.n:
             raise ValueError("alpha must lie in [1, n]")
-        if self.alpha > 62:
-            # corners(alpha) indexes its 2^alpha rows with int64
-            raise ValueError(f"alpha must be <= 62, got {self.alpha}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if self.query_count < 1:
             raise ValueError("query_count must be >= 1")
+        what = f"alpha={self.alpha}, r={self.r}, n={self.n}: a task's (r * 2^alpha + query_count) x n buffer"
+        _require_indexable(self.alpha, self.r, self.query_count, self.n, what)
 
 
 def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task, np.ndarray]:

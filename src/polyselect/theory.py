@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rng_for
+from .core import _require_indexable, rng_for
 from .kernels import Kernel
 
 __all__ = [
@@ -273,6 +273,8 @@ def mc_signed_sums(params: TheoryParams, trials: int, seed: int) -> np.ndarray:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     alpha, beta, r = params.alpha, params.beta_irrelevant, params.r
+    what = f"alpha={alpha}, r={r}, beta={beta}: a trial's r * 2^alpha x max(beta, 1) draw buffer"
+    _require_indexable(alpha, r, 0, max(beta, 1), what)
 
     # delta profile: the query's active pattern sits at distance delta from
     # r * C(alpha, delta) support rows regardless of which pattern it is.

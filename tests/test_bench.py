@@ -28,7 +28,8 @@ from polyselect.bench import (
     reproduce,
     run_sweep,
 )
-from polyselect.core import Encoding, csv_text, task_seed
+from polyselect.boolefn import corners
+from polyselect.core import Encoding, LabeledSet, Task, csv_text, task_seed
 from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import FACTORS, SelectionConfig, feature_scores
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_task
@@ -290,6 +291,19 @@ class TestRunSweep:
         assert len(chunks) == 4
         # per chunk: the stacked attempt, then each selection method alone on the stack
         assert len(scorings) == len(chunks) * (1 + len(FACTORS))  # 124 when every task was reclassified
+
+    def test_per_task_labels_classify_like_a_loop(self):
+        # four 3-input truth tables on the cube's corners, each task its own support
+        # labels: Attn takes the stack in one call, and the methods that slice class
+        # blocks out of the support raise there and fall back to task by task
+        x = np.broadcast_to(corners(3).astype(np.float64), (4, 8, 3))
+        labels = (np.array([0x96, 0x80, 0xE8, 0x3C])[:, None] >> np.arange(8)) & 1
+        stack = Task(LabeledSet(x, labels, k=2), LabeledSet(x, labels, k=2))
+        attention, sel = AttentionConfig(tau_inv=0.5), SelectionConfig(rounds=2, top_k=2)
+        kept = bench._kept_accuracies(stack, METHODS, attention, sel)
+        for m in METHODS:
+            loop = np.array([bench._accuracies(stack[t], (m,), attention, sel)[m] for t in range(4)])
+            assert kept[m].tobytes() == loop.tobytes(), m
 
 
 # a non-default value for every field of the configs the methods read
@@ -673,7 +687,7 @@ class TestEmitters:
 
 class TestReproduce:
     def test_unknown_recipe(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=re.escape("unknown recipe 'nope'; available: [")):
             reproduce("nope", tmp_path)
 
     def test_appc_boundary_artifacts(self, tmp_path):

@@ -246,6 +246,17 @@ class TestEval:
         assert main(["eval", "--task", str(task_file)]) == 1
         assert capsys.readouterr() == ("", "error: active indices must be distinct, got [1, 1]\n")
 
+    def test_task_file_with_no_active_feature_is_runtime_error(self, tmp_path, capsys):
+        # alpha = 0 would reach AttnTopK as top_k = 0, although Attn reads no top_k
+        assert main(["gen-tasks", "--n", "5", "--alpha", "2", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        task_file = tmp_path / "task_00000.json"
+        obj = json.loads(task_file.read_text())
+        obj["meta"] |= {"active_indices": [], "alpha": 0, "beta_irrelevant": 5}
+        task_file.write_text(json.dumps(obj))
+        assert main(["eval", "--task", str(task_file), "--methods", "Attn"]) == 1
+        assert capsys.readouterr() == ("", "error: alpha must be >= 1, got 0\n")
+
     def test_task_file_that_is_not_an_object_is_runtime_error(self, tmp_path, capsys):
         task_file = tmp_path / "task.json"
         task_file.write_text("[1, 2]")
@@ -390,7 +401,8 @@ class TestSweepAndTheory:
             (["--r-values", "", "--beta-values", "1"], "r_values and beta_values must be nonempty"),
             (["--r-values", "1", "--beta-values", "1", "--tasks-per-cell", "0"], "tasks_per_cell must be >= 1"),
             # corners(63) would index past int64, in a pool worker
-            (["--alpha", "63", "--r-values", "1", "--beta-values", "0"], "alpha must be <= 62, got 63"),
+            (["--alpha", "63", "--r-values", "1", "--beta-values", "0"],
+             "alpha=63, r=1, n=63: a task's (r * 2^alpha + query_count) x n buffer is larger than numpy can index"),
         ],
     )
     def test_bad_grid_is_runtime_error_with_no_directory(self, flags, message, tmp_path, capsys):
@@ -714,12 +726,18 @@ class TestReproduceAndExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # np.repeat of 2^70 rows in the Monte-Carlo sampler
-            (["theory", "--alpha", "70", "--beta-values", "0,1", "--trials", "10"], "too large"),
+            # each size rule rejects its input before anything is allocated
+            (["theory", "--alpha", "70", "--beta-values", "0,1", "--trials", "10"],
+             "alpha=70, r=2, beta=0: a trial's r * 2^alpha x max(beta, 1) draw buffer is larger than numpy can index"),
+            (["eval", "--alpha", "62", "--n", "62"],
+             "alpha=62, r=5, n=62: a task's (r * 2^alpha + query_count) x n buffer is larger than numpy can index"),
+            # the grid's largest cell is too large, its smallest is not
+            (["sweep", "--alpha", "50", "--r-values", "1,4096", "--beta-values", "0"],
+             "alpha=50, r=4096, n=50: a task's (r * 2^alpha + query_count) x n buffer is larger than numpy can index"),
             # fails at allocation, so nothing is allocated
             (["gen-tasks", "--family", "sphere", "--sample-count", "100000000000000"], "Unable to allocate"),
         ],
-        ids=["theory", "gen-tasks"],
+        ids=["theory", "eval", "sweep", "gen-tasks"],
     )
     def test_oversized_input_is_runtime_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -747,6 +765,18 @@ class TestReproduceAndExitCodes:
             assert captured.err.splitlines() == [
                 "error: support feature mean or standard deviation overflows float64"
             ]
+
+    @pytest.mark.parametrize("methods", [["AttnSoftFS"], ["Attn", "Proto"]])
+    def test_query_far_outside_the_support_is_runtime_error(self, methods, tmp_path, capsys):
+        # the support's second column is constant (sigma = 0, divisor epsilon), so the
+        # query's 1e301 standardises to inf there; Proto squares it; a numpy
+        # RuntimeWarning would be an error here, not a line on stderr
+        path = tmp_path / "far.json"
+        task = {"support": {"features": [[0, 1], [1, 1], [0, 1], [1, 1]], "labels": [0, 1, 0, 1], "k": 2},
+                "query": {"features": [[0.5, 1e301]], "labels": [1], "k": 2}, "meta": None}
+        path.write_text(json.dumps(task))
+        assert main(["eval", "--task", str(path), "--methods", *methods]) == 1
+        assert capsys.readouterr() == ("", "error: softmax input must be finite\n")
 
 
 def readme_cli_lines() -> list[list[str]]:

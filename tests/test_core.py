@@ -18,7 +18,6 @@ from polyselect.core import (
     task_seed,
     task_to_json,
 )
-from polyselect.kernels import AttentionConfig, attend_probs
 from polyselect.prototypes import build_prototypes
 from polyselect.selection import feature_scores
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_task
@@ -41,6 +40,13 @@ class TestOneHot:
         np.testing.assert_array_equal(mat.sum(axis=1), np.ones(len(labels)))
         counts = np.bincount(labels, minlength=5)
         np.testing.assert_array_equal(mat.sum(axis=0), counts)
+
+    def test_per_task_labels_give_per_task_rows(self):
+        labels = np.array([[0, 2, 1, 2], [1, 1, 0, 0]])
+        mat = one_hot(labels, 3)
+        assert mat.shape == (2, 4, 3)
+        for t in range(2):
+            np.testing.assert_array_equal(mat[t], np.eye(3)[labels[t]])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
@@ -183,6 +189,13 @@ class TestTaskStack:
         np.testing.assert_array_equal(shared[1].query.labels, [0, 1, 1, 0, 1])
         np.testing.assert_array_equal(shared[1].support.labels, [0, 1, 0])
 
+    def test_indexing_picks_each_tasks_own_support_labels(self):
+        support = LabeledSet(np.ones((3, 3, 4)), [[0, 1, 0], [1, 1, 0], [0, 0, 1]], k=2)
+        stack = Task(support, _stack(tasks=3).query)
+        for t in range(3):
+            np.testing.assert_array_equal(stack[t].support.labels, support.labels[t])
+            np.testing.assert_array_equal(stack[t].support.features, support.features[t])
+
     def test_single_task_has_no_task_axis(self):
         with pytest.raises(ValueError, match="a single task has no task axis"):
             Task(_labeled(), _labeled())[0]
@@ -199,8 +212,6 @@ class TestTaskStack:
              "support and query must stack the same tasks"),
             (lambda: Task(LabeledSet(np.ones((3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((1, 5, 4)), [0] * 5, 2)),
              "support and query must stack the same tasks"),
-            (lambda: Task(LabeledSet(np.ones((2, 3, 4)), [[0, 1, 0], [1, 0, 1]], 2), _stack().query),
-             "support labels must be shared by every task"),
             (lambda: Task(LabeledSet(np.ones((1, 2, 3)), [0, 1], 2), LabeledSet(np.ones((1, 2, 3)), [0, 1], 2), _meta()),
              "meta describes a single task, not a stack"),
         ],
@@ -212,13 +223,13 @@ class TestTaskStack:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda ls: attend_probs(np.ones((2, 1, 4)), ls, AttentionConfig()),
             build_prototypes,
             feature_scores,
         ],
-        ids=["attend_probs", "build_prototypes", "feature_scores"],
+        ids=["build_prototypes", "feature_scores"],
     )
     def test_per_task_labels_rejected_where_shared_are_needed(self, call):
+        # both slice class blocks out of the support; attend_probs takes per-task labels
         per_task = LabeledSet(np.arange(24.0).reshape(2, 3, 4), [[0, 1, 0], [1, 0, 1]], k=2)
         with pytest.raises(ValueError, match=re.escape("labels must be one row shared by every task")):
             call(per_task)
@@ -247,13 +258,13 @@ def _labeled(k: int = 2) -> LabeledSet:
         (lambda: LabeledSet(np.zeros((2, 3)), [[0, 1]], 2), "labels must be one per feature row, shared (rows,) or per task"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 1, 1], 2), "labels must be one per feature row, shared (rows,) or per task"),
         (lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1]], 2), "labels must be one per feature row, shared (rows,) or per task"),
-        (lambda: one_hot([[0, 1]], 2), "labels must be one row shared by every task, got shape (1, 2)"),
         (lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1], [1, 0]], 2).class_rows(0),
          "labels must be one row shared by every task, got shape (2, 2)"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 2).class_rows(1), "class 1 has no support examples"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 1), "class count must be >= 2, got 1"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 2], 2), "labels must lie in [0, 2)"),
         (lambda: _meta(alpha=2), "alpha must equal the number of active indices"),
+        (lambda: _meta(active_indices=(), alpha=0), "alpha must be >= 1, got 0"),
         (lambda: _meta(active_indices=(1, 1), alpha=2), "active indices must be distinct, got [1, 1]"),
         (lambda: _meta(beta_irrelevant=-1), "irrelevant feature count must be >= 0"),
         (lambda: _meta(p=1.5), "p must lie in [0, 1], got 1.5"),

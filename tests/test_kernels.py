@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polyselect.boolefn import corners
 from polyselect.core import LabeledSet, Task, one_hot
 from polyselect.kernels import (
     AttentionConfig,
@@ -85,11 +86,64 @@ class TestStacks:
             lone = attend_probs(queries[t], LabeledSet(keys[t], labels, k=3), config)
             assert stacked[t].tobytes() == lone.tobytes()
 
+    @pytest.mark.parametrize("kind", list(Kernel))
+    def test_attend_probs_with_per_task_labels(self, kind):
+        queries, keys = self._stack(4)
+        labels = np.random.default_rng(4).integers(0, 3, size=(4, 9))
+        config = AttentionConfig(kind, tau_inv=0.7)
+        stacked = attend_probs(queries, LabeledSet(keys, labels, k=3), config)
+        assert stacked.shape == (4, 6, 3)
+        for t in range(4):
+            lone = attend_probs(queries[t], LabeledSet(keys[t], labels[t], k=3), config)
+            assert stacked[t].tobytes() == lone.tobytes()
+
     def test_zero_row_in_any_task_rejected(self):
         queries, keys = self._stack(3)
         keys[2, 4] = 0.0
         with pytest.raises(ValueError):
             similarity_matrix(AttentionConfig(Kernel.COSINE), queries, keys)
+
+
+def _tables_realised(n: int, tables, tau_inv: float) -> np.ndarray:
+    """Per table, whether dot attention over the n-cube's corners labelled by it classifies every corner right.
+
+    One attend_probs call classifies the whole stack: table t labels corner i
+    by its bit i, and the corners are both the support and the queries.
+    """
+    x = corners(n).astype(np.float64)
+    labels = (np.asarray(tables, dtype=np.int64)[:, None] >> np.arange(2**n)) & 1
+    x = np.broadcast_to(x, (len(labels), *x.shape))
+    probs = attend_probs(x, LabeledSet(x, labels, k=2), AttentionConfig(tau_inv=tau_inv))
+    return np.all(predict(probs) == labels, axis=-1)
+
+
+def _tau_star(n: int) -> float:
+    """The sharpness at which a one-corner table's corner ties: (1 + e^(-2 tau))^n = 2."""
+    return -0.5 * math.log(2 ** (1 / n) - 1)
+
+
+class TestEveryTruthTable:
+    """Attention realises every Boolean function once it is sharp enough (ROADMAP item 9's Attn counts)."""
+
+    @pytest.mark.parametrize("n, below, above", [(2, 6, 14), (3, 238, 254)])
+    def test_counts_around_tau_star(self, n, below, above):
+        tables = np.arange(1, 2 ** 2**n - 1)  # every non-constant table
+        taus = (_tau_star(n) - 0.01, _tau_star(n) + 0.01, 1.0)
+        assert [int(_tables_realised(n, tables, tau).sum()) for tau in taus] == [below, above, len(tables)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_corner_tables_turn_at_tau_star(self, n):
+        one_corner = 1 << np.arange(2**n)
+        tables = np.concatenate([one_corner, (2 ** 2**n - 1) ^ one_corner])
+        assert not _tables_realised(n, tables, _tau_star(n) - 0.01).any()
+        assert _tables_realised(n, tables, _tau_star(n) + 0.01).all()
+
+    @pytest.mark.slow
+    def test_every_four_input_table(self):
+        # 65,534 tables in one call: its (tables, 16, 16) similarity stack is about 134 MB
+        tables = np.arange(1, 2**16 - 1)
+        taus = (_tau_star(4) - 0.01, _tau_star(4) + 0.01, 1.0)
+        assert [int(_tables_realised(4, tables, tau).sum()) for tau in taus] == [65294, 65534, 65534]
 
 
 def softmax_reference(scores: np.ndarray, tau_inv: float) -> np.ndarray:
