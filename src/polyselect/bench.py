@@ -11,16 +11,11 @@ chunks of the whole grid run in forked worker processes, up to one per usable
 CPU, and their results are merged in grid order; a chunk's tasks depend only
 on its grid position, so rerunning a sweep or recipe with the same seed
 produces byte-identical output files on any number of CPUs.
-fig5_sphere sends its tasks through the same pool.
+fig5_sphere sends its tasks through _map_chunks too.
 
-A sweep run on its own forks a pool for its one call, with one worker per
-chunk up to one per usable CPU.  While reproduce runs a recipe, the recipe's
-chunk maps share one pool instead, with one worker per usable CPU, forked by
-the first map that needs two workers and reaped before reproduce returns or
-raises.  binary_strings_fs_raw is the recipe with more than one map: its
-six one-cell sweeps start one set of workers, and each worker imports
-numpy.random once rather than once per sweep.  Recipes that map no chunks
-fork nothing and import no process machinery.
+Every chunk map, in a recipe or not, forks its own pool of one worker per
+item up to one per usable CPU and reaps it before it returns or raises.
+Recipes that map no chunks fork nothing and import no process machinery.
 """
 
 from __future__ import annotations
@@ -221,41 +216,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# None outside reproduce; while reproduce runs a recipe, a list that holds the
-# recipe's pool once a chunk map has forked it.
-_pool_slot: list | None = None
-
-
-def _fork_pool(workers: int):
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-
-
 def _map_chunks(fn: Callable, items: list) -> list:
     """fn over items in order, on up to one forked worker per usable CPU.
 
     Each item is one message, so an idle worker takes the next item and a
-    map's tail is at most one item.
-
-    Inside reproduce the map runs on the recipe's pool: the first map that
-    needs two workers forks it with one worker per usable CPU, later maps
-    reuse it, and reproduce reaps it.  Outside reproduce the map forks
-    min(usable CPUs, items) workers for this call alone and reaps them before
-    it returns or raises.  Fork, not spawn or forkserver, because a fresh
-    interpreter per worker would import numpy again.  With one worker or no
-    fork, the items run inline and no process starts.
+    map's tail is at most one item.  Every map forks min(usable CPUs, items)
+    workers for this call alone and reaps them before it returns or raises.
+    Fork, not spawn or forkserver, because a fresh interpreter per worker
+    would import numpy again.  With one worker or no fork, the items run
+    inline and no process starts.
     """
     workers = min(_usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
         return list(map(fn, items))
-    if _pool_slot is None:
-        with _fork_pool(workers) as pool:
-            return list(pool.map(fn, items))
-    if not _pool_slot:
-        _pool_slot.append(_fork_pool(_usable_cpus()))
-    return list(_pool_slot[0].map(fn, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
@@ -558,19 +536,11 @@ def reproduce(name: str, out_dir: str | Path, seed: int = 0, scale: float = 1.0)
     scale multiplies task counts, and fig5_sphere's point count; a grid
     recipe keeps its grid at every scale (quick runs and the determinism
     checks use scale < 1).  Outputs remain fully deterministic in (name,
-    seed, scale).  The recipe's chunk maps share one pool with one worker
-    per usable CPU, forked by the first map that needs two workers (see
-    _map_chunks); no worker is left when this returns or raises.
+    seed, scale).  Each of the recipe's chunk maps forks and reaps its own
+    workers (see _map_chunks), so no worker is left when this returns or raises.
     """
-    global _pool_slot
     if name not in RECIPES:
         raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _pool_slot = pools = []
-    try:
-        return RECIPES[name](out, seed, scale)
-    finally:
-        _pool_slot = None
-        for pool in pools:
-            pool.shutdown()  # joins and reaps every worker
+    return RECIPES[name](out, seed, scale)

@@ -216,11 +216,11 @@ def select_probs(task: Task, methods, attn: AttentionConfig, sel: SelectionConfi
     support, mu, sigma = standardize(task.support, sel.epsilon)
     scores = _scores(support, sel)
     factors = {method: FACTORS[method](scores, sel)[..., None, :] for method in methods}
-    # a query far outside the support's range may standardise or scale to inf, or
-    # to nan where an inf meets a zero factor; attend_probs' finite scan rejects both
+    # a query far outside the support's range may standardise or scale to inf, which
+    # attend_probs' finite scan rejects; a feature the factor drops is 0 whatever its value
     with np.errstate(over="ignore", invalid="ignore"):
         query = standardize_features(task.query.features, mu, sigma, sel.epsilon)
-        queries = {method: query * factor for method, factor in factors.items()}
+        queries = {method: np.where(factor == 0, 0.0, query * factor) for method, factor in factors.items()}
     probs = {}
     for method, factor in factors.items():
         scaled = LabeledSet(support.features * factor, support.labels, support.k)

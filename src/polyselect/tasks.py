@@ -51,8 +51,11 @@ class BooleanTaskSpec:
             raise ValueError("r must be >= 1")
         if self.query_count < 1:
             raise ValueError("query_count must be >= 1")
-        what = f"alpha={self.alpha}, r={self.r}, n={self.n}: a task's (r * 2^alpha + query_count) x n buffer"
-        _require_indexable(self.alpha, self.r, self.query_count, self.n, what)
+        _require_indexable(self.alpha, self.r, self.query_count, self.n, self._buffer_name())
+
+    def _buffer_name(self) -> str:
+        """This spec's task buffer, named by the sizes behind it, for size errors."""
+        return f"alpha={self.alpha}, r={self.r}, n={self.n}: a task's (r * 2^alpha + query_count) x n buffer"
 
 
 def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task, np.ndarray]:
@@ -65,7 +68,10 @@ def gen_boolean_batch(spec: BooleanTaskSpec, seeds: Sequence[int]) -> tuple[Task
     n, alpha, q = spec.n, spec.alpha, spec.query_count
     # variant i is corners(alpha) row i with the inputs reversed, as 0/1 bits;
     # class 1 iff the product of its +-1 values is -1
-    signs = corners(alpha)
+    try:
+        signs = corners(alpha)
+    except MemoryError as exc:  # numpy can index it, the machine cannot hold it
+        raise MemoryError(f"{spec._buffer_name()} cannot be allocated") from exc
     patterns = (signs[:, ::-1] + 1) // 2
     pattern_labels = (signs.prod(axis=1) < 0).astype(np.int64)
     rows = spec.r * patterns.shape[0]

@@ -278,7 +278,10 @@ def mc_signed_sums(params: TheoryParams, trials: int, seed: int) -> np.ndarray:
 
     # delta profile: the query's active pattern sits at distance delta from
     # r * C(alpha, delta) support rows regardless of which pattern it is.
-    deltas = np.repeat(np.arange(alpha + 1), [math.comb(alpha, d) for d in range(alpha + 1)])
+    try:
+        deltas = np.repeat(np.arange(alpha + 1), [math.comb(alpha, d) for d in range(alpha + 1)])
+    except MemoryError as exc:  # numpy can index it, the machine cannot hold it
+        raise MemoryError(f"{what} cannot be allocated") from exc
     deltas = np.tile(deltas, r)
     signs = np.where(deltas % 2 == 0, 1.0, -1.0)
     ap, am, m, mm = _exponents(params.kernel, alpha, beta)

@@ -470,7 +470,7 @@ class TestSweepProcesses:
 
 
 class TestRecipePool:
-    """reproduce shares one pool among a recipe's chunk maps and reaps it."""
+    """Under reproduce, every chunk map forks its own pool and reaps it, as it does outside."""
 
     @pytest.fixture
     def map_sizes(self, monkeypatch):
@@ -486,7 +486,7 @@ class TestRecipePool:
         monkeypatch.setattr(bench, "_map_chunks", counting)
         return sizes
 
-    def test_binary_strings_starts_one_set_of_workers(
+    def test_binary_strings_forks_a_pool_per_sweep(
         self, monkeypatch, process_starts, map_sizes, tmp_path
     ):
         with monkeypatch.context() as m:
@@ -496,12 +496,11 @@ class TestRecipePool:
         map_sizes.clear()
         pooled = reproduce("binary_strings_fs_raw", tmp_path / "pool", seed=4, scale=0.01)
         assert len(map_sizes) == 6 and min(map_sizes) >= 2  # six sweeps, each needing two workers
-        assert len(process_starts) == 2  # not 2 per sweep
+        assert len(process_starts) == 6 * 2
         assert multiprocessing.active_children() == []
-        assert bench._pool_slot is None
         assert [p.read_bytes() for p in pooled] == [p.read_bytes() for p in inline]
 
-    def test_pool_forks_once_with_one_worker_per_cpu(self, monkeypatch, process_starts, tmp_path):
+    def test_each_map_forks_min_of_cpus_and_items(self, monkeypatch, process_starts, tmp_path):
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
 
         def maps(out, seed, scale):
@@ -509,9 +508,8 @@ class TestRecipePool:
 
         monkeypatch.setitem(bench.RECIPES, "maps", maps)
         assert reproduce("maps", tmp_path) == [[2, 2], [3, 3, 3], [2, 2]]
-        assert len(process_starts) == 3  # forked by the first map, kept for the others
+        assert len(process_starts) == 2 + 3 + 2
         assert multiprocessing.active_children() == []
-        assert bench._pool_slot is None
 
     @pytest.mark.parametrize("recipe", ["table3_counts", "appD_xor_bound", "appC_boundary"])
     def test_exact_recipes_start_no_process(self, process_starts, map_sizes, recipe, tmp_path):
@@ -546,7 +544,6 @@ class TestRecipePool:
             reproduce("binary_strings_fs_raw", tmp_path, scale=0.01)
         assert len(process_starts) == 2
         assert multiprocessing.active_children() == []
-        assert bench._pool_slot is None
 
     def test_crashed_worker_is_broken_pool(self, monkeypatch, process_starts, map_sizes, tmp_path):
         parent = os.getpid()
@@ -561,10 +558,9 @@ class TestRecipePool:
             reproduce("binary_strings_fs_raw", tmp_path, scale=0.01)
         assert len(process_starts) == 2
         assert multiprocessing.active_children() == []
-        assert bench._pool_slot is None
 
     def test_error_after_a_map_reaps_the_pool(self, monkeypatch, process_starts, map_sizes, tmp_path):
-        # the first sweep forks the pool; the parent then raises before the second
+        # the first sweep forks and reaps its pool; the parent then raises before the second
         def fail(*args, **kwargs):
             raise RuntimeError("rows failed")
 
@@ -574,7 +570,6 @@ class TestRecipePool:
         assert len(map_sizes) == 1
         assert len(process_starts) == 2
         assert multiprocessing.active_children() == []
-        assert bench._pool_slot is None
 
 
 class TestEmitters:
@@ -709,6 +704,7 @@ class TestReproduce:
             ("fig11_topk", "fig11"),
             ("binary_strings_fs_raw", "binary_strings"),
             ("fig5_sphere", "fig5"),
+            pytest.param("fig7_soft_fs", "fig7", marks=pytest.mark.slow),
         ],
     )
     def test_regenerates_committed_golden(self, tmp_path, recipe, golden):

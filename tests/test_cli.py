@@ -731,13 +731,19 @@ class TestReproduceAndExitCodes:
              "alpha=70, r=2, beta=0: a trial's r * 2^alpha x max(beta, 1) draw buffer is larger than numpy can index"),
             (["eval", "--alpha", "62", "--n", "62"],
              "alpha=62, r=5, n=62: a task's (r * 2^alpha + query_count) x n buffer is larger than numpy can index"),
+            # numpy can index these, but their 2^45 rows exceed the address space,
+            # so the request fails before any memory is touched
+            (["theory", "--alpha", "45", "--beta-values", "0,1", "--trials", "10"],
+             "alpha=45, r=2, beta=0: a trial's r * 2^alpha x max(beta, 1) draw buffer cannot be allocated"),
+            (["eval", "--alpha", "45", "--n", "45"],
+             "alpha=45, r=5, n=45: a task's (r * 2^alpha + query_count) x n buffer cannot be allocated"),
             # the grid's largest cell is too large, its smallest is not
             (["sweep", "--alpha", "50", "--r-values", "1,4096", "--beta-values", "0"],
              "alpha=50, r=4096, n=50: a task's (r * 2^alpha + query_count) x n buffer is larger than numpy can index"),
             # fails at allocation, so nothing is allocated
             (["gen-tasks", "--family", "sphere", "--sample-count", "100000000000000"], "Unable to allocate"),
         ],
-        ids=["theory", "eval", "sweep", "gen-tasks"],
+        ids=["theory", "eval", "theory-memory", "eval-memory", "sweep", "gen-tasks"],
     )
     def test_oversized_input_is_runtime_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -766,17 +772,44 @@ class TestReproduceAndExitCodes:
                 "error: support feature mean or standard deviation overflows float64"
             ]
 
-    @pytest.mark.parametrize("methods", [["AttnSoftFS"], ["Attn", "Proto"]])
-    def test_query_far_outside_the_support_is_runtime_error(self, methods, tmp_path, capsys):
-        # the support's second column is constant (sigma = 0, divisor epsilon), so the
-        # query's 1e301 standardises to inf there; Proto squares it; a numpy
-        # RuntimeWarning would be an error here, not a line on stderr
-        path = tmp_path / "far.json"
-        task = {"support": {"features": [[0, 1], [1, 1], [0, 1], [1, 1]], "labels": [0, 1, 0, 1], "k": 2},
-                "query": {"features": [[0.5, 1e301]], "labels": [1], "k": 2}, "meta": None}
-        path.write_text(json.dumps(task))
-        assert main(["eval", "--task", str(path), "--methods", *methods]) == 1
+    @pytest.mark.parametrize(
+        "methods, second_column",
+        [
+            (["Attn", "Proto"], [1, 1, 1, 1]),
+            (["AttnSoftFS"], [0, 1e-9, 0, 1e-9]),
+            (["AttnTopK", "--top-k", "2"], [1, 1, 1, 1]),
+        ],
+        ids=["Attn-Proto", "AttnSoftFS-kept", "AttnTopK-kept"],
+    )
+    def test_query_far_outside_the_support_is_runtime_error(self, methods, second_column, tmp_path, capsys):
+        # the second column's sigma is 0 (divisor epsilon) or 5e-10, so the query's
+        # 1e301 standardises to inf there; Proto squares it, and a selection method
+        # that keeps the feature passes it on; a numpy RuntimeWarning would be an
+        # error here, not a line on stderr
+        path = far_task(tmp_path / "far.json", second_column, [0.5, 1e301])
+        assert main(["eval", "--task", path, "--methods", *methods]) == 1
         assert capsys.readouterr() == ("", "error: softmax input must be finite\n")
+
+    @pytest.mark.parametrize("methods", [["AttnTopK", "--top-k", "1"], ["AttnSoftFS"], ["AttnSoftFSNorm"]])
+    def test_query_far_outside_a_dropped_feature_is_ignored(self, methods, tmp_path, capsys):
+        # the constant second column scores 0, so AttnTopK with k=1 drops it and the
+        # soft factors are 0 there: its query value, 1e301 or 1, changes no output byte
+        outputs = []
+        for value in (1e301, 1.0):
+            path = far_task(tmp_path / "far.json", [1, 1, 1, 1], [1.0, value])
+            assert main(["eval", "--task", path, "--methods", *methods]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.splitlines() == ["method,accuracy", f"{methods[0]},1.0"]
+        assert outputs[0].err == ""
+
+
+def far_task(path: Path, second_column: list[float], query: list[float]) -> str:
+    """Write a two-feature task whose support's first column is 0, 1, 0, 1 (its labels) and whose one query is query."""
+    support = [[x, y] for x, y in zip([0, 1, 0, 1], second_column, strict=True)]
+    path.write_text(json.dumps({"support": {"features": support, "labels": [0, 1, 0, 1], "k": 2},
+                                "query": {"features": [query], "labels": [1], "k": 2}, "meta": None}))
+    return str(path)
 
 
 def readme_cli_lines() -> list[list[str]]:

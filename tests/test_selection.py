@@ -323,6 +323,27 @@ def _hard_supports() -> dict[str, LabeledSet]:
 _HARD_SUPPORTS = _hard_supports()
 
 
+def _beta_zero_score(alpha: int, tau_inv: float, rounds: int, epsilon: float) -> float:
+    """Every feature's score on a parity support with beta = 0, by the round recursion.
+
+    Each column holds +-1 equally often, so every standardised entry is +-s
+    with s = 1 / (1 + epsilon).  In a class, the rows at Hamming distance d
+    from a row (d even) are r * C(alpha, d) of its variants, with Gram entry
+    c^2 (alpha - 2d) at entry scale c, and a share 1 - d/alpha of them agree
+    with it in a given column.  So a round multiplies every row by
+    lambda(t) = sum C(alpha, d) e^(-2td) (1 - 2d/alpha) / sum C(alpha, d) e^(-2td)
+    over even d, with t = tau_inv * c^2; r drops out, and the dispersion of
+    +-c is c.
+    """
+    scale = 1 / (1 + epsilon)
+    even = range(0, alpha + 1, 2)
+    for _ in range(rounds):
+        t = tau_inv * scale**2
+        weights = [math.comb(alpha, d) * math.exp(-2 * t * d) for d in even]
+        scale *= math.fsum(w * (1 - 2 * d / alpha) for w, d in zip(weights, even)) / math.fsum(weights)
+    return scale
+
+
 class TestFeatureScores:
     def test_zero_rounds_is_plain_dispersion(self):
         task = gen_boolean_task(BooleanTaskSpec(n=8, alpha=3, p=0.5, r=5, seed=2))
@@ -330,6 +351,19 @@ class TestFeatureScores:
         std, _, _ = standardize(task.support)
         expected = dispersion(std.features)
         np.testing.assert_allclose(feature_scores(task.support, config), expected, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5])
+    def test_beta_zero_scores_follow_the_round_recursion(self, alpha):
+        for r, tau_inv, rounds in itertools.product((1, 2, 5), (0.25, 0.5, 1.0, 2.0, 8.0), (0, 1, 2, 10)):
+            support = gen_boolean_task(BooleanTaskSpec(n=alpha, alpha=alpha, r=r)).support
+            config = SelectionConfig(tau_inv=tau_inv, rounds=rounds)
+            want = _beta_zero_score(alpha, tau_inv, rounds, config.epsilon)
+            got = feature_scores(support, config)
+            case = (r, tau_inv, rounds)
+            if want > 1e-6:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(case))
+            else:
+                assert want < 1e-14 and np.all(got < 1e-14), (case, want, got)
 
     @pytest.mark.parametrize("rounds", [0, 1, 10])
     @pytest.mark.parametrize("tau_inv", [0.01, 2.0, 50.0])
