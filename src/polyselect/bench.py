@@ -1,16 +1,18 @@
 """Experiment harness: seeded sweeps over task grids, with CSV/JSON/SVG output.
 
 Every method in a cell is evaluated on the same tasks (seeds derive from the
-global seed and the task's grid position), so per-cell method differences are
-paired comparisons.  METHODS names the classifiers a sweep can compare;
-_accuracies classifies a sweep chunk, or the CLI eval's one task, under all
-the methods asked for in one call, which scores each task once.  Each cell is
-evaluated in chunks of consecutive tasks, each chunk one Task whose arrays
-stack its tasks on a leading axis, sized by a fixed memory budget.  The
-chunks of the whole grid run in forked worker processes, up to one per usable
-CPU, and their results are merged in grid order; a chunk's tasks depend only
-on its grid position, so rerunning a sweep or recipe with the same seed
-produces byte-identical output files on any number of CPUs.
+global seed and the task's grid position).  Per-cell method differences are
+paired comparisons only while no method raises in the cell: CellResult
+drops a task its method raised on, and then two methods' per_task arrays no
+longer line up (ROADMAP item 20).  METHODS names the classifiers a sweep can
+compare; _accuracies classifies a sweep chunk, or the CLI eval's one task,
+under all the methods asked for in one call, which scores each task once.
+Each cell is evaluated in chunks of consecutive tasks, each chunk one Task
+whose arrays stack its tasks on a leading axis, sized by a fixed memory
+budget.  The chunks of the whole grid run in forked worker processes, up to
+one per usable CPU, and their results are merged in grid order; a chunk's
+tasks depend only on its grid position, so rerunning a sweep or recipe with
+the same seed produces byte-identical output files on any number of CPUs.
 fig5_sphere sends its tasks through _map_chunks too.
 
 Every chunk map, in a recipe or not, forks its own pool of one worker per
@@ -171,11 +173,11 @@ def _kept_accuracies(task: Task, methods, attention, selection) -> dict[str, np.
 
 
 def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
-    """Tasks per chunk: the largest per-task temporary times this stays within CHUNK_BYTES.
+    """Tasks per chunk: one method's largest per-task temporary times this stays within CHUNK_BYTES.
 
-    That temporary is the query-support similarity (q*m), the Gram matrix of
-    one of the two classes ((m/2)^2) or the support itself (m*n); the Laplace
-    kernel also holds every query-support difference (q*m*n).
+    That is a class's Gram ((m/2)^2), the support (m*n) or the query-support
+    similarity (q*m; q*m*n under Laplace).  select_probs stacks the similarity for
+    its M <= 3 methods: M*q*m (M*q*m*n) floats per task, up to three budgets.
     """
     m, q = task.r * 2**task.alpha, task.query_count
     floats = max(q * m, (m // 2) ** 2, m * task.n)

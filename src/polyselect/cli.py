@@ -286,8 +286,8 @@ def _cmd_sweep(read: _Inputs) -> int:
     output_format = read("format", "csv")
     svg = read("svg", False)
     read.done("sweep")
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = run_sweep(spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures = sum(cell.failures for cell in grid)
     if failures:
         message = "method evaluation(s) failed and are left out of the means and the tasks column"

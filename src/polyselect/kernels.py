@@ -133,8 +133,8 @@ def attend_probs(query_features: np.ndarray, support: LabeledSet, config: Attent
 def predict(probs: np.ndarray) -> np.ndarray:
     """Argmax class ids.
 
-    Only bitwise-equal probabilities go to the lowest class id.  Classes
-    whose attention sums tie mathematically are decided by rounding: of the
-    413 exactly tied fig7 Attn queries, 56 go to class 1.
+    Only bitwise-equal probabilities go to the lowest class id.  An exact tie is
+    decided by rounding in the BLAS kernel's summation order, which varies by machine:
+    on the one that wrote the goldens, 56 of the 413 tied fig7 Attn queries go to class 1.
     """
     return np.argmax(probs, axis=-1)

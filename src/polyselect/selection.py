@@ -16,7 +16,7 @@ using support statistics.
 
 Every step works on (..., rows, n) arrays, so select_probs standardises and
 scores a stack of same-shape tasks that share one support label row at once,
-and once for all the selection methods it classifies.
+and classifies every selection method in one attention call on a method axis.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _top_k_mask(scores: np.ndarray, k: int | None) -> np.ndarray:
 
 
 def _mean_one(scores: np.ndarray, config: SelectionConfig) -> np.ndarray:
-    total = np.abs(scores).sum(axis=-1, keepdims=True)
+    total = scores.sum(axis=-1, keepdims=True)
     if np.any(total == 0):
         raise ValueError("cannot normalise all-zero scores")
     return scores / total * scores.shape[-1]
@@ -209,20 +209,17 @@ FACTORS = {
 def select_probs(task: Task, methods, attn: AttentionConfig, sel: SelectionConfig) -> dict[str, np.ndarray]:
     """Each selection method's query class probabilities on a task or a stack of them.
 
-    The support and the queries are standardised with the support statistics
-    and the support's features scored once; each method then multiplies both
-    by its FACTORS factor and attend-classifies the queries.
+    The support and queries are standardised with the support statistics and
+    the support scored once; the methods' FACTORS factors, stacked on a leading
+    method axis, scale both, and one attend_probs call classifies them all.
     """
     support, mu, sigma = standardize(task.support, sel.epsilon)
     scores = _scores(support, sel)
-    factors = {method: FACTORS[method](scores, sel)[..., None, :] for method in methods}
+    factors = np.stack([FACTORS[method](scores, sel) for method in methods])[..., None, :]
     # a query far outside the support's range may standardise or scale to inf, which
     # attend_probs' finite scan rejects; a feature the factor drops is 0 whatever its value
     with np.errstate(over="ignore", invalid="ignore"):
         query = standardize_features(task.query.features, mu, sigma, sel.epsilon)
-        queries = {method: np.where(factor == 0, 0.0, query * factor) for method, factor in factors.items()}
-    probs = {}
-    for method, factor in factors.items():
-        scaled = LabeledSet(support.features * factor, support.labels, support.k)
-        probs[method] = attend_probs(queries[method], scaled, attn)
-    return probs
+        query = np.where(factors == 0, 0.0, query * factors)
+    scaled = LabeledSet(support.features * factors, support.labels, support.k)
+    return dict(zip(methods, attend_probs(query, scaled, attn)))

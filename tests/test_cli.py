@@ -742,8 +742,12 @@ class TestReproduceAndExitCodes:
              "alpha=50, r=4096, n=50: a task's (r * 2^alpha + query_count) x n buffer is larger than numpy can index"),
             # fails at allocation, so nothing is allocated
             (["gen-tasks", "--family", "sphere", "--sample-count", "100000000000000"], "Unable to allocate"),
+            # a worker fails to allocate the one task's buffer; no --out-dir is left behind
+            (["sweep", "--alpha", "45", "--r-values", "1", "--beta-values", "0", "--tasks-per-cell", "1",
+              "--out-dir", "D"],
+             "alpha=45, r=1, n=45: a task's (r * 2^alpha + query_count) x n buffer cannot be allocated"),
         ],
-        ids=["theory", "eval", "theory-memory", "eval-memory", "sweep", "gen-tasks"],
+        ids=["theory", "eval", "theory-memory", "eval-memory", "sweep", "gen-tasks", "sweep-memory"],
     )
     def test_oversized_input_is_runtime_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import polyselect
 from polyselect import bench, selection
-from polyselect.core import LabeledSet, Task, task_seed
+from polyselect.core import Encoding, LabeledSet, Task, task_seed
 from polyselect.kernels import AttentionConfig, Kernel, attend_probs, predict
 from polyselect.selection import (
     FACTORS,
@@ -27,7 +27,7 @@ from polyselect.selection import (
     standardize,
     standardize_features,
 )
-from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
+from polyselect.tasks import BooleanTaskSpec, SphereTaskSpec, gen_boolean_batch, gen_boolean_task, gen_sphere_task
 from test_kernels import softmax_reference
 
 
@@ -482,6 +482,83 @@ class TestApplySelection:
         assert list(probs) == list(FACTORS)
         for method, p in probs.items():
             assert p.tobytes() == select_probs(task, [method], attn, sel)[method].tobytes()
+
+
+def per_method_probs(task, methods, attn, sel):
+    """select_probs one method at a time: standardise, scale by the factor, zero dropped query terms, attend."""
+    support, mu, sigma = standardize(task.support, sel.epsilon)
+    scores = feature_scores(task.support, sel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        query = standardize_features(task.query.features, mu, sigma, sel.epsilon)
+    probs = {}
+    for method in methods:
+        factor = FACTORS[method](scores, sel)[..., None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled_query = np.where(factor == 0, 0.0, query * factor)
+        scaled = LabeledSet(support.features * factor, support.labels, support.k)
+        probs[method] = attend_probs(scaled_query, scaled, attn)
+    return probs
+
+
+_NATURAL_ENCODING = {
+    Kernel.DOT: Encoding.PLUS_MINUS,
+    Kernel.COSINE: Encoding.PLUS_MINUS,
+    Kernel.SQ_EUCLIDEAN: Encoding.ZERO_ONE,
+    Kernel.LAPLACE: Encoding.ZERO_ONE,
+}
+
+
+def _parity_stack(kind):
+    spec = BooleanTaskSpec(n=7, alpha=3, p=0.6, r=2, query_count=12, encoding=_NATURAL_ENCODING[kind])
+    return gen_boolean_batch(spec, [task_seed(42, t) for t in range(6)])[0]
+
+
+def _far_query_task():
+    # the constant second column scores 0, so every factor drops it: its query value never counts
+    support = LabeledSet([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 0, 1], k=2)
+    return Task(support, LabeledSet([[1.0, 1e301]], [1], k=2))
+
+
+class TestOneAttentionCall:
+    """select_probs classifies every method in one attend_probs call, bit for bit as one call per method."""
+
+    def assert_stacked_equals_per_method(self, monkeypatch, task, methods, attn, sel):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return attend_probs(*args)
+
+        monkeypatch.setattr(selection, "attend_probs", spy)
+        probs = select_probs(task, methods, attn, sel)
+        assert len(calls) == 1
+        reference = per_method_probs(task, methods, attn, sel)
+        assert list(probs) == list(methods)
+        for method in methods:
+            assert probs[method].tobytes() == reference[method].tobytes(), method
+
+    @pytest.mark.parametrize("kind", list(Kernel))
+    @pytest.mark.parametrize(
+        "methods",
+        [list(c) for size in (1, 2, 3) for c in itertools.combinations(FACTORS, size)],
+        ids=lambda methods: "+".join(methods),
+    )
+    def test_parity_stack(self, monkeypatch, kind, methods):
+        sel = SelectionConfig(rounds=4, top_k=3)
+        self.assert_stacked_equals_per_method(monkeypatch, _parity_stack(kind), methods, AttentionConfig(kind, 1.5), sel)
+
+    def test_sphere_task(self, monkeypatch):
+        # fig5_sphere's 1024 points: each class's Gram is built in blocks
+        task = gen_sphere_task(SphereTaskSpec(sample_count=1024, seed=task_seed(0, 0)))
+        self.assert_stacked_equals_per_method(
+            monkeypatch, task, list(FACTORS), AttentionConfig(), SelectionConfig(top_k=2)
+        )
+
+    @pytest.mark.parametrize("methods", [["AttnTopK"], list(FACTORS)], ids=["AttnTopK", "all"])
+    def test_far_query_in_a_dropped_feature(self, monkeypatch, methods):
+        self.assert_stacked_equals_per_method(
+            monkeypatch, _far_query_task(), methods, AttentionConfig(), SelectionConfig(top_k=1)
+        )
 
 
 class TestFsClassify:
