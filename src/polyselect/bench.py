@@ -39,7 +39,7 @@ from .boolefn import (
     xor_max_accuracy,
 )
 from .core import Encoding, LabeledSet, Task, csv_text, json_text, task_seed
-from .kernels import AttentionConfig, Kernel, attend_probs, predict
+from .kernels import AttentionConfig, attend_probs, predict
 from .prototypes import build_prototypes, proto_classify
 from .selection import FACTORS, SelectionConfig, feature_scores, select_probs
 from .tasks import BooleanTaskSpec, SphereTaskSpec, gen_boolean_batch, gen_sphere_task
@@ -172,18 +172,15 @@ def _kept_accuracies(task: Task, methods, attention, selection) -> dict[str, np.
     return {methods[0]: np.array([a for accs in singles for a in accs.values()], dtype=np.float64)}
 
 
-def _chunk_size(task: BooleanTaskSpec, kernel: Kernel) -> int:
+def _chunk_size(task: BooleanTaskSpec) -> int:
     """Tasks per chunk: one method's largest per-task temporary times this stays within CHUNK_BYTES.
 
     That is a class's Gram ((m/2)^2), the support (m*n) or the query-support
-    similarity (q*m; q*m*n under Laplace).  select_probs stacks the similarity for
-    its M <= 3 methods: M*q*m (M*q*m*n) floats per task, up to three budgets.
+    similarity (q*m), under every kernel.  select_probs stacks the similarity
+    for its M <= 3 methods: M*q*m floats per task, up to three budgets.
     """
     m, q = task.r * 2**task.alpha, task.query_count
-    floats = max(q * m, (m // 2) ** 2, m * task.n)
-    if kernel is Kernel.LAPLACE:
-        floats = max(floats, q * m * task.n)
-    return max(1, CHUNK_BYTES // (8 * floats))
+    return max(1, CHUNK_BYTES // (8 * max(q * m, (m // 2) ** 2, m * task.n)))
 
 
 def _cell_shape(spec: SweepSpec, r: int, beta: int) -> BooleanTaskSpec:
@@ -250,7 +247,7 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     plan = []
     for cell_index, (r, beta) in enumerate(cells):
         shape = _cell_shape(spec, r, beta)
-        size = _chunk_size(shape, spec.attention.kind)
+        size = _chunk_size(shape)
         tasks = range(cell_index * spec.tasks_per_cell, (cell_index + 1) * spec.tasks_per_cell)
         plan.append([(spec, shape, start, min(start + size, tasks.stop)) for start in tasks[::size]])
     chunks = iter(_map_chunks(_run_chunk, [item for items in plan for item in items]))

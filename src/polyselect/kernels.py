@@ -7,6 +7,9 @@ temperature it returns the support class balance.
 
 Every function here works on the last two axes, so queries (..., q, n) and
 a stacked support (..., m, n) classify a whole chunk of tasks at once.
+Every kernel's similarity is one (..., q, m) buffer: Laplace adds one
+feature's |q_j - k_j| at a time into it, so no kernel holds a (..., q, m, n)
+temporary.
 
 One row softmax serves the classifier and selection's scoring rounds:
 _exp_rows_in_place, which checks only the row maxima its caller passes.
@@ -83,8 +86,15 @@ def similarity_matrix(config: AttentionConfig, queries: np.ndarray, keys: np.nda
         out -= np.sum(queries**2, axis=-1)[..., :, None]
         out -= np.sum(keys**2, axis=-1)[..., None, :]
         return out
-    # Laplace: negative L1 distance
-    return -np.abs(queries[..., :, None, :] - keys[..., None, :, :]).sum(axis=-1)
+    # Laplace: -sum_j |q_j - k_j|, added one feature at a time into the output and
+    # negated last, so equal rows give -0.0 as -|q - k|.sum(-1) does
+    lead = np.broadcast_shapes(queries.shape[:-2], keys.shape[:-2])
+    out = np.zeros((*lead, queries.shape[-2], keys.shape[-2]))
+    diff = np.empty_like(out)
+    for j in range(queries.shape[-1]):
+        np.subtract(queries[..., :, None, j], keys[..., None, :, j], out=diff)
+        out += np.abs(diff, out=diff)
+    return np.negative(out, out=out)
 
 
 def _exp_rows_in_place(z: np.ndarray, tau_inv: float, peak: np.ndarray) -> np.ndarray:

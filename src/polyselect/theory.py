@@ -333,8 +333,9 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
     limit beta -> inf: 0 for cosine, whose per-bit exponents vanish there, so
     that its ratio grows slower than any exponential.  The fitted slope is the least-squares slope of
     log(sigma/mu) on beta over the larger half of the betas, in any order
-    (all of them below four points).  A beta whose mean underflows to 0 gets
-    a nan ratio.  The fit uses only the finite, positive ratios; with fewer
+    (all of them below four points), in closed form with math.fsum sums, so
+    no BLAS or LAPACK kernel reaches its digits.  A beta whose mean underflows
+    to 0 gets a nan ratio.  The fit uses only the finite, positive ratios; with fewer
     than two of those the slope is undefined and reads nan.  ratios follow
     the order of betas.
     """
@@ -359,9 +360,10 @@ def snr_growth(params: TheoryParams, betas) -> SnrGrowth:
         fitted = math.nan
     else:
         tail = pts[len(pts) // 2 :] if len(pts) >= 4 else pts
-        bs = np.array([b for b, _ in tail], dtype=np.float64)
-        ls = np.array([v for _, v in tail], dtype=np.float64)
-        fitted = float(np.polyfit(bs, ls, 1)[0])
+        b_mean = math.fsum(b for b, _ in tail) / len(tail)
+        v_mean = math.fsum(v for _, v in tail) / len(tail)
+        covariance = math.fsum((b - b_mean) * (v - v_mean) for b, v in tail)
+        fitted = covariance / math.fsum((b - b_mean) ** 2 for b, _ in tail)
     return SnrGrowth(ratios=tuple(ratios), fitted_slope=fitted, asymptotic_slope=asymptotic)
 
 

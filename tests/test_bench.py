@@ -110,10 +110,7 @@ def assert_matches_loop(spec: SweepSpec) -> int:
 
 def chunk_sizes(spec: SweepSpec) -> set[int]:
     return {
-        bench._chunk_size(
-            BooleanTaskSpec(n=spec.alpha + b, alpha=spec.alpha, r=r, query_count=spec.query_count),
-            spec.attention.kind,
-        )
+        bench._chunk_size(BooleanTaskSpec(n=spec.alpha + b, alpha=spec.alpha, r=r, query_count=spec.query_count))
         for r in spec.r_values
         for b in spec.beta_values
     }
@@ -447,6 +444,27 @@ class TestSweepProcesses:
             assert item_spec == replace(spec, selection=replace(spec.selection, top_k=spec.alpha))
             assert start // tasks == (stop - 1) // tasks
             assert shape == bench._cell_shape(spec, *cells[start // tasks])
+
+    def test_every_kernel_plans_the_chunks_of_dot(self, monkeypatch):
+        # Laplace adds its similarity feature by feature into one (..., q, m)
+        # buffer, so the chunk size reads the task shape alone
+        def planned_chunks(kind):
+            planned = []
+
+            def plan_only(fn, items):
+                planned.extend((start, stop) for *_, start, stop in items)
+                return [{m: np.zeros(stop - start) for m in spec.methods} for *_, start, stop in items]
+
+            spec = small_spec(attention=AttentionConfig(kind))
+            monkeypatch.setattr(bench, "_map_chunks", plan_only)
+            run_sweep(spec)
+            return planned
+
+        monkeypatch.setattr(bench, "CHUNK_BYTES", 2048)
+        dot = planned_chunks(Kernel.DOT)
+        assert len(dot) > 4  # several chunks in some cell
+        for kind in Kernel:
+            assert planned_chunks(kind) == dot, kind
 
     def test_idle_worker_takes_the_next_chunk(self, monkeypatch):
         # item 0 holds its worker, so the other worker takes every later item

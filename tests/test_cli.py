@@ -1,20 +1,26 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
+import polyselect
 from polyselect import selection
-from polyselect.bench import SweepSpec, emit_csv, run_sweep
+from polyselect.bench import SweepSpec, _accuracies, emit_csv, run_sweep
 from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
 from polyselect.cli import build_parser, main
-from polyselect.core import Encoding, task_from_json, task_to_json
+from polyselect.core import Encoding, task_from_json, task_seed, task_to_json
 from polyselect.kernels import AttentionConfig, Kernel
-from polyselect.selection import feature_scores
+from polyselect.selection import SelectionConfig, feature_scores
+from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
 from polyselect.theory import TheoryParams, snr_growth
 from test_bench import parse_csv
 
@@ -429,6 +435,31 @@ class TestSweepAndTheory:
         assert zero_one != plus_minus
         assert Path("cli/sweep.csv").read_bytes() == zero_one
 
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_sel_tau_inv_reaches_the_selection_config(self, by_config, tmp_path, monkeypatch, capsys):
+        # the scoring rounds' sharpness, not attention's: this eval prints 0.5, and 0.59375 without it
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.txt").write_text("sel_tau_inv=0.5\n")
+        knob = ["--config", "cfg.txt"] if by_config else ["--sel-tau-inv", "0.5"]
+        sharp, default = SelectionConfig(tau_inv=0.5, rounds=2), SelectionConfig(rounds=2)
+
+        assert main(["eval", "--rounds", "2", "--methods", "AttnSoftFS", "--format", "json", *knob]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        task = gen_boolean_task(BooleanTaskSpec(n=10, alpha=3, r=5, seed=task_seed(0, 0)))
+        accuracy = {s: float(_accuracies(task, ("AttnSoftFS",), AttentionConfig(), s)["AttnSoftFS"])
+                    for s in (sharp, default)}
+        assert row["accuracy"] == accuracy[sharp] != accuracy[default]
+
+        argv = ["sweep", "--alpha", "2", "--r-values", "1,2", "--beta-values", "0,3", "--tasks-per-cell", "6",
+                "--rounds", "2", "--methods", "AttnSoftFS", "--seed", "5", "--out-dir", "cli", *knob]
+        assert main(argv) == 0
+        capsys.readouterr()
+        spec = SweepSpec(alpha=2, r_values=(1, 2), beta_values=(0, 3), methods=("AttnSoftFS",), tasks_per_cell=6,
+                         global_seed=5)
+        csv = {s: emit_csv(spec, run_sweep(replace(spec, selection=s)), "run.csv").read_bytes()
+               for s in (sharp, default)}
+        assert Path("cli/sweep.csv").read_bytes() == csv[sharp] != csv[default]
+
     def test_sweep_failures_reported_on_stderr(self, tmp_path, capsys):
         # attention logits overflow at this tau_inv, so every Attn and AttnSoftFS evaluation fails
         argv = [
@@ -839,15 +870,19 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
 # before every CSV and JSON went through core.csv_text and core.json_text
 EVAL = ["eval", "--n", "6", "--alpha", "2", "--r", "3", "--seed", "4", "--methods",
         "Attn", "AttnSoftFS", "AttnSoftFSNorm", "AttnTopK", "Proto"]
+# argv and digest: the pin whose fitted slope a BLAS least-squares fit ties to the OpenBLAS kernel
+THEORY_SQ_EUCLIDEAN = (
+    ["theory", "--alpha", "2", "--beta-values", "0,1,2,3,4,5,6,7", "--trials", "300",
+     "--kernel", "sq_euclidean", "--seed", "3"],
+    "94129acffb870c55a089753a50b386d2d94885f99f79d36ea673e675a29cb735",
+)
 PINNED_OUTPUTS = [
     (EVAL, "18342d2dc41f41a56bb030d3a95fc5a147c978d2bf7889c0b1d48d1f1d37d512"),
     (EVAL + ["--format", "json"], "45ed9c96f8ebd9657333530ed318688baad0e3491f6ba0833edf464de7aee287"),
     # beta 7 is past the exhaustive oracle's bound, so its two columns are blank
     (["theory", "--alpha", "3", "--beta-values", "0,3,5,7", "--trials", "500", "--p", "0.3"],
-     "0ae5c8243a3c9603922fa3c187d9d06467513622943ea2e48cda41974a583d9f"),
-    (["theory", "--alpha", "2", "--beta-values", "0,1,2,3,4,5,6,7", "--trials", "300",
-      "--kernel", "sq_euclidean", "--seed", "3"],
-     "58eba7fcefc4c22556f1aafc761aaac99d27988d1d4296fe051242f75f721701"),
+     "2cf7e72bb09f5f3d22de68a3121fe0815f6f6e431939ca8aa58a569d5792ca59"),
+    THEORY_SQ_EUCLIDEAN,
     (["thresholds", "approx", "--n", "4", "--truth-table", "6996"],
      "5b52a6f12bdfae3941f937a90ec9588063f65ef09bc27c8ecb8ec899d16bd42f"),
 ]
@@ -858,6 +893,20 @@ class TestOutputBytesPinned:
     def test_stdout_pinned(self, argv, digest, capsys):
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(
+        not __cpu_features__.get("AVX512F"),
+        reason="numpy finds no AVX512F on this CPU, so the imitated AVX2 profile is the one every test already runs",
+    )
+    def test_theory_pinned_under_an_avx2_profile(self):
+        # the kernels an AVX2-only CPU runs, chosen in the child by its environment alone
+        argv, digest = THEORY_SQ_EUCLIDEAN
+        env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]), OPENBLAS_CORETYPE="Haswell",
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        out = subprocess.run(
+            [sys.executable, "-m", "polyselect.cli", *argv], env=env, capture_output=True, check=True
+        ).stdout
+        assert hashlib.sha256(out).hexdigest() == digest
 
     def test_dump_scores_pinned(self, tmp_path, capsys):
         out = tmp_path / "scores.csv"

@@ -61,6 +61,52 @@ class TestSimilarity:
         assert sim[0, 0] == pytest.approx(-2.0)
 
 
+class TestLaplaceBuffer:
+    """Laplace adds |q_j - k_j| one feature at a time into one (..., q, m) buffer."""
+
+    @staticmethod
+    def _broadcast(queries, keys):
+        return -np.abs(queries[..., :, None, :] - keys[..., None, :, :]).sum(-1)
+
+    @staticmethod
+    def _bits(shape, seed):
+        return np.random.default_rng(seed).integers(0, 2, size=shape).astype(np.float64)
+
+    def test_holds_no_difference_array(self):
+        # a (25, 32, 160, 14) difference array would be 14 outputs' bytes, twice
+        import tracemalloc
+
+        queries, keys = self._bits((25, 32, 14), 0), self._bits((25, 160, 14), 1)
+        tracemalloc.start()
+        try:
+            out = similarity_matrix(AttentionConfig(Kernel.LAPLACE), queries, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (25, 32, 160)
+        assert peak <= 3 * out.nbytes
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 14, 30])
+    @pytest.mark.parametrize("plus_minus", [False, True], ids=["zero_one", "plus_minus"])
+    def test_binary_rows_equal_the_broadcast_sum(self, n, plus_minus):
+        # integer sums round nowhere, so any summation order gives the same bits
+        queries, keys = self._bits((3, 7, n), 2), self._bits((3, 9, n), 3)
+        if plus_minus:
+            queries, keys = 2 * queries - 1, 2 * keys - 1
+        sim = similarity_matrix(AttentionConfig(Kernel.LAPLACE), queries, keys)
+        assert sim.tobytes() == self._broadcast(queries, keys).tobytes()
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_real_rows_below_eight_features_equal_the_broadcast_sum(self, n):
+        # numpy sums fewer than 8 terms left to right, as the buffer does; from 8 on
+        # its pairwise sum reorders them and the last bit may differ
+        rng = np.random.default_rng(n)
+        queries, keys = rng.normal(size=(4, 6, n)), rng.normal(size=(9, n))
+        sim = similarity_matrix(AttentionConfig(Kernel.LAPLACE), queries, keys)
+        assert sim.shape == (4, 6, 9)
+        assert sim.tobytes() == self._broadcast(queries, keys).tobytes()
+
+
 class TestStacks:
     """A (tasks, rows, n) stack gives each task's 2-d result, bit for bit."""
 
