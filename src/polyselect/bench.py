@@ -379,6 +379,15 @@ def emit_svg_heatmap(
     return path
 
 
+def _write_grid(spec: SweepSpec, grid: list[CellResult], out_dir: Path, stem: str) -> list[Path]:
+    """Write a grid as out_dir's stem.csv, stem.json and one stem_<method>.svg per method."""
+    return [
+        emit_csv(spec, grid, out_dir / f"{stem}.csv"),
+        emit_json(spec, grid, out_dir / f"{stem}.json"),
+        *(emit_svg_heatmap(spec, grid, m, out_dir / f"{stem}_{m}.svg") for m in spec.methods),
+    ]
+
+
 def _write_json(path: Path, payload) -> Path:
     path.write_text(json_text(payload) + "\n")
     return path
@@ -475,14 +484,7 @@ def _recipe_grid(out_dir: Path, seed: int, scale: float, *, stem, methods, r_val
         tasks_per_cell=max(2, int(500 * scale)),
         global_seed=seed,
     )
-    grid = run_sweep(spec)
-    paths = [
-        emit_csv(spec, grid, out_dir / f"{stem}.csv"),
-        emit_json(spec, grid, out_dir / f"{stem}.json"),
-    ]
-    for m in spec.methods:
-        paths.append(emit_svg_heatmap(spec, grid, m, out_dir / f"{stem}_{m}.svg"))
-    return paths
+    return _write_grid(spec, run_sweep(spec), out_dir, stem)
 
 
 def _recipe_binary_strings_fs_raw(out_dir: Path, seed: int, scale: float) -> list[Path]:

@@ -23,9 +23,7 @@ from .bench import (
     SweepSpec,
     _accuracies,
     _count_row,
-    emit_csv,
-    emit_json,
-    emit_svg_heatmap,
+    _write_grid,
     reproduce,
     run_sweep,
 )
@@ -114,12 +112,11 @@ FLAGS: dict[str, dict] = {
     "epsilon": dict(type=float),
     "rounds": dict(type=int),
     "top_k": dict(type=int),
-    "svg": dict(action="store_true"),
     "truth_table": dict(type=_hex, help="hex table"),
     "scale": dict(type=_scale, help="shrink factor for quick runs"),
 }
 # flags that no config key sets
-FLAG_ONLY = frozenset({"methods", "format", "svg", "task", "dump_scores", "truth_table", "scale"})
+FLAG_ONLY = frozenset({"methods", "format", "task", "dump_scores", "truth_table", "scale"})
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -283,8 +280,6 @@ def _cmd_sweep(read: _Inputs) -> int:
         global_seed=read("seed", 0),
     )
     out_dir = Path(read("out_dir", "out"))
-    output_format = read("format", "csv")
-    svg = read("svg", False)
     read.done("sweep")
     grid = run_sweep(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,12 +287,7 @@ def _cmd_sweep(read: _Inputs) -> int:
     if failures:
         message = "method evaluation(s) failed and are left out of the means and the tasks column"
         print(f"warning: {failures} {message}", file=sys.stderr)
-    emit = emit_json if output_format == "json" else emit_csv
-    written = [emit(spec, grid, out_dir / f"sweep.{output_format}")]
-    if svg:
-        for m in spec.methods:
-            written.append(emit_svg_heatmap(spec, grid, m, out_dir / f"sweep_{m}.svg"))
-    for path in written:
+    for path in _write_grid(spec, grid, out_dir, "sweep"):
         print(path)
     return 0
 
@@ -410,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("eval", _cmd_eval, "evaluate methods on one task",
             "seed", "config", "format", "task", "methods", *task, *knobs, "dump_scores")
     command("sweep", _cmd_sweep, "run a task grid sweep",
-            "seed", "out_dir", "config", "format", "alpha", "r_values", "beta_values", "p",
-            "query_count", "encoding", "tasks_per_cell", "methods", *knobs, "svg")
+            "seed", "out_dir", "config", "alpha", "r_values", "beta_values", "p",
+            "query_count", "encoding", "tasks_per_cell", "methods", *knobs)
     command("theory", _cmd_theory, "analytic vs exhaustive vs Monte-Carlo table",
             "seed", "config", "alpha", "beta_values", "p", "r", "kernel", "trials")
     p = command("thresholds", _cmd_thresholds, "exact threshold-function queries", "truth_table",

@@ -145,6 +145,8 @@ def predict(probs: np.ndarray) -> np.ndarray:
 
     Only bitwise-equal probabilities go to the lowest class id.  An exact tie is
     decided by rounding in the BLAS kernel's summation order, which varies by machine:
-    on the one that wrote the goldens, 56 of the 413 tied fig7 Attn queries go to class 1.
+    under the SkylakeX OpenBLAS kernel that wrote the goldens, 56 of the 413 tied fig7
+    Attn queries go to class 1, and under OPENBLAS_CORETYPE=Haswell the tied rows of
+    fig7, fig11 and binary_strings come out otherwise (ROADMAP item 23 sets a rule).
     """
     return np.argmax(probs, axis=-1)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import polyselect
 from polyselect import bench, selection, theory
@@ -36,6 +37,22 @@ from polyselect.tasks import BooleanTaskSpec, gen_boolean_batch, gen_boolean_tas
 from polyselect.theory import TheoryParams
 
 GOLDEN = Path(__file__).resolve().parents[1] / "out"
+
+needs_avx512f = pytest.mark.skipif(
+    not __cpu_features__.get("AVX512F"),
+    reason="numpy finds no AVX512F on this CPU, so the imitated AVX2 profile is the one every test already runs",
+)
+
+
+def run_cli_under_avx2_profile(*argv: str) -> bytes:
+    """The stdout of `python -m polyselect.cli argv` in a child under OpenBLAS's Haswell kernel and numpy's AVX2 loops.
+
+    These are the kernels an AVX2-only CPU runs, chosen in the child by its environment alone.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]), OPENBLAS_CORETYPE="Haswell",
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    return subprocess.run([sys.executable, "-m", "polyselect.cli", *argv], env=env, capture_output=True,
+                          check=True).stdout
 
 
 def parse_csv(path: str | Path) -> list[dict]:
@@ -730,6 +747,33 @@ class TestReproduce:
         assert sorted(p.name for p in paths) == sorted(p.name for p in (GOLDEN / golden).iterdir())
         for path in paths:
             assert path.read_bytes() == (GOLDEN / golden / path.name).read_bytes(), path.name
+
+    @pytest.mark.slow
+    @needs_avx512f
+    def test_cpu_independent_goldens_hold_under_an_avx2_profile(self, tmp_path):
+        # tolerances fixed before the first run; the README names the moves measured
+        # within them. The three sweep goldens differ in their tied rows (ROADMAP item 23).
+        def columns(name: str) -> tuple[np.ndarray, np.ndarray]:
+            """The rows of CSV name as written here and as committed, whose headers and shapes must match."""
+            texts = [(root / name).read_text().splitlines() for root in (tmp_path, GOLDEN)]
+            assert texts[0][0] == texts[1][0], name
+            got, want = (np.array([[float(v) for v in row.split(",")] for row in text[1:]]) for text in texts)
+            assert got.shape == want.shape, name
+            return got, want
+
+        for recipe, golden in [("table3_counts", "table3"), ("appD_xor_bound", "appD"),
+                               ("appC_boundary", "appC"), ("fig5_sphere", "fig5")]:
+            run_cli_under_avx2_profile("reproduce", recipe, "--out-dir", str(tmp_path / golden))
+            assert sorted(p.name for p in (tmp_path / golden).iterdir()) == sorted(
+                p.name for p in (GOLDEN / golden).iterdir())
+        for name in ["table3/table3_counts.json", "appD/appD_xor_bound.json", "appD/appD_stats_n2.json",
+                     "fig5/fig5_sphere_summary.json"]:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        got, want = columns("fig5/fig5_sphere_ratios.csv")
+        np.testing.assert_array_equal(got[:, 0], want[:, 0])  # task seeds
+        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-14, atol=0)
+        for name in ["appC/appC_boundary_tau1.csv", "appC/appC_boundary_tau2.csv"]:
+            np.testing.assert_allclose(*columns(name), rtol=0, atol=1e-15, err_msg=name)
 
     def test_recipes_call_run_sweep_through_the_module_global(self, monkeypatch, tmp_path):
         # perfbench captures every sweep by rebinding bench.run_sweep; a recipe that

@@ -1,20 +1,15 @@
 import hashlib
 import json
 import math
-import os
 import re
 import shlex
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 
-import polyselect
 from polyselect import selection
-from polyselect.bench import SweepSpec, _accuracies, emit_csv, run_sweep
+from polyselect.bench import SweepSpec, _accuracies, emit_csv, emit_json, emit_svg_heatmap, run_sweep
 from polyselect.boolefn import ThresholdWitness, corners, threshold_stats
 from polyselect.cli import build_parser, main
 from polyselect.core import Encoding, task_from_json, task_seed, task_to_json
@@ -22,7 +17,7 @@ from polyselect.kernels import AttentionConfig, Kernel
 from polyselect.selection import SelectionConfig, feature_scores
 from polyselect.tasks import BooleanTaskSpec, gen_boolean_task
 from polyselect.theory import TheoryParams, snr_growth
-from test_bench import parse_csv
+from test_bench import needs_avx512f, parse_csv, run_cli_under_avx2_profile
 
 
 # the flags of the boolean task spec, which gen-tasks --family sphere and eval --task do not read
@@ -383,17 +378,24 @@ class TestThresholds:
 
 
 class TestSweepAndTheory:
-    def test_sweep_writes_csv(self, tmp_path, capsys):
-        code = main(
-            [
-                "sweep", "--alpha", "2", "--r-values", "1", "--beta-values", "0,1",
-                "--tasks-per-cell", "3", "--out-dir", str(tmp_path), "--seed", "5",
-                "--rounds", "2", "--svg",
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "sweep.csv").exists()
-        assert (tmp_path / "sweep_Attn.svg").exists()
+    def test_sweep_writes_what_a_grid_recipe_writes(self, tmp_path, capsys):
+        # one output configuration: the CSV, the JSON and a heat map per method, as fig7 and fig11 write
+        out = tmp_path / "D"
+        argv = ["sweep", "--alpha", "2", "--r-values", "1,2", "--beta-values", "0,1", "--tasks-per-cell", "3",
+                "--methods", "Attn", "AttnSoftFS", "Proto", "--rounds", "2", "--seed", "5", "--out-dir", str(out)]
+        assert main(argv) == 0
+        names = ["sweep.csv", "sweep.json", "sweep_Attn.svg", "sweep_AttnSoftFS.svg", "sweep_Proto.svg"]
+        assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        spec = SweepSpec(alpha=2, r_values=(1, 2), beta_values=(0, 1), methods=("Attn", "AttnSoftFS", "Proto"),
+                         tasks_per_cell=3, selection=SelectionConfig(rounds=2), global_seed=5)
+        grid = run_sweep(spec)
+        want = tmp_path / "want"
+        want.mkdir()
+        emitted = [emit_csv(spec, grid, want / "sweep.csv"), emit_json(spec, grid, want / "sweep.json")]
+        emitted += [emit_svg_heatmap(spec, grid, m, want / f"sweep_{m}.svg") for m in spec.methods]
+        for path in emitted:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -402,7 +404,7 @@ class TestSweepAndTheory:
             (["--r-values", "0", "--beta-values", "1"], "r_values must all be >= 1"),
             (["--r-values", "2,-3", "--beta-values", "1"], "r_values must all be >= 1"),
             (["--alpha", "0", "--r-values", "1", "--beta-values", "1"], "alpha must lie in"),
-            (["--alpha", "2", "--r-values", "1,1", "--beta-values", "0,2", "--svg"], "r_values must not repeat"),
+            (["--alpha", "2", "--r-values", "1,1", "--beta-values", "0,2"], "r_values must not repeat"),
             (["--r-values", "1,2", "--beta-values", "3,0,3"], "beta_values must not repeat"),
             (["--r-values", "", "--beta-values", "1"], "r_values and beta_values must be nonempty"),
             (["--r-values", "1", "--beta-values", "1", "--tasks-per-cell", "0"], "tasks_per_cell must be >= 1"),
@@ -472,10 +474,8 @@ class TestSweepAndTheory:
         ]
         rows = parse_csv(tmp_path / "sweep.csv")
         assert [(r["tasks"], math.isnan(r["accuracy_mean"])) for r in rows] == [(0, True), (0, True)]
-        # the JSON holds the same rows, with null for the CSV's nan: strict JSON has no NaN
-        assert main([*argv, "--format", "json"]) == 0
-        assert len(capsys.readouterr().err.splitlines()) == 1
 
+        # the JSON holds the same rows, with null for the CSV's nan: strict JSON has no NaN
         def no_constant(name):
             raise ValueError(f"{name} is not JSON")
 
@@ -518,6 +518,7 @@ class TestSweepAndTheory:
             ("cosine", "ae3b202174738ec41749403d6af4971128137a357d90f5c0367dc89849188e90"),
             ("sq_euclidean", "a4c3d564b422b007863922002af7086fc38e15ca4c80bb7043c03a3ed554d063"),
         ],
+        ids=["dot", "cosine", "sq_euclidean"],  # the argv alone, so a re-pin keeps the id
     )
     def test_theory_columns_pinned(self, kernel, digest, capsys):
         argv = ["theory", "--alpha", "3", "--beta-values", "0,1,2,3,4", "--trials", "2000"]
@@ -591,8 +592,10 @@ class TestReproduceAndExitCodes:
             main(["reproduce", "not_a_recipe"])
         assert exc.value.code == 2
 
+    # sweep has no output options: it always writes what a grid recipe writes
     @pytest.mark.parametrize(
-        "argv", [["theory", "--format", "json"], ["eval", "--out-dir", "x"]]
+        "argv", [["theory", "--format", "json"], ["eval", "--out-dir", "x"], ["sweep", "--format", "json"],
+                 ["sweep", "--svg"]]
     )
     def test_unread_flag_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -889,24 +892,16 @@ PINNED_OUTPUTS = [
 
 
 class TestOutputBytesPinned:
-    @pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS, ids=lambda v: " ".join(v)[:40])
+    # ids from the argv alone, so a re-pinned digest keeps its test's id
+    @pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS, ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
     def test_stdout_pinned(self, argv, digest, capsys):
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.skipif(
-        not __cpu_features__.get("AVX512F"),
-        reason="numpy finds no AVX512F on this CPU, so the imitated AVX2 profile is the one every test already runs",
-    )
+    @needs_avx512f
     def test_theory_pinned_under_an_avx2_profile(self):
-        # the kernels an AVX2-only CPU runs, chosen in the child by its environment alone
         argv, digest = THEORY_SQ_EUCLIDEAN
-        env = dict(os.environ, PYTHONPATH=str(Path(polyselect.__file__).parents[1]), OPENBLAS_CORETYPE="Haswell",
-                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-        out = subprocess.run(
-            [sys.executable, "-m", "polyselect.cli", *argv], env=env, capture_output=True, check=True
-        ).stdout
-        assert hashlib.sha256(out).hexdigest() == digest
+        assert hashlib.sha256(run_cli_under_avx2_profile(*argv)).hexdigest() == digest
 
     def test_dump_scores_pinned(self, tmp_path, capsys):
         out = tmp_path / "scores.csv"
