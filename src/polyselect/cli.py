@@ -2,19 +2,22 @@
 
 Subcommands: gen-tasks, eval, sweep, theory, thresholds, reproduce.  Exit
 codes: 0 on success, 2 on usage errors (argparse's convention), 1 on runtime
-failures.  A --config file holds flat key=value lines named like the flags
-(underscores for dashes); explicit flags override file values.  A command
-reads each setting as its flag, else its config key, else its default, and
-rejects what its mode did not read: an unread flag is a usage error, an
-unread config key a runtime error.
+failures.  An argument @FILE stands for FILE's lines, each split like a shell
+line into more arguments (`--alpha 4`, `--methods Attn Proto`; `#` starts a
+comment), so a settings file is more flags, read left to right: a flag after
+@FILE overrides it, one before it is overridden.  Any argument that starts
+with @ names a file.  A missing FILE, and a value that does not parse or a
+flag the command's mode did not read, typed or from a file, are usage errors
+that name the file or the flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import shlex
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -83,10 +86,9 @@ def _hex(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# Every flag of every command, once, by its config key: the flag is the key
-# with dashes for underscores, and a config value is cast with the flag's type.
+# Every flag of every command, once, by its key: the flag is the key with
+# dashes for underscores.
 FLAGS: dict[str, dict] = {
-    "config": dict(type=_path, help="file of key=value lines named like the flags"),
     "seed": dict(type=int),
     "out_dir": dict(type=_path),
     "format": dict(choices=("csv", "json")),
@@ -115,65 +117,35 @@ FLAGS: dict[str, dict] = {
     "truth_table": dict(type=_hex, help="hex table"),
     "scale": dict(type=_scale, help="shrink factor for quick runs"),
 }
-# flags that no config key sets
-FLAG_ONLY = frozenset({"methods", "format", "task", "dump_scores", "truth_table", "scale"})
-
-
-def _read_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line must be key=value: {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in out:
-            raise ValueError(f"config key {key} is set more than once")
-        out[key] = value
-    return out
 
 
 class _Inputs:
     """One command's settings: read(key, default) is the flag if given, else
-    the config key, else the default, and records the key as read.
+    the default, and records the key as read.
 
-    done(command) rejects what the command did not read, before it reads a
-    task file or writes anything: a flag exits 2, a config key exits 1.
+    done(command) rejects, as a usage error, the flags the command did not
+    read, before it reads a task file or writes anything.
     """
 
     def __init__(self, parser: argparse.ArgumentParser, given: dict):
         self.parser = parser
-        self.config = _read_config(given.pop("config", None))
         self.given = given
         self.read: set[str] = set()
 
     def __call__(self, key: str, default=None):
         self.read.add(key)
-        # a flag given beside its config key overrides the key, which counts as read
-        raw = None if key in FLAG_ONLY else self.config.pop(key, None)
-        if key in self.given:
-            return self.given[key]
-        if raw is None:
-            return default
-        try:
-            value = FLAGS[key].get("type", str)(raw)
-            choices = FLAGS[key].get("choices", (value,))
-            if value not in choices:
-                raise ValueError(f"invalid choice {raw!r} (choose from {', '.join(choices)})")
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"config key {key}: {exc}") from None
-        return value
+        return self.given.get(key, default)
 
     def done(self, command: str) -> None:
         unread = sorted(self.given.keys() - self.read)
         if unread:
             flags = ", ".join("--" + key.replace("_", "-") for key in unread)
             self.parser.error(f"{command} does not read {flags}")
-        if self.config:
-            raise ValueError(f"{command} reads no config key {', '.join(sorted(self.config))}")
+
+
+def _defaults(cls) -> dict:
+    """A dataclass's field defaults, which its flags default to unless a command says otherwise."""
+    return {f.name: f.default for f in fields(cls)}
 
 
 def _attention_from(read: _Inputs) -> AttentionConfig:
@@ -196,13 +168,14 @@ def _selection_from(read: _Inputs) -> SelectionConfig:
 
 def _boolean_spec(read: _Inputs) -> BooleanTaskSpec:
     """The parity task spec of gen-tasks and eval; callers set its seed."""
+    default = _defaults(BooleanTaskSpec)
     return BooleanTaskSpec(
         n=read("n", 10),
         alpha=read("alpha", 3),
-        p=read("p", 0.5),
+        p=read("p", default["p"]),
         r=read("r", 5),
-        query_count=read("query_count", 32),
-        encoding=Encoding(read("encoding", "plus_minus")),
+        query_count=read("query_count", default["query_count"]),
+        encoding=Encoding(read("encoding", default["encoding"])),
     )
 
 
@@ -245,7 +218,7 @@ def _cmd_eval(read: _Inputs) -> int:
         read.done("eval --task")
         task = task_from_json(Path(task_file).read_text())
     else:
-        # the first task gen-tasks writes for the same flags and config
+        # the first task gen-tasks writes for the same flags
         seed = read("seed", 0)
         spec = replace(_boolean_spec(read), seed=task_seed(seed, 0))
         read.done("eval")
@@ -266,20 +239,21 @@ def _cmd_eval(read: _Inputs) -> int:
 
 
 def _cmd_sweep(read: _Inputs) -> int:
+    default = _defaults(SweepSpec)
     spec = SweepSpec(
         alpha=read("alpha", 4),
         r_values=read("r_values", (1, 2, 5, 10)),
         beta_values=read("beta_values", (0, 3, 6, 10)),
-        p=read("p", 0.5),
-        query_count=read("query_count", 32),
-        encoding=Encoding(read("encoding", "plus_minus")),
-        methods=tuple(read("methods", ("Attn", "AttnSoftFS"))),
-        tasks_per_cell=read("tasks_per_cell", 500),
+        p=read("p", default["p"]),
+        query_count=read("query_count", default["query_count"]),
+        encoding=Encoding(read("encoding", default["encoding"])),
+        methods=tuple(read("methods", default["methods"])),
+        tasks_per_cell=read("tasks_per_cell", default["tasks_per_cell"]),
         attention=_attention_from(read),
         selection=_selection_from(read),
-        global_seed=read("seed", 0),
+        global_seed=read("seed", default["global_seed"]),
     )
-    out_dir = Path(read("out_dir", "out"))
+    out_dir = Path(read("out_dir", "."))
     read.done("sweep")
     grid = run_sweep(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -373,7 +347,7 @@ def _cmd_thresholds(read: _Inputs) -> int:
 
 
 def _cmd_reproduce(read: _Inputs) -> int:
-    recipe, out_dir = read("recipe"), read("out_dir", "out")
+    recipe, out_dir = read("recipe"), read("out_dir", ".")
     seed, scale = read("seed", 0), read("scale", 1.0)
     read.done("reproduce")
     for path in reproduce(recipe, out_dir, seed=seed, scale=scale):
@@ -382,7 +356,8 @@ def _cmd_reproduce(read: _Inputs) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="polyselect", description=__doc__)
+    parser = argparse.ArgumentParser(prog="polyselect", description=__doc__, fromfile_prefix_chars="@")
+    parser.convert_arg_line_to_args = lambda line: shlex.split(line, comments=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary, *keys, **narrowed):
@@ -396,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     task = ("n", "alpha", "p", "r", "query_count", "encoding")
     knobs = ("kernel", "tau_inv", "sel_tau_inv", "epsilon", "rounds", "top_k")
     command("gen-tasks", _cmd_gen_tasks, "emit task JSON for a generator family",
-            "seed", "out_dir", "config", "family", *task, "sample_count", "count")
+            "seed", "out_dir", "family", *task, "sample_count", "count")
     command("eval", _cmd_eval, "evaluate methods on one task",
-            "seed", "config", "format", "task", "methods", *task, *knobs, "dump_scores")
+            "seed", "format", "task", "methods", *task, *knobs, "dump_scores")
     command("sweep", _cmd_sweep, "run a task grid sweep",
-            "seed", "out_dir", "config", "alpha", "r_values", "beta_values", "p",
+            "seed", "out_dir", "alpha", "r_values", "beta_values", "p",
             "query_count", "encoding", "tasks_per_cell", "methods", *knobs)
     command("theory", _cmd_theory, "analytic vs exhaustive vs Monte-Carlo table",
-            "seed", "config", "alpha", "beta_values", "p", "r", "kernel", "trials")
+            "seed", "alpha", "beta_values", "p", "r", "kernel", "trials")
     p = command("thresholds", _cmd_thresholds, "exact threshold-function queries", "truth_table",
                 n=dict(required=True, choices=range(1, MAX_ENUM_N + 1)))
     p.add_argument("action", choices=("count", "approx", "verify-xor-worst"))

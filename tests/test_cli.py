@@ -46,13 +46,13 @@ class TestGenTasks:
         task_from_json(files[0].read_text())
 
     @pytest.mark.parametrize(
-        "flags, cfg", [(["--count", "0"], ""), (["--count", "-1"], ""), ([], "count=0\n")]
+        "flags, cfg", [(["--count", "0"], ""), (["--count", "-1"], ""), ([], "--count 0\n")]
     )
     def test_count_below_one_is_runtime_error(self, flags, cfg, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(cfg)
         out = tmp_path / "tasks"
-        code = main(["gen-tasks", "--config", str(config), "--out-dir", str(out), *flags])
+        code = main(["gen-tasks", f"@{config}", "--out-dir", str(out), *flags])
         assert code == 1
         assert "count must be >= 1" in capsys.readouterr().err
         assert not out.exists()
@@ -167,18 +167,6 @@ class TestEval:
         assert main(["eval", "--epsilon", value]) == 1
         assert capsys.readouterr() == ("", f"error: epsilon must be positive and finite, got {value}\n")
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=6\nalpha=3\nseed=4\n")
-        code = main(["eval", "--config", str(cfg), "--methods", "Attn", "--format", "json"])
-        assert code == 0
-        capsys.readouterr()
-        # flag overrides config value for n
-        code = main(
-            ["eval", "--config", str(cfg), "--n", "8", "--methods", "Attn", "--format", "json"]
-        )
-        assert code == 0
-
     @pytest.mark.parametrize("flag, value", [("--seed", "7"), *BOOLEAN_FLAGS])
     def test_task_file_with_task_flag_is_usage_error(self, flag, value, tmp_path, capsys):
         # the flag is read only when eval generates its task, and the file is never opened
@@ -186,18 +174,6 @@ class TestEval:
             main(["eval", "--task", str(tmp_path / "unread.json"), flag, value])
         assert exc.value.code == 2
         assert f"eval --task does not read {flag}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag, value", [("epsilon", "1e-6"), ("query_count", "7"), ("encoding", "zero_one")]
-    )
-    def test_config_only_keys_have_flags(self, flag, value, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{flag}={value}\n")
-        argv = ["eval", "--n", "6", "--alpha", "2", "--r", "3", "--seed", "4"]
-        assert main([*argv, "--config", str(cfg)]) == 0
-        from_config = capsys.readouterr().out
-        assert main([*argv, "--" + flag.replace("_", "-"), value]) == 0
-        assert capsys.readouterr().out == from_config
 
     @pytest.mark.parametrize(
         "part, key, value",
@@ -270,12 +246,12 @@ class TestEval:
         assert main(["eval", "--task", str(task_file)]) == 1
         assert capsys.readouterr() == ("", "error: support is missing\n")
 
-    def test_config_task_equals_gen_tasks_task(self, tmp_path, capsys):
+    def test_settings_file_task_equals_gen_tasks_task(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=6\nalpha=2\nr=3\nseed=7\nencoding=zero_one\n")
-        assert main(["eval", "--config", str(cfg), "--format", "json"]) == 0
+        cfg.write_text("--n 6\n--alpha 2\n--r 3\n--seed 7\n--encoding zero_one\n")
+        assert main(["eval", f"@{cfg}", "--format", "json"]) == 0
         generated = json.loads(capsys.readouterr().out)
-        assert main(["gen-tasks", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert main(["gen-tasks", f"@{cfg}", "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         task_file = tmp_path / "task_00000.json"
         assert task_from_json(task_file.read_text()).meta.encoding.value == "zero_one"
@@ -420,11 +396,11 @@ class TestSweepAndTheory:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
-    def test_sweep_encoding_reaches_the_spec(self, by_config, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "file"])
+    def test_sweep_encoding_reaches_the_spec(self, by_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        Path("cfg.txt").write_text("encoding=zero_one\n")
-        encoding = ["--config", "cfg.txt"] if by_config else ["--encoding", "zero_one"]
+        Path("cfg.txt").write_text("--encoding zero_one\n")
+        encoding = ["@cfg.txt"] if by_file else ["--encoding", "zero_one"]
         argv = ["sweep", "--alpha", "2", "--r-values", "1,2", "--beta-values", "0,3", "--tasks-per-cell", "6",
                 "--kernel", "sq_euclidean", "--seed", "5", "--out-dir", "cli", *encoding]
         assert main(argv) == 0
@@ -437,12 +413,12 @@ class TestSweepAndTheory:
         assert zero_one != plus_minus
         assert Path("cli/sweep.csv").read_bytes() == zero_one
 
-    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
-    def test_sel_tau_inv_reaches_the_selection_config(self, by_config, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "file"])
+    def test_sel_tau_inv_reaches_the_selection_config(self, by_file, tmp_path, monkeypatch, capsys):
         # the scoring rounds' sharpness, not attention's: this eval prints 0.5, and 0.59375 without it
         monkeypatch.chdir(tmp_path)
-        Path("cfg.txt").write_text("sel_tau_inv=0.5\n")
-        knob = ["--config", "cfg.txt"] if by_config else ["--sel-tau-inv", "0.5"]
+        Path("cfg.txt").write_text("--sel-tau-inv 0.5\n")
+        knob = ["@cfg.txt"] if by_file else ["--sel-tau-inv", "0.5"]
         sharp, default = SelectionConfig(tau_inv=0.5, rounds=2), SelectionConfig(rounds=2)
 
         assert main(["eval", "--rounds", "2", "--methods", "AttnSoftFS", "--format", "json", *knob]) == 0
@@ -603,37 +579,6 @@ class TestReproduceAndExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval"],
-            ["eval", "--task", "unread.json"],
-            ["gen-tasks"],
-            ["gen-tasks", "--family", "sphere"],
-            ["sweep", "--tasks-per-cell", "1"],
-            ["theory", "--trials", "10"],
-        ],
-    )
-    def test_unread_config_key_is_runtime_error(self, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha=2\ntau-inv=50\n")
-        code = main(argv + ["--config", str(cfg)])
-        assert code == 1
-        assert "tau-inv" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--tasks-per-cell", "1"]])
-    @pytest.mark.parametrize("key", ["mode=top_k", "dispersion=std"])
-    def test_removed_selection_keys_are_runtime_errors(self, argv, key, tmp_path, monkeypatch, capsys):
-        # the method name alone chooses how scores are applied, and scores are MAD
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(key + "\n")
-        assert main(argv + ["--config", str(cfg)]) == 1
-        assert key.split("=")[0] in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["theory", "--beta-values", "1,x"], "--beta-values"),
@@ -674,7 +619,6 @@ class TestReproduceAndExitCodes:
             ["gen-tasks", "--out-dir", ""],
             ["eval", "--task", ""],
             ["eval", "--dump-scores", ""],
-            ["eval", "--config", ""],
         ],
     )
     def test_empty_path_flag_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
@@ -684,73 +628,6 @@ class TestReproduceAndExitCodes:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: path must not be empty" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("argv", [["sweep", "--tasks-per-cell", "1"], ["gen-tasks"]])
-    def test_empty_out_dir_key_is_runtime_error(self, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("out_dir=\n")
-        assert main(argv + ["--config", str(cfg)]) == 1
-        assert "path must not be empty" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    @pytest.mark.parametrize(
-        "line,message",
-        [
-            ("alpha=x", "config key alpha: invalid literal for int() with base 10: 'x'"),
-            ("p=abc", "config key p: could not convert string to float: 'abc'"),
-            ("out_dir=", "config key out_dir: path must not be empty"),
-            ("r_values=1,a", "config key r_values: invalid literal for int() with base 10: 'a'"),
-        ],
-    )
-    def test_bad_config_value_names_its_key(self, line, message, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        assert main(["sweep", "--tasks-per-cell", "1", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    def test_config_skips_comments_and_blank_lines(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# a comment\n\n   \n  n = 6  \n")
-        assert main(["gen-tasks", "--config", str(cfg)]) == 0
-        from_config = capsys.readouterr().out
-        assert main(["gen-tasks", "--n", "6"]) == 0
-        assert capsys.readouterr().out == from_config
-
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            ("n=6\nalpha\n", "config line must be key=value: 'alpha'"),
-            ("alpha=3\n alpha = 2\n", "config key alpha is set more than once"),
-        ],
-    )
-    def test_bad_config_file_is_runtime_error(self, text, message, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        assert main(["gen-tasks", "--config", str(cfg), "--out-dir", "tasks"]) == 1
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", f"error: {message}\n")
-        assert list(tmp_path.iterdir()) == [cfg]
-
-    @pytest.mark.parametrize(
-        "command, key, choices",
-        [
-            ("gen-tasks", "family", "boolean, sphere"),
-            ("eval", "encoding", "plus_minus, zero_one"),
-            ("eval", "kernel", "dot, cosine, sq_euclidean, laplace"),
-        ],
-    )
-    def test_config_value_outside_choices_names_its_key(self, command, key, choices, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key}=x\n")
-        assert main([command, "--config", str(cfg)]) == 1
-        message = f"config key {key}: invalid choice 'x' (choose from {choices})"
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_runtime_error_exits_1(self, capsys):
         code = main(["eval", "--task", "/nonexistent/task.json"])
@@ -840,6 +717,124 @@ class TestReproduceAndExitCodes:
         assert outputs[0] == outputs[1]
         assert outputs[0].out.splitlines() == ["method,accuracy", f"{methods[0]},1.0"]
         assert outputs[0].err == ""
+
+
+# one setting per line, as a settings file holds them; inline, the same words in the same order
+SETTINGS = {
+    "gen-tasks": ["--n 6", "--alpha 2", "--r 3", "--p 0.3", "--query-count 7", "--encoding zero_one",
+                  "--count 2", "--seed 4", "--out-dir D"],
+    "eval": ["--n 6", "--alpha 2", "--r 3", "--seed 4", "--epsilon 1e-6", "--query-count 7",
+             "--encoding zero_one", "--methods Attn AttnTopK Proto", "--kernel laplace", "--rounds 2",
+             "--format json", "--dump-scores scores.csv"],
+    "sweep": ["--alpha 2", "--r-values 1,2", "--beta-values 0,3", "--tasks-per-cell 4",
+              "--methods Attn AttnSoftFS", "--sel-tau-inv 0.5", "--rounds 2", "--seed 5", "--out-dir D"],
+    "theory": ["--alpha 2", "--beta-values 0,1,2", "--p 0.3", "--r 1", "--kernel sq_euclidean",
+               "--trials 200", "--seed 3"],
+    "thresholds": ["approx", "--n 3", "--truth-table 96"],
+    "reproduce": ["fig5_sphere", "--scale 0.02", "--seed 3", "--out-dir D"],
+}
+
+
+def run_in(directory: Path, argv: list[str], capsys) -> tuple[str, dict[str, bytes]]:
+    """main(argv)'s stdout and every file it writes, run from an empty directory."""
+    directory.mkdir()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        assert main(argv) == 0, argv
+    written = {str(f.relative_to(directory)): f.read_bytes() for f in sorted(directory.rglob("*")) if f.is_file()}
+    return capsys.readouterr().out, written
+
+
+class TestSettingsFile:
+    """@FILE stands for FILE's lines, each split like a shell line into more arguments."""
+
+    @pytest.mark.parametrize("command", SETTINGS)
+    def test_file_and_inline_settings_print_and_write_the_same_bytes(self, command, tmp_path, capsys):
+        settings = tmp_path / "settings"
+        settings.write_text("\n".join(SETTINGS[command]) + "\n")
+        inline = run_in(tmp_path / "inline", [command, *shlex.split(" ".join(SETTINGS[command]))], capsys)
+        from_file = run_in(tmp_path / "file", [command, f"@{settings}"], capsys)
+        assert inline[0] and from_file == inline
+
+    def test_comments_and_blank_lines_are_skipped_and_quotes_kept(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("# a comment\n\n   \n  --n 6  # six features\n--out-dir 'my tasks'\n")
+        assert main(["gen-tasks", "@run.cfg"]) == 0
+        assert capsys.readouterr().out == "wrote 1 task(s) to my tasks\n"
+        assert main(["gen-tasks", "--n", "6"]) == 0
+        assert Path("my tasks/task_00000.json").read_text() == capsys.readouterr().out
+
+    def test_arguments_are_read_left_to_right(self, tmp_path, capsys):
+        # a flag before the file loses to it, and one after it wins
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("--n 6\n--seed 4\n")
+
+        def out(*argv):
+            assert main(["gen-tasks", *argv]) == 0
+            return capsys.readouterr().out
+
+        assert out("--n", "8", f"@{cfg}") == out("--n", "6", "--seed", "4")
+        assert out(f"@{cfg}", "--n", "8") == out("--n", "8", "--seed", "4") != out(f"@{cfg}")
+
+    @pytest.mark.parametrize(
+        "argv, line, message",
+        [
+            (["sweep", "--tasks-per-cell", "1"], "--alpha x", "argument --alpha: invalid int value: 'x'"),
+            (["sweep", "--tasks-per-cell", "1"], "--p abc", "argument --p: invalid float value: 'abc'"),
+            (["sweep", "--tasks-per-cell", "1"], "--out-dir ''", "argument --out-dir: path must not be empty"),
+            (["gen-tasks"], "--out-dir ''", "argument --out-dir: path must not be empty"),
+            (["sweep", "--tasks-per-cell", "1"], "--r-values 1,a",
+             "argument --r-values: invalid literal for int() with base 10: 'a'"),
+            (["gen-tasks"], "--family x", "argument --family: invalid choice: 'x' (choose from 'boolean', 'sphere')"),
+            (["eval"], "--encoding x",
+             "argument --encoding: invalid choice: 'x' (choose from 'plus_minus', 'zero_one')"),
+            (["eval"], "--kernel x",
+             "argument --kernel: invalid choice: 'x' (choose from 'dot', 'cosine', 'sq_euclidean', 'laplace')"),
+            (["reproduce", "table3_counts"], "--scale 0", "argument --scale: must be positive and finite, got '0'"),
+            # a flag the command's mode does not read
+            (["eval", "--task", "unread.json"], "--seed 7", "eval --task does not read --seed"),
+            (["gen-tasks", "--family", "sphere"], "--alpha 2", "gen-tasks does not read --alpha"),
+            (["gen-tasks"], "--sample-count 8", "gen-tasks does not read --sample-count"),
+            (["thresholds", "count", "--n", "2"], "--truth-table 6", "thresholds count does not read --truth-table"),
+            # a flag the command does not have
+            (["theory", "--trials", "10"], "--tau-inv 50", "unrecognized arguments: --tau-inv 50"),
+            (["sweep", "--tasks-per-cell", "1"], "--format json", "unrecognized arguments: --format json"),
+            # the method name alone chooses how scores are applied, and scores are MAD
+            (["eval"], "--mode top_k", "unrecognized arguments: --mode top_k"),
+            (["sweep", "--tasks-per-cell", "1"], "--dispersion std", "unrecognized arguments: --dispersion std"),
+            # a key=value line is one word, not a flag
+            (["eval"], "alpha=2", "unrecognized arguments: alpha=2"),
+        ],
+    )
+    def test_bad_or_unread_setting_names_its_flag(self, argv, line, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here
+        Path("run.cfg").write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "@run.cfg"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_missing_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-tasks", "@missing.cfg", "--out-dir", "tasks"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(" error: [Errno 2] No such file or directory: 'missing.cfg'\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_default_out_dir_is_the_current_directory(tmp_path, monkeypatch, capsys):
+    # not out/, where the committed goldens live
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    argv = ["sweep", "--tasks-per-cell", "2", "--alpha", "2", "--r-values", "1", "--beta-values", "0", "--methods", "Attn"]
+    assert main(argv) == 0
+    assert main(["reproduce", "appC_boundary"]) == 0
+    written = ["sweep.csv", "sweep.json", "sweep_Attn.svg", "appC_boundary_tau1.csv", "appC_boundary_tau2.csv"]
+    assert capsys.readouterr().out.splitlines() == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*written, "out"])
+    assert list(Path("out").iterdir()) == []
 
 
 def far_task(path: Path, second_column: list[float], query: list[float]) -> str:
