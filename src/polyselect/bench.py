@@ -1,12 +1,12 @@
 """Experiment harness: seeded sweeps over task grids, with CSV/JSON/SVG output.
 
 Every method in a cell is evaluated on the same tasks (seeds derive from the
-global seed and the task's grid position).  Per-cell method differences are
-paired comparisons only while no method raises in the cell: CellResult
-drops a task its method raised on, and then two methods' per_task arrays no
-longer line up (ROADMAP item 20).  METHODS names the classifiers a sweep can
-compare; _accuracies classifies a sweep chunk, or the CLI eval's one task,
-under all the methods asked for in one call, which scores each task once.
+global seed and the task's grid position), and CellResult keeps each
+method's accuracy on every task in task order, nan where the method raised,
+so two methods' per_task arrays pair task by task.  METHODS names the
+classifiers a sweep can compare; _accuracies classifies a sweep chunk, or
+the CLI eval's one task, under all the methods asked for in one call, which
+scores each task once.
 Each cell is evaluated in chunks of consecutive tasks, each chunk one Task
 whose arrays stack its tasks on a leading axis, sized by a fixed memory
 budget.  The chunks of the whole grid run in forked worker processes, up to
@@ -110,30 +110,35 @@ class SweepSpec:
 
 @dataclass
 class CellResult:
-    """One grid cell; per_task holds each method's accuracies, none for a task it raised on."""
+    """One grid cell; per_task holds each method's accuracy on every task, nan where it raised."""
 
     r: int
     beta: int
     tasks: int
     per_task: dict[str, np.ndarray] = field(repr=False)
 
+    @functools.cached_property
+    def passed(self) -> dict[str, np.ndarray]:
+        """Each method's accuracies on the tasks it did not raise on, in task order."""
+        return {m: a[~np.isnan(a)] for m, a in self.per_task.items()}
+
     @property
     def accuracy_mean(self) -> dict[str, float]:
         """Each method's mean accuracy; nan for a method with none."""
-        return {m: float(a.mean()) if a.size else float("nan") for m, a in self.per_task.items()}
+        return {m: float(a.mean()) if a.size else float("nan") for m, a in self.passed.items()}
 
     @property
     def accuracy_se(self) -> dict[str, float]:
         """Each method's standard error of the mean; 0.0 below two accuracies."""
         return {
             m: float(a.std(ddof=1) / np.sqrt(a.size)) if a.size > 1 else 0.0
-            for m, a in self.per_task.items()
+            for m, a in self.passed.items()
         }
 
     @property
     def failures(self) -> int:
-        """Method evaluations that raised, summed over the methods."""
-        return sum(self.tasks - accs.size for accs in self.per_task.values())
+        """Method evaluations that raised (per_task's nans), summed over the methods."""
+        return sum(self.tasks - accs.size for accs in self.passed.values())
 
 
 def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
@@ -152,24 +157,24 @@ def _accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarr
 
 
 def _kept_accuracies(task: Task, methods, attention, selection) -> dict[str, np.ndarray]:
-    """_accuracies less what raises ValueError, on a task or a stack of them.
+    """_accuracies with nan where a method raises ValueError, on a task or a stack of them.
 
     The methods are classified in one call.  If it raises, each is tried
-    alone; a method that still raises is left out of a single task, and on a
-    stack is tried task by task, keeping a float64 array of the tasks it passed.
+    alone; a method that still raises gets nan on a single task, and on a
+    stack is tried task by task, nan at each task it raises on.
     """
     try:
         return _accuracies(task, methods, attention, selection)
     except ValueError:
         if len(methods) == 1 and task.support.features.ndim < 3:
-            return {}
+            return {methods[0]: np.nan}
     if len(methods) > 1:
         kept = {}
         for m in methods:
             kept |= _kept_accuracies(task, (m,), attention, selection)
         return kept
     singles = (_kept_accuracies(task[t], methods, attention, selection) for t in range(len(task.support.features)))
-    return {methods[0]: np.array([a for accs in singles for a in accs.values()], dtype=np.float64)}
+    return {methods[0]: np.array([accs[methods[0]] for accs in singles], dtype=np.float64)}
 
 
 def _chunk_size(task: BooleanTaskSpec) -> int:
@@ -200,8 +205,8 @@ def _run_chunk(item: tuple) -> dict[str, np.ndarray]:
     An item is (spec, shape, start, stop): the tasks of grid index start..stop
     (task t of cell c has index c*tasks_per_cell + t), all of one cell, whose
     task shape is shape.  It is small and picklable, so a worker process
-    builds the chunk's tasks itself.  A method that raises ValueError loses
-    only the tasks it raises on (see _kept_accuracies).
+    builds the chunk's tasks itself.  A method that raises ValueError gets nan
+    on only the tasks it raises on (see _kept_accuracies).
     """
     spec, shape, start, stop = item
     chunk, _ = gen_boolean_batch(shape, [task_seed(spec.global_seed, i) for i in range(start, stop)])
@@ -281,7 +286,7 @@ def _grid_rows(spec: SweepSpec, grid: list[CellResult], family: str = "xor") -> 
             column: cast(value)
             for (column, cast), value in zip(
                 _CSV_TYPES.items(),
-                (family, spec.alpha, cell.beta, spec.p, cell.r, m, cell.per_task[m].size,
+                (family, spec.alpha, cell.beta, spec.p, cell.r, m, cell.passed[m].size,
                  cell.accuracy_mean[m], cell.accuracy_se[m], spec.global_seed),
                 strict=True,
             )

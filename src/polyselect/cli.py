@@ -6,9 +6,9 @@ failures.  An argument @FILE stands for FILE's lines, each split like a shell
 line into more arguments (`--alpha 4`, `--methods Attn Proto`; `#` starts a
 comment), so a settings file is more flags, read left to right: a flag after
 @FILE overrides it, one before it is overridden.  Any argument that starts
-with @ names a file.  A missing FILE, and a value that does not parse or a
-flag the command's mode did not read, typed or from a file, are usage errors
-that name the file or the flag.
+with @ names a file.  A missing FILE, a value that does not parse, and a flag
+the command lacks or its mode did not read, typed or from a file, are usage
+errors that name the file or the flag.
 """
 
 from __future__ import annotations
@@ -388,9 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    given = vars(build_parser().parse_args(argv))
+    given, unknown = build_parser().parse_known_args(argv)
+    given = vars(given)
     del given["command"]
     run, parser = given.pop("run"), given.pop("parser")
+    if unknown:  # under the command's usage, not the top-level one
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return run(_Inputs(parser, given))
     except (ValueError, OSError, MemoryError, OverflowError) as exc:

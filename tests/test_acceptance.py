@@ -30,6 +30,7 @@ from polyselect.theory import (
     support_sum_stats,
 )
 
+from test_bench import paired_difference
 from test_kernels import and_support, xor_support
 
 
@@ -249,9 +250,8 @@ def test_a11_top_k_dominance():
         global_seed=31,
     )
     (cell,) = run_sweep(spec)
-    diff = cell.per_task["AttnTopK"] - cell.per_task["AttnSoftFS"]
-    mean_diff = float(diff.mean())
-    se = float(diff.std(ddof=1) / np.sqrt(diff.size))
+    assert cell.failures == 0
+    mean_diff, se = paired_difference(cell.per_task["AttnTopK"], cell.per_task["AttnSoftFS"])
     ok = mean_diff >= -2 * se
     report(
         "A11",

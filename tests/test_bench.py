@@ -78,10 +78,26 @@ def small_spec(**kwargs):
     return SweepSpec(**defaults)
 
 
+def paired_difference(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-task differences a - b and its standard error, over the tasks where neither is nan.
+
+    a and b are two methods' per_task arrays of one cell.  The SE takes ddof=1
+    and is 0.0 below two tasks, as CellResult.accuracy_se; the mean of no
+    tasks is nan.
+    """
+    diff = a - b
+    diff = diff[~np.isnan(diff)]
+    mean = float(diff.mean()) if diff.size else float("nan")
+    se = float(diff.std(ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
+    return mean, se
+
+
 def loop_sweep(spec: SweepSpec) -> list[tuple[int, dict[str, np.ndarray]]]:
     """Reference sweep: one generated task and one method per _accuracies call at a time.
 
-    AttnTopK without top_k keeps the task metadata's active count, as eval fills it in.
+    Each method's array holds every task in task order, nan where the method
+    raised.  AttnTopK without top_k keeps the task metadata's active count, as
+    eval fills it in.
     """
     cells = []
     for cell_index, (r, beta) in enumerate(
@@ -108,19 +124,21 @@ def loop_sweep(spec: SweepSpec) -> list[tuple[int, dict[str, np.ndarray]]]:
                 try:
                     accs[m].append(bench._accuracies(task, (m,), spec.attention, selection)[m])
                 except ValueError:
+                    accs[m].append(np.nan)
                     failures += 1
         cells.append((failures, {m: np.array(v, dtype=np.float64) for m, v in accs.items()}))
     return cells
 
 
 def assert_matches_loop(spec: SweepSpec) -> int:
-    """run_sweep equals the per-task loop bit for bit; returns the failure count."""
+    """run_sweep equals the per-task loop bit for bit, nan for nan; returns the failure count."""
     grid = run_sweep(spec)
     expected = loop_sweep(spec)
     assert len(grid) == len(expected)
     for cell, (failures, accs) in zip(grid, expected):
         assert cell.failures == failures
         for m in spec.methods:
+            assert cell.per_task[m].shape == (cell.tasks,)
             assert cell.per_task[m].tobytes() == accs[m].tobytes(), (cell.r, cell.beta, m)
     return sum(cell.failures for cell in grid)
 
@@ -262,10 +280,25 @@ class TestRunSweep:
         spec = forced_failure_spec()
         assert min(chunk_sizes(spec)) > 1
         grid = run_sweep(spec)
-        survivors = [cell.per_task["Attn"].size for cell in grid]
+        survivors = [cell.passed["Attn"].size for cell in grid]
         assert 0 < sum(survivors) < spec.tasks_per_cell * len(grid)
         assert assert_matches_loop(spec) > 0
         assert len(process_starts) == 4  # both run_sweep calls went through the pool
+
+    def test_paired_difference_pairs_the_tasks_both_methods_passed(self):
+        # Attn raises on most tasks of every cell and the other methods on none,
+        # so pairing the compacted arrays would pair different tasks
+        spec = forced_failure_spec()
+        grid = run_sweep(spec)
+        expected = loop_sweep(spec)
+        assert all(0 < cell.failures < cell.tasks for cell in grid[:2])
+        for cell, (_, accs) in zip(grid, expected, strict=True):
+            for a, b in [("AttnSoftFS", "Attn"), ("Attn", "Proto"), ("AttnTopK", "AttnSoftFS")]:
+                diffs = [x - y for x, y in zip(accs[a], accs[b]) if not (math.isnan(x) or math.isnan(y))]
+                want_mean = float(np.mean(diffs)) if diffs else math.nan
+                want_se = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
+                mean, se = paired_difference(cell.per_task[a], cell.per_task[b])
+                assert repr((mean, se)) == repr((want_mean, want_se)), (cell.r, cell.beta, a, b)
 
     def test_failing_method_dropped_alone(self):
         # at beta=0 (n=2) AttnTopK's top_k=3 fails every task; AttnSoftFS is kept
@@ -638,7 +671,7 @@ class TestEmitters:
         by_key = {(r["r"], r["beta"], r["method"]): r for r in rows}
         for cell in grid:
             for m in spec.methods:
-                assert by_key[(cell.r, cell.beta, m)]["tasks"] == cell.per_task[m].size
+                assert by_key[(cell.r, cell.beta, m)]["tasks"] == np.count_nonzero(~np.isnan(cell.per_task[m]))
         assert by_key[(1, 3, "Attn")]["tasks"] == 4  # of 30
         missing = sum(spec.tasks_per_cell - r["tasks"] for r in rows)
         assert missing == sum(cell.failures for cell in grid) > 0
@@ -869,14 +902,14 @@ def _proto_rows(rows: dict[tuple, dict]) -> list[dict]:
 
 def _readme_claims(rows: dict[tuple, dict]) -> dict[str, list[tuple[str, float, list[tuple]]]]:
     """The README's measured claims by kind: (README text, its value over rows, the cells it reads)."""
-    section = (GOLDEN.parent / "README.md").read_text().split("## Measured results", 1)[1].split("\n## ")[0]
+    section = _readme_measured_results()
     prose = " ".join(section.split())
     claims = {kind: [] for kind in ("table", "uplift", "topk", "gap", "proto_z")}
 
     def mean(key):
         return rows[key]["accuracy_mean"]
 
-    for n, alpha, *texts in re.findall(r"^\| (\d+) \| (\d) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", section, re.M):
+    for n, alpha, *texts in re.findall(r"^\| (\d+) \| (\d) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \| ", section, re.M):
         n, alpha = int(n), int(alpha)
         for method, text in zip(("Attn", "AttnSoftFS", "Proto"), texts):
             key = (f"xor_n{n}", alpha, 5, n - alpha, method)
@@ -898,6 +931,68 @@ def _readme_claims(rows: dict[tuple, dict]) -> dict[str, list[tuple[str, float, 
     for text in re.findall(r"every Proto number above is within ([\d.]+) standard errors", prose):
         claims["proto_z"].append((text, max(abs(mean(k) - 0.5) / rows[k]["accuracy_se"] for k in proto), proto))
     return claims
+
+
+def _readme_measured_results() -> str:
+    return (GOLDEN.parent / "README.md").read_text().split("## Measured results", 1)[1].split("\n## ")[0]
+
+
+def _regenerated_cell(stem: str, alpha: int, r: int, beta: int) -> CellResult:
+    """One cell of a sweep recipe at seed 0 and full scale, regenerated through bench._run_chunk as one chunk."""
+    if stem == "binary_strings_fs_raw":
+        methods, tasks, seed, index = ("Attn", "AttnSoftFS", "Proto"), 1000, task_seed(0, (alpha + beta) * 100 + alpha), 0
+    else:
+        grid = bench.RECIPES[stem].keywords
+        methods, tasks, seed = grid["methods"], 500, 0
+        index = grid["r_values"].index(r) * len(grid["beta_values"]) + grid["beta_values"].index(beta)
+    spec = SweepSpec(alpha=alpha, r_values=(r,), beta_values=(beta,), methods=methods, tasks_per_cell=tasks,
+                     selection=SelectionConfig(top_k=alpha), global_seed=seed)
+    per_task = bench._run_chunk((spec, bench._cell_shape(spec, r, beta), index * tasks, (index + 1) * tasks))
+    return CellResult(r=r, beta=beta, tasks=tasks, per_task=per_task)
+
+
+def test_readme_paired_z_values():
+    """Each paired z the README cites, from its cell regenerated at seed 0; about 2 s.
+
+    Each regenerated cell's means and SEs equal its golden's, bit for bit.
+    """
+    section = _readme_measured_results()
+    prose = " ".join(section.split())
+
+    def paired(stem, directory, alpha, r, beta, a, b) -> tuple[str, str]:
+        """a - b over the cell's tasks, as the README writes it: to 3 places, and its z to 1."""
+        cell = _regenerated_cell(stem, alpha, r, beta)
+        golden = {(row["alpha"], row["r"], row["beta"], row["method"]): row
+                  for row in parse_csv(GOLDEN / directory / f"{stem}.csv")}
+        for m in cell.per_task:
+            row = golden[alpha, r, beta, m]
+            assert (row["accuracy_mean"], row["accuracy_se"]) == (cell.accuracy_mean[m], cell.accuracy_se[m])
+        mean, se = paired_difference(cell.per_task[a], cell.per_task[b])
+        return f"{mean:+.3f}".replace("-", "−"), f"{mean / se:.1f}".replace("-", "−")
+
+    cited = []
+    for r, beta in ((5, 3), (10, 4)):
+        _, z = paired("fig7_soft_fs", "fig7", 4, r, beta, "AttnSoftFS", "Attn")
+        cited.append(f"pp at r={r}, beta={beta}, paired z {z}")
+    for where, beta in (("r=5, beta=4", 4), ("beta=10", 10)):
+        _, z = paired("fig11_topk", "fig11", 4, 5, beta, "AttnTopK", "AttnSoftFS")
+        cited.append(f"at {where}, paired z {z}")
+    table = {
+        (n, alpha): paired("binary_strings_fs_raw", "binary_strings", alpha, 5, n - alpha, "AttnSoftFS", "Attn")
+        for n in (5, 10)
+        for alpha in (2, 3, 4)
+    }
+    for (n, alpha), (diff, z) in table.items():
+        row = rf"^\| {n} \| {alpha} \| .* \| {re.escape(diff)} \({re.escape(z)}\) \|$"
+        assert re.search(row, section, re.M), (n, alpha)
+    diff, z = table[10, 2]
+    cited.append(f"loses to `Attn` ({diff}, paired z {z}")
+    z2, z3, z4 = (table[5, alpha][1] for alpha in (2, 3, 4))
+    cited.append(f"computed as (AttnSoftFS − Attn)/(1 − Attn) (paired z {z2}, {z3} and {z4}")
+    # each cited text as a whole, not as the prefix of a longer number
+    assert [text for text in cited if not re.search(re.escape(text) + r"(?![\d.])", prose)] == []
+    # and no paired z in the prose that this test does not check
+    assert len(re.findall(r"paired z [−\d]", prose)) == len(cited)
 
 
 def test_readme_measured_results_match_goldens():

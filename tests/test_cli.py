@@ -815,6 +815,18 @@ class TestSettingsFile:
         assert capsys.readouterr().err.endswith(f" error: {message}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("by_file", [False, True], ids=["typed", "from_file"])
+    def test_flag_the_command_lacks_is_rejected_under_its_usage(self, by_file, tmp_path, monkeypatch, capsys):
+        # the command's usage and name, not the top-level `polyselect [-h] {gen-tasks,...}`
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("--n 6\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", *(["@run.cfg"] if by_file else ["--n", "6"])])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyselect theory [-h] ")
+        assert err.endswith("\npolyselect theory: error: unrecognized arguments: --n 6\n")
+
     def test_missing_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
