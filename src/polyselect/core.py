@@ -95,15 +95,6 @@ class LabeledSet:
     def cols(self) -> int:
         return self.features.shape[-1]
 
-    def class_rows(self, c: int) -> np.ndarray:
-        """Feature rows of class c, per task of a stack with shared labels; ValueError if c has none."""
-        if self.labels.ndim != 1:
-            raise ValueError(f"labels must be one row shared by every task, got shape {self.labels.shape}")
-        rows = self.labels == c
-        if not rows.any():
-            raise ValueError(f"class {c} has no support examples")
-        return self.features[..., rows, :]
-
 
 @dataclass(frozen=True)
 class TaskMeta:

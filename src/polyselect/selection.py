@@ -155,12 +155,17 @@ def dispersion(features: np.ndarray) -> np.ndarray:
 
 
 def _scores(std_support: LabeledSet, config: SelectionConfig) -> np.ndarray:
+    if std_support.labels.ndim != 1:
+        raise ValueError(f"labels must be one row shared by every task, got shape {std_support.labels.shape}")
     out = std_support.features.copy()
     for c in range(std_support.k):
-        block = std_support.class_rows(c)
+        rows = std_support.labels == c
+        if not rows.any():
+            raise ValueError(f"class {c} has no support examples")
+        block = std_support.features[..., rows, :]
         for _ in range(config.rounds):
             block = self_attention_round(block, config.tau_inv)
-        out[..., std_support.labels == c, :] = block
+        out[..., rows, :] = block
     return dispersion(out)
 
 

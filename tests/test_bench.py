@@ -339,18 +339,52 @@ class TestRunSweep:
         # per chunk: the stacked attempt, then each selection method alone on the stack
         assert len(scorings) == len(chunks) * (1 + len(FACTORS))  # 124 when every task was reclassified
 
-    def test_per_task_labels_classify_like_a_loop(self):
-        # four 3-input truth tables on the cube's corners, each task its own support
-        # labels: Attn takes the stack in one call, and the methods that slice class
-        # blocks out of the support raise there and fall back to task by task
+    @staticmethod
+    def _per_task_label_stack() -> Task:
+        """Four 3-input truth tables on the cube's corners, each task its own support and query labels."""
         x = np.broadcast_to(corners(3).astype(np.float64), (4, 8, 3))
         labels = (np.array([0x96, 0x80, 0xE8, 0x3C])[:, None] >> np.arange(8)) & 1
-        stack = Task(LabeledSet(x, labels, k=2), LabeledSet(x, labels, k=2))
+        return Task(LabeledSet(x, labels, k=2), LabeledSet(x, labels, k=2))
+
+    @staticmethod
+    def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+        """Count the calls bench makes to each of its names, in a dict that fills as they happen."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _call=getattr(bench, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(bench, name, counted)
+        return calls
+
+    def test_per_task_labels_classify_like_a_loop(self):
+        # Attn and Proto take the stack in one call; the selection methods' scoring
+        # rounds slice class blocks out of the support, raise there and fall back
+        # to task by task
+        stack = self._per_task_label_stack()
         attention, sel = AttentionConfig(tau_inv=0.5), SelectionConfig(rounds=2, top_k=2)
         kept = bench._kept_accuracies(stack, METHODS, attention, sel)
         for m in METHODS:
             loop = np.array([bench._accuracies(stack[t], (m,), attention, sel)[m] for t in range(4)])
             assert kept[m].tobytes() == loop.tobytes(), m
+
+    def test_per_task_labels_take_one_call_for_attn_and_proto(self, monkeypatch):
+        stack = self._per_task_label_stack()
+        attention, sel = AttentionConfig(tau_inv=0.5), SelectionConfig()
+        loop = [bench._accuracies(stack[t], ("Attn", "Proto"), attention, sel) for t in range(4)]
+        calls = self._count_calls(monkeypatch, "attend_probs", "build_prototypes")
+        accs = bench._accuracies(stack, ("Attn", "Proto"), attention, sel)
+        assert calls == {"attend_probs": 1, "build_prototypes": 1}
+        for m in ("Attn", "Proto"):
+            assert accs[m].tobytes() == np.array([lone[m] for lone in loop]).tobytes(), m
+
+    def test_per_task_labels_reclassify_only_the_selection_methods(self, monkeypatch):
+        # the stacked call raises in select_probs, each method is tried alone on the
+        # stack, and only AttnSoftFS, whose scoring needs shared labels, goes task by task
+        stack = self._per_task_label_stack()
+        calls = self._count_calls(monkeypatch, "attend_probs", "build_prototypes", "select_probs")
+        bench._kept_accuracies(stack, ("Attn", "Proto", "AttnSoftFS"), AttentionConfig(), SelectionConfig())
+        assert calls == {"attend_probs": 1, "build_prototypes": 1, "select_probs": 2 + 4}
 
 
 # a non-default value for every field of the configs the methods read
@@ -888,11 +922,19 @@ SECOND_SEED = 3
 
 
 def _sweep_rows(root: Path = GOLDEN) -> dict[tuple, dict]:
-    """(family, alpha, r, beta, method) -> row over the README_SWEEPS CSVs under root."""
-    rows = {}
+    """(recipe, family, alpha, r, beta, method) -> row over the README_SWEEPS CSVs under root.
+
+    fig7 and fig11 share the family "xor" and some cells, each on its own
+    tasks, so the recipe is part of the key; no key may repeat.
+    """
+    rows, repeats = {}, []
     for directory, stem in README_SWEEPS.items():
         for row in parse_csv(root / directory / f"{stem}.csv"):
-            rows[row["family"], row["alpha"], row["r"], row["beta"], row["method"]] = row
+            key = (stem, row["family"], row["alpha"], row["r"], row["beta"], row["method"])
+            if key in rows:
+                repeats.append(key)
+            rows[key] = row
+    assert repeats == []
     return rows
 
 
@@ -912,20 +954,22 @@ def _readme_claims(rows: dict[tuple, dict]) -> dict[str, list[tuple[str, float, 
     for n, alpha, *texts in re.findall(r"^\| (\d+) \| (\d) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \| ", section, re.M):
         n, alpha = int(n), int(alpha)
         for method, text in zip(("Attn", "AttnSoftFS", "Proto"), texts):
-            key = (f"xor_n{n}", alpha, 5, n - alpha, method)
+            key = ("binary_strings_fs_raw", f"xor_n{n}", alpha, 5, n - alpha, method)
             claims["table"].append((text, mean(key), [key]))
     for text, r, beta in re.findall(r"\+([\d.]+)pp at r=(\d+), beta=(\d+)", prose):
-        soft, attn = keys = [("xor", 4, int(r), int(beta), m) for m in ("AttnSoftFS", "Attn")]
+        soft, attn = keys = [("fig7_soft_fs", "xor", 4, int(r), int(beta), m) for m in ("AttnSoftFS", "Attn")]
         claims["uplift"].append((text, 100 * (mean(soft) - mean(attn)), keys))
     r = None
     for top_k, soft, r_text, beta in re.findall(r"([\d.]+) vs ([\d.]+) at (?:r=(\d+), )?beta=(\d+)", prose):
         r = int(r_text or r)  # "at beta=10" keeps the r of the pair before it
         for text, method in ((top_k, "AttnTopK"), (soft, "AttnSoftFS")):
-            key = ("xor", 4, r, int(beta), method)
+            key = ("fig11_topk", "xor", 4, r, int(beta), method)
             claims["topk"].append((text, mean(key), [key]))
     for texts in re.findall(r"recovers (\d+)%, (\d+)% and (\d+)% of the gap", prose):
         for alpha, text in zip((2, 3, 4), texts):
-            attn, soft = keys = [("xor_n5", alpha, 5, 5 - alpha, m) for m in ("Attn", "AttnSoftFS")]
+            attn, soft = keys = [
+                ("binary_strings_fs_raw", "xor_n5", alpha, 5, 5 - alpha, m) for m in ("Attn", "AttnSoftFS")
+            ]
             claims["gap"].append((text, 100 * (mean(soft) - mean(attn)) / (1 - mean(attn)), keys))
     proto = [key for key in rows if key[-1] == "Proto"]
     for text in re.findall(r"every Proto number above is within ([\d.]+) standard errors", prose):
@@ -1030,8 +1074,8 @@ def test_readme_claims_hold_at_a_second_seed(tmp_path):
     assert moved == {}
     claims = _readme_claims(second)
     # selection helps more as r grows: each cited uplift exceeds r=1's at its beta
-    for _, uplift, [(family, alpha, _, beta, _), _] in claims["uplift"]:
-        soft, attn = (second[family, alpha, 1, beta, m]["accuracy_mean"] for m in ("AttnSoftFS", "Attn"))
+    for _, uplift, [(stem, family, alpha, _, beta, _), _] in claims["uplift"]:
+        soft, attn = (second[stem, family, alpha, 1, beta, m]["accuracy_mean"] for m in ("AttnSoftFS", "Attn"))
         assert uplift > max(0.0, 100 * (soft - attn))
     # top-k is far stronger than soft selection at high noise
     for (_, top_k, _), (_, soft, _) in zip(claims["topk"][::2], claims["topk"][1::2]):

@@ -447,8 +447,8 @@ class TestStats:
     "call,message",
     [
         (lambda: best_threshold_agreement(0, 0), "whole-cube enumeration supports n in [1, 4]"),
-        (lambda: best_threshold_agreement(2, 16), "table integer out of range"),
-        (lambda: best_threshold_agreement(2, -1), "table integer out of range"),
+        pytest.param(lambda: best_threshold_agreement(2, 16), "table integer out of range", id="table 16 at n=2"),
+        pytest.param(lambda: best_threshold_agreement(2, -1), "table integer out of range", id="table -1 at n=2"),
         (lambda: xor_max_accuracy(0), "n must be >= 1"),
     ],
 )

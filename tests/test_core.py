@@ -49,7 +49,11 @@ class TestOneHot:
             np.testing.assert_array_equal(mat[t], np.eye(3)[labels[t]])
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+    ids=["nan", "inf", "-inf", "np.float64-nan"],
+)
 def test_json_text_refuses_non_finite_floats(value):
     # JSON has no NaN or Infinity; a strict parser rejects a file holding them
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
@@ -180,7 +184,7 @@ class TestTaskStack:
         feats = np.arange(12.0).reshape(2, 3, 2)
         ls = LabeledSet(feats, [0, 1, 0], k=2)
         assert (ls.rows, ls.cols) == (3, 2)
-        np.testing.assert_array_equal(ls.class_rows(0), feats[:, [0, 2], :])
+        assert ls.labels.shape == (3,)
 
     def test_indexing_picks_per_task_or_shared_query_labels(self):
         per_task = _stack(query_labels=[[0, 1, 0, 1, 0], [1, 1, 1, 0, 0]])
@@ -206,12 +210,18 @@ class TestTaskStack:
             (lambda: Task(LabeledSet(np.ones((2, 3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((2, 5, 3)), [0] * 5, 2)),
              "support and query must have the same feature count"),
             (lambda: _stack(query_labels=np.zeros((2, 4))), "labels must be one per feature row"),
-            (lambda: _stack(query_labels=np.full((2, 5), 2)), "labels must lie in [0, 2)"),
-            (lambda: _stack(query_labels=[[0] * 5, [0, 0, 0, 0, -1]]), "labels must lie in [0, 2)"),
-            (lambda: Task(LabeledSet(np.ones((2, 3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((3, 5, 4)), [0] * 5, 2)),
-             "support and query must stack the same tasks"),
-            (lambda: Task(LabeledSet(np.ones((3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((1, 5, 4)), [0] * 5, 2)),
-             "support and query must stack the same tasks"),
+            pytest.param(lambda: _stack(query_labels=np.full((2, 5), 2)), "labels must lie in [0, 2)",
+                         id="label 2 in every task"),
+            pytest.param(lambda: _stack(query_labels=[[0] * 5, [0, 0, 0, 0, -1]]), "labels must lie in [0, 2)",
+                         id="label -1 in one task"),
+            pytest.param(
+                lambda: Task(LabeledSet(np.ones((2, 3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((3, 5, 4)), [0] * 5, 2)),
+                "support and query must stack the same tasks", id="2 support tasks, 3 query tasks",
+            ),
+            pytest.param(
+                lambda: Task(LabeledSet(np.ones((3, 4)), [0, 1, 0], 2), LabeledSet(np.ones((1, 5, 4)), [0] * 5, 2)),
+                "support and query must stack the same tasks", id="single support, stacked query",
+            ),
             (lambda: Task(LabeledSet(np.ones((1, 2, 3)), [0, 1], 2), LabeledSet(np.ones((1, 2, 3)), [0, 1], 2), _meta()),
              "meta describes a single task, not a stack"),
         ],
@@ -220,19 +230,19 @@ class TestTaskStack:
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            build_prototypes,
-            feature_scores,
-        ],
-        ids=["build_prototypes", "feature_scores"],
-    )
-    def test_per_task_labels_rejected_where_shared_are_needed(self, call):
-        # both slice class blocks out of the support; attend_probs takes per-task labels
+    def test_per_task_labels_rejected_where_shared_are_needed(self):
+        # the scoring rounds slice class blocks out of the support; attend_probs takes per-task labels
         per_task = LabeledSet(np.arange(24.0).reshape(2, 3, 4), [[0, 1, 0], [1, 0, 1]], k=2)
         with pytest.raises(ValueError, match=re.escape("labels must be one row shared by every task")):
-            call(per_task)
+            feature_scores(per_task)
+
+    def test_per_task_labels_taken_by_build_prototypes(self):
+        per_task = LabeledSet(np.arange(24.0).reshape(2, 3, 4), [[0, 1, 0], [1, 0, 1]], k=2)
+        protos = build_prototypes(per_task)
+        assert protos.features.shape == (2, 2, 4)
+        for t in range(2):
+            lone = build_prototypes(LabeledSet(per_task.features[t], per_task.labels[t], k=2))
+            assert protos.features[t].tobytes() == lone.features.tobytes()
 
     def test_rejects_nonfinite_queries(self):
         sup = LabeledSet(np.ones((1, 2, 2)), [0, 1], k=2)
@@ -255,12 +265,12 @@ def _labeled(k: int = 2) -> LabeledSet:
     [
         (lambda: LabeledSet(np.zeros(3), [0], 2), "feature matrix must be at least 2-d, got shape (3,)"),
         (lambda: LabeledSet(np.zeros((0, 3)), [], 2), "feature matrix must be non-empty, got shape (0, 3)"),
-        (lambda: LabeledSet(np.zeros((2, 3)), [[0, 1]], 2), "labels must be one per feature row, shared (rows,) or per task"),
-        (lambda: LabeledSet(np.zeros((2, 3)), [0, 1, 1], 2), "labels must be one per feature row, shared (rows,) or per task"),
-        (lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1]], 2), "labels must be one per feature row, shared (rows,) or per task"),
-        (lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1], [1, 0]], 2).class_rows(0),
-         "labels must be one row shared by every task, got shape (2, 2)"),
-        (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 2).class_rows(1), "class 1 has no support examples"),
+        pytest.param(lambda: LabeledSet(np.zeros((2, 3)), [[0, 1]], 2),
+                     "labels must be one per feature row, shared (rows,) or per task", id="a label row on one task"),
+        pytest.param(lambda: LabeledSet(np.zeros((2, 3)), [0, 1, 1], 2),
+                     "labels must be one per feature row, shared (rows,) or per task", id="3 labels on 2 rows"),
+        pytest.param(lambda: LabeledSet(np.zeros((2, 2, 3)), [[0, 1]], 2),
+                     "labels must be one per feature row, shared (rows,) or per task", id="1 label row on 2 tasks"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 0], 1), "class count must be >= 2, got 1"),
         (lambda: LabeledSet(np.zeros((2, 3)), [0, 2], 2), "labels must lie in [0, 2)"),
         (lambda: _meta(alpha=2), "alpha must equal the number of active indices"),

@@ -150,15 +150,20 @@ class TestStacks:
             similarity_matrix(AttentionConfig(Kernel.COSINE), queries, keys)
 
 
+def complete_tasks(n: int, tables) -> tuple[np.ndarray, np.ndarray]:
+    """One complete task per table, stacked: the n-cube's corners, table t labelling corner i by its bit i."""
+    x = corners(n).astype(np.float64)
+    labels = (np.asarray(tables, dtype=np.int64)[:, None] >> np.arange(2**n)) & 1
+    return np.broadcast_to(x, (len(labels), *x.shape)), labels
+
+
 def _tables_realised(n: int, tables, tau_inv: float) -> np.ndarray:
     """Per table, whether dot attention over the n-cube's corners labelled by it classifies every corner right.
 
-    One attend_probs call classifies the whole stack: table t labels corner i
-    by its bit i, and the corners are both the support and the queries.
+    One attend_probs call classifies the whole stack; the corners are both
+    the support and the queries.
     """
-    x = corners(n).astype(np.float64)
-    labels = (np.asarray(tables, dtype=np.int64)[:, None] >> np.arange(2**n)) & 1
-    x = np.broadcast_to(x, (len(labels), *x.shape))
+    x, labels = complete_tasks(n, tables)
     probs = attend_probs(x, LabeledSet(x, labels, k=2), AttentionConfig(tau_inv=tau_inv))
     return np.all(predict(probs) == labels, axis=-1)
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from polyselect.boolefn import threshold_tables
 from polyselect.core import LabeledSet, rng_for
 from polyselect.kernels import AttentionConfig, Kernel, predict, similarity_matrix
 from polyselect.prototypes import build_prototypes, proto_classify
 
-from test_kernels import and_support, softmax_reference, xor_support
+from test_kernels import and_support, complete_tasks, softmax_reference, xor_support
 
 
 class TestBuildPrototypes:
@@ -52,6 +53,57 @@ class TestStackedPrototypes:
         for t in range(3):
             lone = proto_classify(queries[t], build_prototypes(LabeledSet(feats[t], labels, k=2)))
             assert stacked[t].tobytes() == lone.tobytes()
+
+
+class TestBinaryClassMeans:
+    """On ±1 and 0/1 rows every class sum is an exact integer, so the one-hot product's means are numpy's means."""
+
+    @pytest.mark.parametrize("per_task", [False, True], ids=["shared labels", "per-task labels"])
+    @pytest.mark.parametrize("encode", [lambda b: 2 * b - 1, lambda b: b], ids=["plus_minus", "zero_one"])
+    def test_means_equal_each_class_mean(self, per_task, encode):
+        rng = rng_for(17)
+        for rows, n, k in [(4, 3, 2), (37, 9, 3), (512, 14, 2), (2000, 5, 4)]:
+            feats = encode(rng.integers(0, 2, size=(3, rows, n)).astype(np.float64))
+            labels = np.stack([rng.permutation(np.arange(rows) % k) for _ in range(3)])
+            protos = build_prototypes(LabeledSet(feats, labels if per_task else labels[0], k=k))
+            for t in range(3):
+                rows_of = labels[t] if per_task else labels[0]
+                means = np.stack([feats[t, rows_of == c].mean(axis=0) for c in range(k)])
+                assert protos.features[t].tobytes() == means.tobytes(), (rows, n, k, t)
+
+    def test_empty_class_in_one_task_rejected(self):
+        support = LabeledSet(np.ones((2, 3, 2)), [[0, 1, 0], [0, 0, 0]], k=2)
+        with pytest.raises(ValueError, match="class 1 has no support examples"):
+            build_prototypes(support)
+
+
+class TestEveryTruthTable:
+    """Proto on raw corners realises only threshold tables (ROADMAP item 9's Proto counts).
+
+    Every non-constant table is one task of a stack with per-task labels, the
+    corners both its support and its queries; one build_prototypes and one
+    proto_classify call classify them all.
+    """
+
+    @pytest.mark.parametrize("n, realised", [(2, 12), (3, 54), (4, 888)])
+    def test_realised_tables_are_threshold_tables(self, n, realised):
+        tables = np.arange(1, 2 ** 2**n - 1)
+        x, labels = complete_tasks(n, tables)
+        probs = proto_classify(x, build_prototypes(LabeledSet(x, labels, k=2)))
+        hits = tables[np.all(predict(probs) == labels, axis=-1)]
+        assert len(hits) == realised
+        assert np.isin(hits, threshold_tables(n)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_equals_each_table(self, n):
+        tables = np.arange(1, 2 ** 2**n - 1)
+        if n == 4:
+            tables = rng_for(9).choice(tables, size=400, replace=False)
+        x, labels = complete_tasks(n, tables)
+        stacked = proto_classify(x, build_prototypes(LabeledSet(x, labels, k=2)))
+        for t in range(len(tables)):
+            lone = proto_classify(x[t], build_prototypes(LabeledSet(x[t], labels[t], k=2)))
+            assert stacked[t].tobytes() == lone.tobytes(), tables[t]
 
 
 class TestProtoClassify:

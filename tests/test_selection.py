@@ -623,12 +623,17 @@ class TestNormIsATemperature:
         (lambda: self_attention_round(np.zeros((0, 3)), 1.0),
          "class features must be a non-empty (..., rows, n) array"),
         (lambda: feature_scores(LabeledSet(np.eye(4), [0, 1, 0, 1], k=3)), "class 2 has no support examples"),
+        (lambda: feature_scores(LabeledSet(np.zeros((2, 3)), [0, 0], 2)), "class 1 has no support examples"),
+        (lambda: feature_scores(LabeledSet(np.zeros((2, 2, 3)), [[0, 1], [1, 0]], 2)),
+         "labels must be one row shared by every task, got shape (2, 2)"),
         # sigma = inf would standardise every feature to 0; at +-2^1023 the column
         # sums overflow both ways and meet as inf - inf
-        (lambda: standardize(LabeledSet(np.eye(4) * 2.0**600, [0, 1, 0, 1], k=2)),
-         "support feature mean or standard deviation overflows float64"),
-        (lambda: standardize(LabeledSet(np.repeat([[2.0**1023], [-(2.0**1023)]], 300, axis=0), [0, 1] * 300, k=2)),
-         "support feature mean or standard deviation overflows float64"),
+        pytest.param(lambda: standardize(LabeledSet(np.eye(4) * 2.0**600, [0, 1, 0, 1], k=2)),
+                     "support feature mean or standard deviation overflows float64", id="sigma overflows"),
+        pytest.param(
+            lambda: standardize(LabeledSet(np.repeat([[2.0**1023], [-(2.0**1023)]], 300, axis=0), [0, 1] * 300, k=2)),
+            "support feature mean or standard deviation overflows float64", id="mean overflows",
+        ),
     ],
 )
 def test_rejects_bad_input(call, message):
